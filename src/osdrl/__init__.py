@@ -5,12 +5,15 @@ from .distributions import (
     AtomicDistribution,
     CategoricalDistribution,
     DistributionCollection,
+    categorical_w1,
     cramer_project,
     dirac,
     distribution_from_json,
+    dominance_excess,
     kl_divergence,
     mean,
     mixture,
+    project_points,
     pushforward_affine,
     stochastically_dominates,
     sup_wasserstein,
@@ -21,11 +24,13 @@ from .dp import (
     IterationTrace,
     OscillationReport,
     RangeConditionError,
+    categorical_start,
     detect_oscillation,
     iterate,
     one_step_fixed_point_eval,
     one_step_fixed_point_opt,
     projected_fixed_points,
+    scan_oscillation,
     solve_q_pi,
     solve_q_star,
     trace_atoms_to_csv,
@@ -41,6 +46,7 @@ from .learning import (
     project_dirac_sparse,
     run_learning,
     target_microbenchmark,
+    write_learning_csv,
 )
 from .mdp import (
     EpisodicEnv,

@@ -17,19 +17,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DistributionCollection, dirac
+from .distributions import DistributionCollection, categorical_w1, dirac
 from .dp import (
     AtomBudgetExceeded,
+    RangeConditionError,
+    categorical_start,
     detect_oscillation,
     iterate,
-    one_step_fixed_point_opt,
     projected_fixed_points,
+    scan_oscillation,
     solve_q_star,
     trace_atoms_to_csv,
     trace_distances_to_csv,
 )
-from .learning import DEFAULT_EPS_RATE, ExplorationSchedule, StepSizeSchedule, run_learning
-from .mdp import Policy, TabularMdp, make_frozen_lake, make_toy_mdp
+from .learning import (
+    DEFAULT_EPS_RATE,
+    ExplorationSchedule,
+    StepSizeSchedule,
+    run_learning,
+    write_learning_csv,
+)
+from .mdp import FROZEN_LAKE_MAP, Policy, TabularMdp, make_frozen_lake, make_toy_mdp
 from .operators import distr_bellman_eval, distr_bellman_opt, os_distr_eval, os_distr_opt, projected
 from .svgplot import histogram_chart, line_chart
 from .verify import run_properties
@@ -108,32 +116,63 @@ def load_config(command: str, config_path, overrides: dict) -> dict:
     return config
 
 
-def _require(cond, message):
-    if not cond:
-        raise ConfigError(message)
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return (_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _grid(v) -> bool:
+    ok = isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_number, v))
+    return ok and all(lo < hi for lo, hi in zip(v, v[1:]))
+
+
+_LAKE_STATES, _LAKE_ACTIONS = len("".join(FROZEN_LAKE_MAP)), 4
+
+
+def _track(v) -> bool:
+    def pair_ok(p):
+        ok = isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_int, p))
+        return ok and 0 <= p[0] < _LAKE_STATES and 0 <= p[1] < _LAKE_ACTIONS
+
+    return isinstance(v, (list, tuple)) and all(map(pair_ok, v))
+
+
+# key -> (check, what a valid value is), one entry per key of DEFAULTS
+CONFIG_SCHEMA = {
+    "seed": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
+    "steps": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
+    "one_step_iterations": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "search_candidates": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
+    "grid": (_grid, "a strictly increasing list of at least 2 finite numbers"),
+    "out": (lambda v: isinstance(v, str), "a path string"),
+    "bins": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "atom_cap": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "seeds": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "alpha": (lambda v: _number(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "eps_start": (lambda v: _number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "eps_end": (lambda v: _number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "eps_rate": (lambda v: _number(v) and v >= 0.0, "a number >= 0"),
+    "goal_reward": (lambda v: _number(v) and v > 0.0, "a number > 0"),
+    "slippery": (lambda v: isinstance(v, bool), "true or false"),
+    "record_every": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "track": (
+        _track,
+        f"a list of [state, action] pairs, states in [0, {_LAKE_STATES}), actions in [0, {_LAKE_ACTIONS})",
+    ),
+    "fast": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 def _validate_config(command: str, config: dict) -> None:
-    _require(isinstance(config["seed"], int) and config["seed"] >= 0, "seed must be >= 0")
-    if "steps" in config:
-        _require(isinstance(config["steps"], int) and config["steps"] >= 0, "steps must be >= 0")
-    if "grid" in config:
-        grid = np.asarray(config["grid"], dtype=float)
-        _require(grid.ndim == 1 and grid.size >= 2, "grid needs at least 2 points")
-        _require(bool(np.all(np.diff(grid) > 0)), "grid must be strictly increasing")
-    if command == "instability":
-        _require(config["one_step_iterations"] >= 1, "one_step_iterations must be >= 1")
-        _require(config["search_candidates"] >= 0, "search_candidates must be >= 0")
-    if command == "histograms":
-        _require(config["bins"] >= 1, "bins must be >= 1")
-    if command == "frozenlake":
-        _require(config["seeds"] >= 1, "seeds must be >= 1")
-        _require(config["steps"] >= 1, "steps must be >= 1")
-        _require(0.0 < config["alpha"] <= 1.0, "alpha must lie in (0, 1]")
-        _require(config["goal_reward"] > 0, "goal_reward must be positive")
-        _require(config["record_every"] >= 1, "record_every must be >= 1")
-        for pair in config["track"]:
-            _require(len(pair) == 2, "track entries must be [state, action] pairs")
+    for key, value in config.items():
+        check, what = CONFIG_SCHEMA[key]
+        if not check(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if command == "frozenlake" and config["steps"] < 1:
+        raise ConfigError("steps must be >= 1 for frozenlake")
 
 
 def _out_dir(config: dict, experiment: str) -> Path:
@@ -156,120 +195,71 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _perturbed_toy(r_a: float) -> TabularMdp:
-    # tie-preserving family: rewards on the stochastic action sum to 3
-    r_b = 3.0 - r_a
-    kernel = np.zeros((2, 2, 2))
-    reward = np.zeros((2, 2, 2))
-    kernel[0, 0, 1] = 1.0
-    reward[0, 0, 1] = 2.0
-    kernel[0, 1, 1] = 0.5
-    reward[0, 1, 1] = r_a
-    kernel[0, 1, 0] = 0.5
-    reward[0, 1, 0] = r_b
-    kernel[1, :, 1] = 1.0
-    return TabularMdp(kernel=kernel, reward=reward, discount=0.5)
-
-
 def _start_collection(mdp: TabularMdp) -> DistributionCollection:
     return DistributionCollection.constant(mdp.n_states, mdp.n_actions, dirac(0.0))
 
 
-def _categorical_start(mdp: TabularMdp, grid) -> DistributionCollection:
-    from .distributions import cramer_project
-
-    return DistributionCollection.constant(
-        mdp.n_states, mdp.n_actions, cramer_project(dirac(grid[0]), grid)
+def _stack(iterates) -> np.ndarray:
+    """Categorical probabilities of a sequence of collections, as an array
+    of shape (n, S, A, K)."""
+    return np.array(
+        [[[mu[x, a].probs for a in range(mu.n_actions)] for x in range(mu.n_states)] for mu in iterates]
     )
 
 
-def _prob_stack(op, start: DistributionCollection, grid, n_steps: int) -> np.ndarray:
-    """Iterate op and return the categorical probabilities of every iterate
-    as an array of shape (n_steps + 1, S, A, K)."""
-    s_n, a_n = start.n_states, start.n_actions
-    stack = np.empty((n_steps + 1, s_n, a_n, len(grid)))
-    current = start
-    for n in range(n_steps + 1):
-        for (x, a), dist in current:
-            stack[n, x, a] = dist.probs
-        if n < n_steps:
-            current = op(current)
-    return stack
+def _prob_stack(op, start: DistributionCollection, n_steps: int) -> np.ndarray:
+    """Iterate op n_steps times from start and stack every iterate."""
+    iterates = [start]
+    for _ in range(n_steps):
+        iterates.append(op(iterates[-1]))
+    return _stack(iterates)
 
 
-def _stack_cycle_scan(stack: np.ndarray, grid, tol: float = 1e-6, max_period: int = 4):
-    """Same periodicity scan as detect_oscillation, specialized to categorical
-    prob stacks on a shared grid (sup-W1 via cumulative differences)."""
-    gaps = np.diff(grid)
-    cums = np.cumsum(stack, axis=3)[..., :-1]
-    n = stack.shape[0]
-    burn = n // 2
-    recurrence = {}
-    for q in range(1, max_period + 1):
-        if n - q <= burn:
-            recurrence[q] = math.nan
-            continue
-        diffs = np.abs(cums[burn : n - q] - cums[burn + q : n]) @ gaps
-        recurrence[q] = float(diffs.max())
-    if recurrence[1] < tol:
-        return {"converged": True, "oscillating": False, "period": None, "recurrence": recurrence}
-    period = next(
-        (q for q in range(2, max_period + 1) if not math.isnan(recurrence[q]) and recurrence[q] < tol),
-        None,
-    )
-    return {
-        "converged": False,
-        "oscillating": period is not None,
-        "period": period,
-        "recurrence": recurrence,
-    }
+def _stack_scan(stack: np.ndarray, grid):
+    """Oscillation scan of a stack, sup-W1 on its shared grid."""
+    n = len(stack)
+
+    def largest_gap(q, start):
+        return float(categorical_w1(stack[start : n - q], stack[start + q :], grid).max())
+
+    return scan_oscillation(n, largest_gap)
 
 
 def _stack_probs_csv(stack: np.ndarray, grid, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "entry_id", "k", "z_k", "prob"])
-        for n in range(stack.shape[0]):
-            for x in range(stack.shape[1]):
-                for a in range(stack.shape[2]):
-                    for k, z in enumerate(grid):
-                        writer.writerow([n, f"x{x}_a{a}", k, repr(float(z)), repr(float(stack[n, x, a, k]))])
+        for n, x, a, k in np.ndindex(stack.shape):
+            writer.writerow([n, f"x{x}_a{a}", k, repr(float(grid[k])), repr(float(stack[n, x, a, k]))])
 
 
-def _probs_csv(trace, grid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "entry_id", "k", "z_k", "prob"])
-        for n, mu in enumerate(trace.iterates):
-            for (x, a), dist in mu:
-                for k, (z, p) in enumerate(zip(grid, dist.probs)):
-                    writer.writerow([n, f"x{x}_a{a}", k, repr(float(z)), repr(float(p))])
+def _plot_stack(stack: np.ndarray, grid, entry, path, title) -> None:
+    x, a = entry
+    xs = list(range(stack.shape[0]))
+    line_chart(
+        [(f"p(z={z:g})", xs, stack[:, x, a, k].tolist()) for k, z in enumerate(grid)],
+        path,
+        title=title,
+        x_label="iteration",
+        y_label="probability",
+    )
 
 
-def _qfunc_csv(traces: dict, path) -> None:
-    names = sorted(traces)
-    length = max(len(traces[n].iterates) for n in names)
+def _qfunc_csv(qs: dict, path) -> None:
+    """qs maps a name to its list of Q-function iterates; shorter runs
+    repeat their last iterate."""
+    names = sorted(qs)
+    length = max(len(qs[n]) for n in names)
+    n_states, n_actions = qs[names[0]][0].shape
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "entry_id"] + [f"q_{n}" for n in names])
-        example = traces[names[0]].iterates[0]
         for it in range(length):
-            for (x, a), _ in example:
-                row = [it, f"x{x}_a{a}"]
-                for n in names:
-                    iters = traces[n].iterates
-                    mu = iters[min(it, len(iters) - 1)]
-                    row.append(repr(float(mu[x, a].mean())))
-                writer.writerow(row)
-
-
-def _plot_prob_lines(trace, grid, entry, path, title) -> None:
-    xs = list(range(len(trace.iterates)))
-    series = []
-    for k, z in enumerate(grid):
-        ys = [mu[entry].probs[k] for mu in trace.iterates]
-        series.append((f"p(z={z:g})", xs, ys))
-    line_chart(series, path, title=title, x_label="iteration", y_label="probability")
+            for x in range(n_states):
+                for a in range(n_actions):
+                    row = [it, f"x{x}_a{a}"]
+                    row += [repr(float(qs[n][min(it, len(qs[n]) - 1)][x, a])) for n in names]
+                    writer.writerow(row)
 
 
 def cmd_instability(config: dict) -> int:
@@ -282,12 +272,12 @@ def cmd_instability(config: dict) -> int:
 
     eta_star = projected_fixed_points(mdp, grid, tol=1e-10)
     os_op = projected(lambda m: os_distr_opt(m, mdp), grid)
-    os_trace = iterate(os_op, _categorical_start(mdp, grid), config["one_step_iterations"], reference=eta_star)
+    os_trace = iterate(os_op, categorical_start(mdp, grid), config["one_step_iterations"], reference=eta_star)
     os_residual = os_trace.ref_distances[-1]
     os_converged = os_residual < 1e-8
 
     cdrl_op = projected(lambda m: distr_bellman_opt(m, mdp, tie_break="lowest"), grid)
-    cdrl_trace = iterate(cdrl_op, _categorical_start(mdp, grid), config["steps"])
+    cdrl_trace = iterate(cdrl_op, categorical_start(mdp, grid), config["steps"])
     cdrl_report = detect_oscillation(cdrl_trace)
 
     search = {"triggered": False, "candidates_tried": 0}
@@ -302,65 +292,50 @@ def cmd_instability(config: dict) -> int:
                 r_a = float(rng.uniform(0.0, 3.0))
             else:
                 r_a = float(rng.uniform(grid[1] - 0.1, grid[-2] + 0.1))
-            candidate = _perturbed_toy(r_a)
+            candidate = make_toy_mdp(r_a)
             q_cand = solve_q_star(candidate, tol=1e-12)
             search["candidates_tried"] = index + 1
             if abs(q_cand[0, 0] - q_cand[0, 1]) > 1e-9:
                 continue  # tie broken by rounding; not a valid candidate
             op = projected(lambda m, _c=candidate: distr_bellman_opt(m, _c, tie_break="lowest"), grid)
-            stack = _prob_stack(op, _categorical_start(candidate, grid), grid, search_steps)
-            scan = _stack_cycle_scan(stack, grid)
-            if scan["oscillating"]:
+            stack = _prob_stack(op, categorical_start(candidate, grid), search_steps)
+            scan = _stack_scan(stack, grid)
+            if scan.oscillating:
                 search.update(
                     triggered=True,
                     candidate_index=index,
                     r_a=r_a,
                     r_b=3.0 - r_a,
-                    period=scan["period"],
-                    recurrence=scan["recurrence"][1],
+                    period=scan.period,
+                    recurrence=scan.recurrence[1],
                 )
                 perturbed_stack = stack
                 break
 
-    _probs_csv(os_trace, grid, out / "probs_onestep.csv")
-    _probs_csv(cdrl_trace, grid, out / "probs_cdrl.csv")
-    _qfunc_csv({"onestep": os_trace, "cdrl": cdrl_trace}, out / "qfunc.csv")
+    panels = [
+        ("onestep", _stack(os_trace.iterates), "projected one-step control"),
+        ("cdrl", _stack(cdrl_trace.iterates), "projected full control"),
+    ]
+    if perturbed_stack is not None:
+        panels.append(("cdrl_perturbed", perturbed_stack, "perturbed instance"))
+    for name, stack, title in panels:
+        _stack_probs_csv(stack, grid, out / f"probs_{name}.csv")
+        for x, a in ((0, 0), (0, 1)):
+            path = out / f"{name}_probs_x{x}_a{a}.svg"
+            _plot_stack(stack, grid, (x, a), path, f"{title} at (x{x + 1}, a{a + 1})")
+    traces = {"onestep": os_trace, "cdrl": cdrl_trace}
+    qs = {name: [mu.means() for mu in trace.iterates] for name, trace in traces.items()}
+    _qfunc_csv(qs, out / "qfunc.csv")
     trace_distances_to_csv(os_trace, out / "distances_onestep.csv")
+    series = [("cdrl", qs["cdrl"]), ("one-step", qs["onestep"])]
     for x, a in ((0, 0), (0, 1)):
-        _plot_prob_lines(
-            cdrl_trace, grid, (x, a), out / f"cdrl_probs_x{x}_a{a}.svg",
-            f"projected full control at (x{x + 1}, a{a + 1})",
-        )
-        _plot_prob_lines(
-            os_trace, grid, (x, a), out / f"onestep_probs_x{x}_a{a}.svg",
-            f"projected one-step control at (x{x + 1}, a{a + 1})",
-        )
-        xs_full = list(range(len(cdrl_trace.iterates)))
-        xs_os = list(range(len(os_trace.iterates)))
         line_chart(
-            [
-                ("cdrl", xs_full, [mu[x, a].mean() for mu in cdrl_trace.iterates]),
-                ("one-step", xs_os, [mu[x, a].mean() for mu in os_trace.iterates]),
-            ],
+            [(label, range(len(q)), [qn[x, a] for qn in q]) for label, q in series],
             out / f"qfunc_x{x}_a{a}.svg",
             title=f"Q at (x{x + 1}, a{a + 1})",
             x_label="iteration",
             y_label="Q",
         )
-    if perturbed_stack is not None:
-        _stack_probs_csv(perturbed_stack, grid, out / "probs_cdrl_perturbed.csv")
-        xs = list(range(perturbed_stack.shape[0]))
-        for x, a in ((0, 0), (0, 1)):
-            line_chart(
-                [
-                    (f"p(z={z:g})", xs, perturbed_stack[:, x, a, k].tolist())
-                    for k, z in enumerate(grid)
-                ],
-                out / f"cdrl_perturbed_probs_x{x}_a{a}.svg",
-                title=f"perturbed instance at (x{x + 1}, a{a + 1})",
-                x_label="iteration",
-                y_label="probability",
-            )
 
     oscillation_shown = bool(cdrl_report.oscillating or search["triggered"])
     report = {
@@ -466,9 +441,11 @@ def cmd_frozenlake(config: dict) -> int:
     out = _out_dir(config, "frozenlake")
     q_star = solve_q_star(env.mdp, tol=1e-10)
     try:
-        reference = projected_fixed_points(env.mdp, grid, tol=1e-10)
-    except Exception:
-        reference = None  # grid does not cover the targets; W1 column stays nan
+        reference, reference_error = projected_fixed_points(env.mdp, grid, tol=1e-10), None
+    except RangeConditionError as exc:
+        # the grid does not cover the targets: the W1 column stays nan
+        reference, reference_error = None, str(exc)
+        print(f"warning: W1 reference unavailable: {exc}", file=sys.stderr)
     schedule = StepSizeSchedule.constant(config["alpha"])
     exploration = ExplorationSchedule(
         eps_start=config["eps_start"], eps_end=config["eps_end"], rate=config["eps_rate"]
@@ -494,25 +471,7 @@ def cmd_frozenlake(config: dict) -> int:
             )
         )
 
-    with open(out / "learning.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "seed", "w1_to_reference", "q_error_sup", "range_violations", "epsilon", "mean_alpha"]
-        )
-        for rec in records:
-            for i, step in enumerate(rec.steps):
-                w1 = rec.w1_to_reference[i] if rec.w1_to_reference is not None else math.nan
-                writer.writerow(
-                    [
-                        int(step),
-                        rec.seed,
-                        repr(float(w1)),
-                        repr(float(rec.q_error_sup[i])),
-                        int(rec.range_violations[i]),
-                        repr(float(rec.epsilon[i])),
-                        repr(float(rec.mean_alpha[i])),
-                    ]
-                )
+    write_learning_csv(records, out / "learning.csv")
 
     steps = records[0].steps
     for x, a in track:
@@ -559,6 +518,8 @@ def cmd_frozenlake(config: dict) -> int:
         "steps": config["steps"],
         "q_error_sq_of_mean_first": float(err_sq[first_idx]),
         "q_error_sq_of_mean_last": float(err_sq[-1]),
+        "reference_available": reference is not None,
+        "reference_error": reference_error,
         "normalized": bool(
             max(
                 float(np.max(np.abs(rec.tracked[pair].sum(axis=1) - 1.0)))

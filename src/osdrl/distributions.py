@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mdp import _frozen_array
+
 ATOM_MERGE_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
-
-
-def _frozen_array(values) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -229,43 +225,62 @@ def sup_wasserstein(mu1, mu2, p: float = 1.0) -> float:
     )
 
 
-def cramer_project(nu, grid) -> CategoricalDistribution:
-    """Project a finitely supported measure onto a categorical grid.
+def project_points(atoms, weights, grid) -> np.ndarray:
+    """Categorical projection of the weighted points (atoms, weights) onto a
+    strictly increasing grid, returned as a probability vector over the grid.
 
     Each atom z' is clamped to z_1 below the grid and to z_K above it;
     an interior atom with z_j < z' <= z_{j+1} splits its weight linearly
     between the bracketing grid points, the bracket found by binary search.
-    The projection is linear in the input measure.
+    The projection is linear in the weights.
     """
+    probs = np.zeros(grid.size)
+    idx = np.searchsorted(grid, atoms, side="left")
+    below = idx == 0
+    above = idx == grid.size
+    probs[0] += weights[below].sum()
+    probs[-1] += weights[above].sum()
+    inner = ~(below | above)
+    if np.any(inner):
+        i = idx[inner]
+        z = atoms[inner]
+        w = weights[inner]
+        gap = grid[i] - grid[i - 1]
+        np.add.at(probs, i - 1, w * (grid[i] - z) / gap)
+        np.add.at(probs, i, w * (z - grid[i - 1]) / gap)
+    return probs
+
+
+def cramer_project(nu, grid) -> CategoricalDistribution:
+    """Project a finitely supported measure onto a categorical grid
+    (see project_points)."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be 1-D with at least 2 points")
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be finite and strictly increasing")
     nu = _as_atomic(nu)
-    probs = np.zeros(grid.size)
-    idx = np.searchsorted(grid, nu.atoms, side="left")
-    below = idx == 0
-    above = idx == grid.size
-    probs[0] += nu.weights[below].sum()
-    probs[-1] += nu.weights[above].sum()
-    inner = ~(below | above)
-    if np.any(inner):
-        i = idx[inner]
-        z = nu.atoms[inner]
-        w = nu.weights[inner]
-        gap = grid[i] - grid[i - 1]
-        np.add.at(probs, i - 1, w * (grid[i] - z) / gap)
-        np.add.at(probs, i, w * (z - grid[i - 1]) / gap)
-    return CategoricalDistribution(grid=grid, probs=probs)
+    return CategoricalDistribution(grid=grid, probs=project_points(nu.atoms, nu.weights, grid))
+
+
+def categorical_w1(p, q, grid) -> np.ndarray:
+    """W1 between probability vectors on one shared grid, over the last axis:
+    the area between the two CDFs, |cumsum(p - q)| weighted by the cell widths."""
+    return np.abs(np.cumsum(p - q, axis=-1)[..., :-1]) @ np.diff(grid)
+
+
+def dominance_excess(hi, lo) -> float:
+    """Largest amount by which the CDF of hi exceeds that of lo on the merged
+    atoms; at most 0 exactly when hi stochastically dominates lo."""
+    hi, lo = _as_atomic(hi), _as_atomic(lo)
+    zs = np.union1d(hi.atoms, lo.atoms)
+    return float(np.max(hi.cdf(zs) - lo.cdf(zs)))
 
 
 def stochastically_dominates(nu1, nu2, tol: float = 1e-12) -> bool:
     """True iff nu1 stochastically dominates nu2: F1(z) <= F2(z) at every
     merged breakpoint, up to tol."""
-    nu1, nu2 = _as_atomic(nu1), _as_atomic(nu2)
-    zs = np.union1d(nu1.atoms, nu2.atoms)
-    return bool(np.all(nu1.cdf(zs) <= nu2.cdf(zs) + tol))
+    return dominance_excess(nu1, nu2) <= tol
 
 
 def kl_divergence(target: CategoricalDistribution, model: CategoricalDistribution) -> float:

@@ -1,6 +1,6 @@
 """Exact dynamic programming: scalar fixed points, closed-form one-step
 distributional fixed points, operator iteration with trajectory recording,
-and the oscillation detector used by the instability experiment."""
+and the oscillation scan used by the instability experiment."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (
-    AtomicDistribution,
     CategoricalDistribution,
     DistributionCollection,
     cramer_project,
@@ -20,7 +19,14 @@ from .distributions import (
     sup_wasserstein,
 )
 from .mdp import Policy, TabularMdp
-from .operators import bellman_eval, bellman_opt, os_distr_eval, os_distr_opt, projected
+from .operators import (
+    _one_step_collection,
+    bellman_eval,
+    bellman_opt,
+    os_distr_eval,
+    os_distr_opt,
+    projected,
+)
 
 _MAX_SOLVE_ITERS = 10_000_000  # defensive cap; contraction terminates far earlier
 
@@ -56,30 +62,19 @@ def solve_q_star(mdp: TabularMdp, tol: float = 1e-10) -> np.ndarray:
     return _solve(lambda q: bellman_opt(q, mdp), shape, mdp.discount, tol)
 
 
-def _one_step_fixed_point(mdp: TabularMdp, v: np.ndarray) -> DistributionCollection:
-    targets = mdp.reward + mdp.discount * v[None, None, :]
-
-    def entry(x, a):
-        row = mdp.kernel[x, a]
-        keep = row > 0.0
-        return AtomicDistribution.from_points(targets[x, a][keep], row[keep])
-
-    return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
-
-
 def one_step_fixed_point_eval(
     mdp: TabularMdp, policy: Policy, tol: float = 1e-10
 ) -> DistributionCollection:
     """Closed-form fixed point of the one-step evaluation operator: the Dirac
     mixture over successors at r(x,a,x') + gamma * V_pi(x')."""
     q = solve_q_pi(mdp, policy, tol)
-    return _one_step_fixed_point(mdp, (policy.probs * q).sum(axis=1))
+    return _one_step_collection(mdp, (policy.probs * q).sum(axis=1))
 
 
 def one_step_fixed_point_opt(mdp: TabularMdp, tol: float = 1e-10) -> DistributionCollection:
     """Closed-form fixed point of the one-step optimality operator."""
     q = solve_q_star(mdp, tol)
-    return _one_step_fixed_point(mdp, q.max(axis=1))
+    return _one_step_collection(mdp, q.max(axis=1))
 
 
 class RangeConditionError(ValueError):
@@ -163,6 +158,13 @@ def iterate(op, mu0, n_steps: int, reference=None, atom_cap: int = 1_000_000) ->
     return IterationTrace(iterates, steps, refs, atoms)
 
 
+def categorical_start(mdp: TabularMdp, grid) -> DistributionCollection:
+    """The all-delta(z_1) collection on grid, where projected iteration starts."""
+    return DistributionCollection.constant(
+        mdp.n_states, mdp.n_actions, cramer_project(dirac(grid[0]), grid)
+    )
+
+
 def projected_fixed_points(
     mdp: TabularMdp, grid, tol: float = 1e-10, policy: Optional[Policy] = None
 ) -> DistributionCollection:
@@ -191,12 +193,8 @@ def projected_fixed_points(
         triplets = [(x, a, xn, float(targets[x, a, xn])) for x, a, xn in zip(*np.nonzero(bad))]
         raise RangeConditionError(triplets)
 
-    eta = _one_step_fixed_point(mdp, v).map(lambda d: cramer_project(d, grid))
-
-    start = DistributionCollection.constant(
-        mdp.n_states, mdp.n_actions, cramer_project(dirac(grid[0]), grid)
-    )
-    current = start
+    eta = _one_step_collection(mdp, v).map(lambda d: cramer_project(d, grid))
+    current = categorical_start(mdp, grid)
     gamma = mdp.discount
     threshold = tol * (1.0 - gamma) / gamma if gamma > 0.0 else math.inf
     for _ in range(_MAX_SOLVE_ITERS):
@@ -226,6 +224,31 @@ class OscillationReport:
     recurrence: dict = field(default_factory=dict)
 
 
+def scan_oscillation(
+    n: int, largest_gap, tol: float = 1e-6, max_period: int = 4, burn_in: Optional[int] = None
+) -> OscillationReport:
+    """Periodicity scan over the tail of n iterates.
+
+    largest_gap(q, start) returns the largest distance between iterates i and
+    i + q over start <= i < n - q. The scan starts at burn_in (default: the
+    second half). converged means the period-1 recurrence is already below
+    tol; a tail that neither converges nor recurs within max_period is
+    reported as aperiodic.
+    """
+    if burn_in is None:
+        burn_in = n // 2
+    recurrence = {
+        q: largest_gap(q, burn_in) if n - q > burn_in else math.nan
+        for q in range(1, max_period + 1)
+    }
+    max_step_tail = recurrence.get(1, math.nan)
+    converged = bool(max_step_tail < tol)  # nan compares False
+    recurs = [q for q in range(2, max_period + 1) if recurrence[q] < tol]
+    period = None if converged or not recurs else recurs[0]
+    aperiodic = not converged and period is None
+    return OscillationReport(converged, period is not None, period, aperiodic, max_step_tail, recurrence)
+
+
 def detect_oscillation(
     trace: IterationTrace,
     tol: float = 1e-6,
@@ -233,32 +256,15 @@ def detect_oscillation(
     burn_in: Optional[int] = None,
 ) -> OscillationReport:
     """Flag the instability signature: successive iterates stay apart while
-    some period-q recurrence (q <= max_period) stays below tol.
-
-    Scans iterates after burn_in (default: second half of the trace).
-    converged means the period-1 recurrence is already below tol; a trace
-    that neither converges nor recurs is reported as aperiodic.
-    """
+    some period-q recurrence (q <= max_period) stays below tol. Distances are
+    sup-W1 between collections and sup norm between Q-functions; see
+    scan_oscillation."""
     iterates = trace.iterates
-    n = len(iterates)
-    if burn_in is None:
-        burn_in = n // 2
-    recurrence = {}
-    for q in range(1, max_period + 1):
-        pairs = [
-            _distance(iterates[i + q], iterates[i]) for i in range(burn_in, n - q)
-        ]
-        recurrence[q] = max(pairs) if pairs else math.nan
-    max_step_tail = recurrence.get(1, math.nan)
-    if not math.isnan(max_step_tail) and max_step_tail < tol:
-        return OscillationReport(True, False, None, False, max_step_tail, recurrence)
-    period = next(
-        (q for q in range(2, max_period + 1) if not math.isnan(recurrence[q]) and recurrence[q] < tol),
-        None,
-    )
-    if period is not None:
-        return OscillationReport(False, True, period, False, max_step_tail, recurrence)
-    return OscillationReport(False, False, None, True, max_step_tail, recurrence)
+
+    def largest_gap(q, start):
+        return max(_distance(iterates[i + q], iterates[i]) for i in range(start, len(iterates) - q))
+
+    return scan_oscillation(len(iterates), largest_gap, tol, max_period, burn_in)
 
 
 def _entry_points(dist):

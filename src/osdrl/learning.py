@@ -12,13 +12,13 @@ import csv
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Optional
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, DistributionCollection
+from .distributions import CategoricalDistribution, DistributionCollection, categorical_w1, project_points
 from .mdp import EpisodicEnv, Policy, Transition
 
 # Default epsilon decay: reaches 0.26 at step 5e4 when decaying 1 -> 0.25.
@@ -150,30 +150,6 @@ def project_dirac_sparse(grid: np.ndarray, u: float):
     return (i - 1, i), ((hi - u) / gap, (u - lo) / gap)
 
 
-def _cdrl_target(grid: np.ndarray, reward: float, discount: float, next_probs: np.ndarray):
-    """Dense projected target of the baseline update: project the K shifted
-    atoms reward + discount*z_k weighted by the next-state probabilities.
-    Returns (probs, clamped) where clamped flags mass outside [z_1, z_K]."""
-    atoms = reward + discount * grid
-    out = np.zeros(grid.size)
-    idx = np.searchsorted(grid, atoms, side="left")
-    below = idx == 0
-    above = idx == grid.size
-    out[0] += next_probs[below].sum()
-    out[-1] += next_probs[above].sum()
-    inner = ~(below | above)
-    if np.any(inner):
-        i = idx[inner]
-        z = atoms[inner]
-        w = next_probs[inner]
-        gap = grid[i] - grid[i - 1]
-        np.add.at(out, i - 1, w * (grid[i] - z) / gap)
-        np.add.at(out, i, w * (z - grid[i - 1]) / gap)
-    outside = (atoms < grid[0]) | (atoms > grid[-1])
-    clamped = bool(np.any(outside & (next_probs > 0.0)))
-    return out, clamped
-
-
 def _check_mode(mode: str, policy) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -181,27 +157,74 @@ def _check_mode(mode: str, policy) -> None:
         raise ValueError("eval mode requires a policy")
 
 
-def _next_state_value(state: LearnerState, x_next: int, mode: str, policy) -> float:
-    q_next = state.probs[x_next] @ state.grid
-    if mode == "eval":
-        return float(policy.probs[x_next] @ q_next)
-    return float(q_next.max())
+# The two in-place updates below move row (x, a) of probs a step alpha toward
+# a projected target built from transition (x, a, r, x_next). policy=None
+# bootstraps greedily (control); a policy mixes the next state's actions
+# (eval). Each returns True when the target puts mass outside [z_1, z_K].
 
 
-def _updated(state: LearnerState, tr: Transition, new_row, violated) -> LearnerState:
-    probs = state.probs.copy()
-    probs[tr.state, tr.action] = new_row
-    visits = state.visits.copy()
-    visits[tr.state, tr.action] += 1
-    return LearnerState(
-        grid=state.grid,
-        probs=probs,
-        visits=visits,
-        discount=state.discount,
-        t=state.t + 1,
-        range_violations=state.range_violations + int(violated),
-        rng=state.rng,
+def _os_update(probs, grid, x, a, r, x_next, gamma, alpha, policy) -> bool:
+    """One-step update: the target projects a single Dirac at
+    r + gamma * V(x_next), V the maximal or policy-mixed mean."""
+    q_next = probs[x_next] @ grid
+    v = float(q_next.max()) if policy is None else float(policy.probs[x_next] @ q_next)
+    u = r + gamma * v
+    row = probs[x, a]
+    row *= 1.0 - alpha
+    points = grid.tolist()  # Python floats bisect and subtract faster than numpy scalars
+    i = bisect_left(points, u)
+    if i == 0:
+        row[0] += alpha
+        return u < points[0]
+    if i == len(points):
+        row[-1] += alpha
+        return True
+    lo, hi = points[i - 1], points[i]
+    gap = hi - lo
+    row[i - 1] += alpha * (hi - u) / gap
+    row[i] += alpha * (u - lo) / gap
+    return False
+
+
+def _cdrl_update(probs, grid, x, a, r, x_next, gamma, alpha, policy, tie_break="lowest", rng=None) -> bool:
+    """Baseline update: the target projects the K shifted atoms
+    r + gamma * z_k of the next state's distribution at the greedy action
+    (ties broken by tie_break) or mixed under the policy."""
+    if policy is not None:
+        next_probs = policy.probs[x_next] @ probs[x_next]
+    else:
+        q_next = probs[x_next] @ grid
+        if tie_break == "lowest":
+            next_probs = probs[x_next, int(np.argmax(q_next))]
+        else:
+            winners = np.flatnonzero(q_next == q_next.max())
+            if tie_break == "uniform":
+                next_probs = probs[x_next, winners].mean(axis=0)
+            elif tie_break == "random":
+                if rng is None:
+                    raise ValueError("tie_break='random' requires a LearnerState rng")
+                next_probs = probs[x_next, winners[rng.integers(winners.size)]]
+            else:
+                raise ValueError(f"unknown tie_break {tie_break!r}")
+    atoms = r + gamma * grid
+    target = project_points(atoms, next_probs, grid)
+    probs[x, a] = (1.0 - alpha) * probs[x, a] + alpha * target
+    return bool(np.any(((atoms < grid[0]) | (atoms > grid[-1])) & (next_probs > 0.0)))
+
+
+def _step(update, state, tr, schedule, mode, policy, **kwargs) -> LearnerState:
+    """Apply update to a copy of state for one transition."""
+    _check_mode(mode, policy)
+    probs, visits = state.probs.copy(), state.visits.copy()
+    x, a = tr.state, tr.action
+    alpha = schedule.step_size(visits[x, a])
+    violated = update(
+        probs, state.grid, x, a, tr.reward, tr.next_state, state.discount, alpha,
+        policy if mode == "eval" else None, **kwargs,
     )
+    visits[x, a] += 1
+    violations = state.range_violations + int(violated)
+    return replace(state, probs=probs, visits=visits, t=state.t + 1, range_violations=violations)
 
 
 def os_cdrl_step(
@@ -218,15 +241,7 @@ def os_cdrl_step(
     maximal (control) mean of the next-state distributions. Targets outside
     [z_1, z_K] are clamped by the projection and counted.
     """
-    _check_mode(mode, policy)
-    u = tr.reward + state.discount * _next_state_value(state, tr.next_state, mode, policy)
-    alpha = schedule.step_size(int(state.visits[tr.state, tr.action]))
-    idxs, ws = project_dirac_sparse(state.grid, u)
-    row = state.probs[tr.state, tr.action] * (1.0 - alpha)
-    for i, w in zip(idxs, ws):
-        row[i] += alpha * w
-    violated = u < state.grid[0] or u > state.grid[-1]
-    return _updated(state, tr, row, violated)
+    return _step(_os_update, state, tr, schedule, mode, policy)
 
 
 def cdrl_step(
@@ -240,29 +255,7 @@ def cdrl_step(
     """Baseline categorical update: the target projects the K shifted atoms
     of the next-state distribution at the greedy (control) or policy-mixed
     (eval) action."""
-    _check_mode(mode, policy)
-    q_next = state.probs[tr.next_state] @ state.grid
-    if mode == "eval":
-        next_probs = policy.probs[tr.next_state] @ state.probs[tr.next_state]
-    else:
-        winners = np.flatnonzero(q_next == q_next.max())
-        if tie_break == "lowest":
-            a_star = winners[0]
-        elif tie_break == "uniform":
-            next_probs = state.probs[tr.next_state, winners].mean(axis=0)
-            a_star = None
-        elif tie_break == "random":
-            if state.rng is None:
-                raise ValueError("tie_break='random' requires a LearnerState rng")
-            a_star = winners[state.rng.integers(winners.size)]
-        else:
-            raise ValueError(f"unknown tie_break {tie_break!r}")
-        if a_star is not None:
-            next_probs = state.probs[tr.next_state, a_star]
-    target, violated = _cdrl_target(state.grid, tr.reward, state.discount, next_probs)
-    alpha = schedule.step_size(int(state.visits[tr.state, tr.action]))
-    row = (1.0 - alpha) * state.probs[tr.state, tr.action] + alpha * target
-    return _updated(state, tr, row, violated)
+    return _step(_cdrl_update, state, tr, schedule, mode, policy, tie_break=tie_break, rng=state.rng)
 
 
 @dataclass
@@ -282,37 +275,28 @@ class LearningRecord:
     final_state: Optional[LearnerState] = None
 
     def to_csv(self, path) -> None:
-        """Columns: step, seed, w1_to_reference, q_error_sup,
-        range_violations, epsilon, mean_alpha. Missing metrics print as nan."""
+        """Write this record alone in the learning.csv format."""
+        write_learning_csv([self], path)
 
-        def col(arr, i):
-            return repr(float(arr[i])) if arr is not None else "nan"
 
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "step",
-                    "seed",
-                    "w1_to_reference",
-                    "q_error_sup",
-                    "range_violations",
-                    "epsilon",
-                    "mean_alpha",
-                ]
-            )
-            for i, step in enumerate(self.steps):
-                writer.writerow(
-                    [
-                        int(step),
-                        self.seed,
-                        col(self.w1_to_reference, i),
-                        col(self.q_error_sup, i),
-                        int(self.range_violations[i]),
-                        repr(float(self.epsilon[i])),
-                        repr(float(self.mean_alpha[i])),
-                    ]
-                )
+def write_learning_csv(records, path) -> None:
+    """One row per recorded step of each record. Columns: step, seed,
+    w1_to_reference, q_error_sup, range_violations, epsilon, mean_alpha.
+    Missing metrics print as nan."""
+
+    def col(arr, i):
+        return repr(float(arr[i])) if arr is not None else "nan"
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["step", "seed", "w1_to_reference", "q_error_sup", "range_violations", "epsilon", "mean_alpha"]
+        )
+        for rec in records:
+            for i, step in enumerate(rec.steps):
+                row = [int(step), rec.seed, col(rec.w1_to_reference, i), col(rec.q_error_sup, i)]
+                row += [int(rec.range_violations[i]), col(rec.epsilon, i), col(rec.mean_alpha, i)]
+                writer.writerow(row)
 
 
 def _reference_probs(reference, grid: np.ndarray) -> np.ndarray:
@@ -361,10 +345,8 @@ def run_learning(
     grid = np.asarray(grid, dtype=float)
     state = LearnerState.initial(n_states, n_actions, grid, gamma)
     probs, visits = state.probs, state.visits
-    grid_list = grid.tolist()
-    k_top = len(grid_list)
-    z_lo, z_hi = grid_list[0], grid_list[-1]
-    gaps = np.diff(grid)
+    update = _os_update if algo == "os" else _cdrl_update
+    update_policy = policy if mode == "eval" else None
 
     cum_kernel = np.cumsum(mdp.kernel, axis=2)
     reward_table = mdp.reward
@@ -386,8 +368,7 @@ def run_learning(
         rec_alpha.append(float(np.mean(schedule.step_sizes(visits))))
         rec_viol.append(violations)
         if ref_probs is not None:
-            cdiff = np.cumsum(probs - ref_probs, axis=2)[:, :, :-1]
-            rec_w1.append(float(np.max(np.abs(cdiff) @ gaps)))
+            rec_w1.append(float(np.max(categorical_w1(probs, ref_probs, grid))))
         if ref_q is not None:
             err = probs @ grid - ref_q
             rec_qsup.append(float(np.max(np.abs(err))))
@@ -417,34 +398,7 @@ def run_learning(
         r = float(reward_table[x, a, x_next])
 
         alpha = schedule.step_size(visits[x, a])
-        if algo == "os":
-            q_next = probs[x_next] @ grid
-            v = float(q_next.max()) if mode == "control" else float(policy.probs[x_next] @ q_next)
-            u = r + gamma * v
-            row = probs[x, a]
-            row *= 1.0 - alpha
-            i = bisect_left(grid_list, u)
-            if i == 0:
-                row[0] += alpha
-                if u < z_lo:
-                    violations += 1
-            elif i == k_top:
-                row[-1] += alpha
-                violations += 1
-            else:
-                lo, hi = grid_list[i - 1], grid_list[i]
-                gap = hi - lo
-                row[i - 1] += alpha * (hi - u) / gap
-                row[i] += alpha * (u - lo) / gap
-        else:
-            if mode == "control":
-                q_next = probs[x_next] @ grid
-                next_probs = probs[x_next, int(np.argmax(q_next))]
-            else:
-                next_probs = policy.probs[x_next] @ probs[x_next]
-            target, clamped = _cdrl_target(grid, r, gamma, next_probs)
-            probs[x, a] = (1.0 - alpha) * probs[x, a] + alpha * target
-            violations += int(clamped)
+        violations += update(probs, grid, x, a, r, x_next, gamma, alpha, update_policy)
         visits[x, a] += 1
         x = x_next
         if (t + 1) % record_every == 0 or t + 1 == n_steps:
@@ -524,7 +478,7 @@ def target_microbenchmark(
                 project_dirac_sparse(grid_list, u)
             t1 = time.perf_counter()
             for r, row in zip(rewards, next_probs):
-                _cdrl_target(grid, r, gamma, row)
+                project_points(r + gamma * grid, row, grid)
             t2 = time.perf_counter()
             os_times.append((t1 - t0) / n_inputs)
             cdrl_times.append((t2 - t1) / n_inputs)

@@ -196,22 +196,23 @@ def sample_step(env, state: int, action: int, rng: np.random.Generator) -> Trans
     return Transition(state, action, float(mdp.reward[state, action, next_state]), next_state)
 
 
-def make_toy_mdp() -> TabularMdp:
+def make_toy_mdp(r_a: float = 0.0) -> TabularMdp:
     """Two-state, two-action MDP with gamma = 1/2 on which every policy is optimal.
 
     x2 (id 1) is absorbing with zero reward under both actions. From x1 (id 0):
-    a1 moves to x2 with reward 2; a2 moves to x2 with probability 1/2 (reward 0)
-    and back to x1 with probability 1/2 (reward 3). Q*(x1, a1) = Q*(x1, a2) = 2,
-    so the greedy action is tied everywhere, while the two actions have
-    different return distributions.
+    a1 moves to x2 with reward 2; a2 moves to x2 with probability 1/2 (reward
+    r_a) and back to x1 with probability 1/2 (reward 3 - r_a). Every r_a gives
+    Q*(x1, a1) = Q*(x1, a2) = 2, so the greedy action is tied everywhere, while
+    the two actions have different return distributions.
     """
     kernel = np.zeros((2, 2, 2))
     reward = np.zeros((2, 2, 2))
     kernel[0, 0, 1] = 1.0
     reward[0, 0, 1] = 2.0
     kernel[0, 1, 1] = 0.5
+    reward[0, 1, 1] = r_a
     kernel[0, 1, 0] = 0.5
-    reward[0, 1, 0] = 3.0
+    reward[0, 1, 0] = 3.0 - r_a
     kernel[1, :, 1] = 1.0
     return TabularMdp(kernel=kernel, reward=reward, discount=0.5)
 

@@ -17,14 +17,24 @@ import numpy as np
 
 from .distributions import (
     AtomicDistribution,
+    CategoricalDistribution,
     DistributionCollection,
+    categorical_w1,
     cramer_project,
     dirac,
+    dominance_excess,
     mean,
     sup_wasserstein,
     wasserstein,
 )
-from .dp import iterate, one_step_fixed_point_eval, one_step_fixed_point_opt, solve_q_pi, solve_q_star
+from .dp import (
+    categorical_start,
+    iterate,
+    one_step_fixed_point_eval,
+    one_step_fixed_point_opt,
+    solve_q_pi,
+    solve_q_star,
+)
 from .learning import LearnerState, StepSizeSchedule, os_cdrl_step, target_microbenchmark
 from .mdp import EpisodicEnv, Policy, make_toy_mdp, sample_step
 from .operators import (
@@ -217,14 +227,17 @@ def _fitting_grid(mdp, v, rng, k: int = 7) -> np.ndarray:
     return np.linspace(lo - pad, hi + pad, k)
 
 
-def _iterate_to_fixed_point(op, start, reference, tol, max_iters):
-    current = start
-    for n in range(max_iters):
+def _iterate_to_fixed_point(op, mdp, grid, reference, tol) -> float:
+    """sup-W1 to reference once op, iterated from the all-delta(z1) start,
+    comes within tol, or after the contraction bound's number of steps."""
+    max_iters = math.ceil(math.log(tol / max(grid[-1] - grid[0], tol)) / math.log(mdp.discount)) + 2
+    current = categorical_start(mdp, grid)
+    for _ in range(max_iters):
         dist = sup_wasserstein(current, reference, 1.0)
         if dist <= tol:
-            return dist, n
+            return dist
         current = op(current)
-    return sup_wasserstein(current, reference, 1.0), max_iters
+    return sup_wasserstein(current, reference, 1.0)
 
 
 def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> list:
@@ -233,54 +246,36 @@ def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> l
     1e-8, on the toy MDP and random instances satisfying the range condition."""
     rng = np.random.default_rng(seed)
     tol = 1e-8
-    results = []
-    control_cases = [(make_toy_mdp(), np.asarray(TOY_GRID))] + [
-        (random_mdp(rng, int(rng.integers(2, 5)), 2), None) for _ in range(n_control)
-    ]
-    tracker = _Tracker("projected_fixed_point_control", tol)
-    for mdp, grid in control_cases:
-        v = solve_q_star(mdp, tol=1e-12).max(axis=1)
-        if grid is None:
-            grid = _fitting_grid(mdp, v, rng)
-        eta = one_step_fixed_point_opt(mdp, tol=1e-12).map(lambda d: cramer_project(d, grid))
-        op = projected(lambda m, _mdp=mdp: os_distr_opt(m, _mdp), grid)
-        start = DistributionCollection.constant(
-            mdp.n_states, mdp.n_actions, cramer_project(dirac(grid[0]), grid)
-        )
-        bound = math.ceil(math.log(tol / max(grid[-1] - grid[0], tol)) / math.log(mdp.discount)) + 2
-        dist, _ = _iterate_to_fixed_point(op, start, eta, tol, bound)
-        tracker.record(dist - tol, lambda m=mdp, g=grid: {"mdp": m.to_json(), "grid": g.tolist()})
-    results.append(tracker.result())
-
-    tracker = _Tracker("projected_fixed_point_eval", tol)
-    eval_cases = [(make_toy_mdp(), Policy.uniform(2, 2), np.asarray(TOY_GRID))]
+    # (mdp, policy, grid): no policy is control; no grid fits one to the targets
+    cases = [(make_toy_mdp(), None, np.asarray(TOY_GRID))]
+    cases += [(random_mdp(rng, int(rng.integers(2, 5)), 2), None, None) for _ in range(n_control)]
+    cases.append((make_toy_mdp(), Policy.uniform(2, 2), np.asarray(TOY_GRID)))
     for _ in range(n_eval):
         mdp = random_mdp(rng, int(rng.integers(2, 5)), 2)
-        eval_cases.append((mdp, random_policy(rng, mdp.n_states, 2), None))
-    for mdp, pi, grid in eval_cases:
-        q = solve_q_pi(mdp, pi, tol=1e-12)
-        v = (pi.probs * q).sum(axis=1)
+        cases.append((mdp, random_policy(rng, mdp.n_states, 2), None))
+    trackers = {kind: _Tracker(f"projected_fixed_point_{kind}", tol) for kind in ("control", "eval")}
+    for mdp, pi, grid in cases:
+        if pi is None:
+            v = solve_q_star(mdp, tol=1e-12).max(axis=1)
+            eta = one_step_fixed_point_opt(mdp, tol=1e-12)
+            op = lambda m, _mdp=mdp: os_distr_opt(m, _mdp)
+        else:
+            v = (pi.probs * solve_q_pi(mdp, pi, tol=1e-12)).sum(axis=1)
+            eta = one_step_fixed_point_eval(mdp, pi, tol=1e-12)
+            op = lambda m, _mdp=mdp, _pi=pi: os_distr_eval(m, _mdp, _pi)
         if grid is None:
             grid = _fitting_grid(mdp, v, rng)
-        eta = one_step_fixed_point_eval(mdp, pi, tol=1e-12).map(
-            lambda d: cramer_project(d, grid)
-        )
-        op = projected(lambda m, _mdp=mdp, _pi=pi: os_distr_eval(m, _mdp, _pi), grid)
-        start = DistributionCollection.constant(
-            mdp.n_states, mdp.n_actions, cramer_project(dirac(grid[0]), grid)
-        )
-        bound = math.ceil(math.log(tol / max(grid[-1] - grid[0], tol)) / math.log(mdp.discount)) + 2
-        dist, _ = _iterate_to_fixed_point(op, start, eta, tol, bound)
-        tracker.record(
+        eta = eta.map(lambda d: cramer_project(d, grid))
+        dist = _iterate_to_fixed_point(projected(op, grid), mdp, grid, eta, tol)
+        trackers["control" if pi is None else "eval"].record(
             dist - tol,
             lambda m=mdp, p=pi, g=grid: {
                 "mdp": m.to_json(),
-                "policy": p.probs.tolist(),
                 "grid": g.tolist(),
+                **({} if p is None else {"policy": p.probs.tolist()}),
             },
         )
-    results.append(tracker.result())
-    return results
+    return [tracker.result() for tracker in trackers.values()]
 
 
 def check_projection_lemma(seed: int = 0, n_cases: int = 10_000) -> PropertyResult:
@@ -312,14 +307,6 @@ def check_mean_preservation(seed: int = 0, n_cases: int = 10_000) -> PropertyRes
     return tracker.result()
 
 
-def _dominance_excess(hi, lo) -> float:
-    """Max amount by which F_hi exceeds F_lo (0 when hi dominates lo)."""
-    hi_atoms = hi.as_atomic() if not isinstance(hi, AtomicDistribution) else hi
-    lo_atoms = lo.as_atomic() if not isinstance(lo, AtomicDistribution) else lo
-    zs = np.union1d(hi_atoms.atoms, lo_atoms.atoms)
-    return float(np.max(hi_atoms.cdf(zs) - lo_atoms.cdf(zs)))
-
-
 def _dominated_pair(rng, base):
     shifts = rng.uniform(0.0, 2.0, size=base.atoms.size)
     return AtomicDistribution.from_points(base.atoms + shifts, base.weights)
@@ -333,7 +320,7 @@ def check_projection_monotonicity(seed: int = 0, n_cases: int = 2000) -> Propert
         grid = random_grid(rng)
         nu1 = random_atomic(rng, max_atoms=4, low=-5.0, high=5.0)
         nu2 = _dominated_pair(rng, nu1)
-        excess = _dominance_excess(cramer_project(nu2, grid), cramer_project(nu1, grid))
+        excess = dominance_excess(cramer_project(nu2, grid), cramer_project(nu1, grid))
         tracker.record(
             excess, lambda g=grid, a=nu1, b=nu2: {"grid": g.tolist(), "lo": a.to_json(), "hi": b.to_json()}
         )
@@ -353,20 +340,10 @@ def check_operator_monotonicity(seed: int = 0, n_cases: int = 400) -> PropertyRe
         )
         grid = random_grid(rng, max_points=5)
         out1, out2 = os_distr_opt(mu1, mdp), os_distr_opt(mu2, mdp)
-        excess = max(
-            _dominance_excess(out2[x, a], out1[x, a])
-            for x in range(mdp.n_states)
-            for a in range(mdp.n_actions)
-        )
         pr1 = out1.map(lambda d: cramer_project(d, grid))
         pr2 = out2.map(lambda d: cramer_project(d, grid))
         excess = max(
-            excess,
-            max(
-                _dominance_excess(pr2[x, a], pr1[x, a])
-                for x in range(mdp.n_states)
-                for a in range(mdp.n_actions)
-            ),
+            dominance_excess(hi[x, a], lo[x, a]) for lo, hi in ((out1, out2), (pr1, pr2)) for (x, a), _ in lo
         )
         tracker.record(
             excess,
@@ -419,6 +396,31 @@ def check_w1_riemann_agreement(seed: int = 0, n_cases: int = 200) -> PropertyRes
         riemann = float(np.sum(np.abs(a.cdf(mids) - b.cdf(mids))) * step / 2)
         rel = abs(exact - riemann) / exact if exact > 0 else float(riemann > 1e-12)
         tracker.record(rel - 1e-6, lambda a=a, b=b: {"a": a.to_json(), "b": b.to_json()})
+    return tracker.result()
+
+
+def check_categorical_w1(seed: int = 0, n_cases: int = 2000) -> PropertyResult:
+    """The shared-grid W1 kernel agrees with the exact quantile W1 on random
+    grids and probability vectors, zero cells and identical pairs included."""
+    rng = np.random.default_rng(seed)
+    tracker = _Tracker("categorical_w1_matches_exact", 1e-12)
+
+    def probs(k):
+        p = rng.dirichlet(np.ones(k))
+        p[rng.random(k) < 0.3] = 0.0
+        if p.sum() == 0.0:
+            p[rng.integers(k)] = 1.0
+        return p / p.sum()
+
+    for case_index in range(n_cases):
+        grid = random_grid(rng)
+        p = probs(grid.size)
+        q = p if case_index % 5 == 0 else probs(grid.size)
+        exact = wasserstein(CategoricalDistribution(grid, p), CategoricalDistribution(grid, q), 1.0)
+        tracker.record(
+            abs(float(categorical_w1(p, q, grid)) - exact),
+            lambda g=grid, p=p, q=q: {"grid": g.tolist(), "p": p.tolist(), "q": q.tolist()},
+        )
     return tracker.result()
 
 
@@ -548,6 +550,7 @@ def run_properties(seed: int = 0, fast: bool = False):
     results.append(check_operator_monotonicity(seed, n_cases=400 // scale))
     results += check_wasserstein_axioms(seed, n_cases=1000 // scale)
     results.append(check_w1_riemann_agreement(seed, n_cases=200 // scale))
+    results.append(check_categorical_w1(seed, n_cases=2000 // scale))
     results.append(check_mean_commutation(seed, n_cases=300 // scale))
     results.append(check_banach_residual(seed, n_cases=50 // scale))
     results.append(check_mean_tracking(seed, n_steps=10_000 // scale))

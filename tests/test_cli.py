@@ -4,6 +4,8 @@ import json
 import pytest
 
 from osdrl.cli import (
+    CONFIG_SCHEMA,
+    DEFAULTS,
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -40,6 +42,37 @@ class TestConfigHandling:
         path.write_text('{"grid": [1.0, 1.0]}')
         with pytest.raises(ConfigError, match="grid"):
             load_config("instability", path, {})
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("frozenlake", "alpha", "0.6"),
+            ("frozenlake", "track", [[99, 0]]),
+            ("frozenlake", "seeds", 1.5),
+            ("instability", "one_step_iterations", "5"),
+            ("frozenlake", "eps_start", 2),
+            ("verify", "fast", "no"),
+            ("histograms", "bins", True),
+        ],
+    )
+    def test_bad_typed_value_rejected(self, tmp_path, command, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(command, path, {})
+
+    def test_every_default_key_has_a_check(self):
+        keys = {key for defaults in DEFAULTS.values() for key in defaults}
+        assert keys == set(CONFIG_SCHEMA)
+        for command in DEFAULTS:
+            load_config(command, None, {})
+
+    def test_bad_track_exits_with_config_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"track": [[99, 0]]}')
+        assert main(["frozenlake", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "track" in capsys.readouterr().err
+        assert not (tmp_path / "frozenlake").exists()
 
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -133,6 +166,18 @@ class TestFrozenlakeCommand:
             groups.setdefault((r["step"], r["seed"]), 0.0)
             groups[(r["step"], r["seed"])] += float(r["prob"])
         assert all(abs(total - 1.0) <= 1e-9 for total in groups.values())
+
+    def test_missing_reference_is_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": [0, 1, 2], "seeds": 1, "steps": 200}')
+        out = tmp_path / "o"
+        assert main(["frozenlake", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "frozenlake" / "report.json").read_text())
+        assert report["reference_available"] is False
+        assert "outside grid range" in report["reference_error"]
+        assert "W1 reference unavailable" in capsys.readouterr().err
+        with open(out / "frozenlake" / "learning.csv") as fh:
+            assert all(row["w1_to_reference"] == "nan" for row in csv.DictReader(fh))
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = tmp_path / "cfg.json"

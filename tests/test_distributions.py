@@ -8,12 +8,15 @@ from osdrl import (
     AtomicDistribution,
     CategoricalDistribution,
     DistributionCollection,
+    categorical_w1,
     cramer_project,
     dirac,
     distribution_from_json,
+    dominance_excess,
     kl_divergence,
     mean,
     mixture,
+    project_points,
     pushforward_affine,
     stochastically_dominates,
     sup_wasserstein,
@@ -268,7 +271,51 @@ class TestCramerProjection:
             cramer_project(dirac(0.0), [0.0])
 
 
+class TestCategoricalW1:
+    @staticmethod
+    def _probs(rng, k):
+        p = rng.dirichlet(np.ones(k))
+        p[rng.random(k) < 0.3] = 0.0
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        return p / p.sum()
+
+    def test_matches_exact_w1_over_leading_axes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            grid = random_grid(rng)
+            p = np.array([[self._probs(rng, grid.size) for _ in range(2)] for _ in range(3)])
+            q = np.array([[self._probs(rng, grid.size) for _ in range(2)] for _ in range(3)])
+            w1 = categorical_w1(p, q, grid)
+            assert w1.shape == (3, 2)
+            for x in range(3):
+                for a in range(2):
+                    exact = wasserstein(
+                        CategoricalDistribution(grid, p[x, a]), CategoricalDistribution(grid, q[x, a])
+                    )
+                    assert abs(w1[x, a] - exact) <= 1e-12
+
+    def test_identical_vectors_are_zero_apart(self):
+        grid = np.array([0.0, 1.9, 2.1, 10.0])
+        p = np.array([0.0, 0.25, 0.75, 0.0])
+        assert categorical_w1(p, p, grid) == 0.0
+
+    def test_project_points_matches_cramer_project(self):
+        grid = np.array([0.0, 1.9, 2.1, 10.0])
+        atoms, weights = np.array([-1.0, 2.0, 12.0]), np.array([0.2, 0.5, 0.3])
+        probs = project_points(atoms, weights, grid)
+        nu = AtomicDistribution.from_points(atoms, weights)
+        assert np.array_equal(probs, cramer_project(nu, grid).probs)
+        assert np.allclose(probs, [0.2, 0.25, 0.25, 0.3], atol=1e-15)
+
+
 class TestStochasticDominance:
+    def test_dominance_excess(self):
+        assert dominance_excess(dirac(2.0), dirac(1.0)) == 0.0
+        assert dominance_excess(dirac(1.0), dirac(2.0)) == 1.0
+        nu = AtomicDistribution.from_points([0.0, 3.0], [0.5, 0.5])
+        assert dominance_excess(nu, dirac(1.0)) == 0.5
+
     def test_shifted_dirac(self):
         assert stochastically_dominates(dirac(2.0), dirac(1.0))
         assert not stochastically_dominates(dirac(1.0), dirac(2.0))

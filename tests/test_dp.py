@@ -10,6 +10,7 @@ from osdrl import (
     DistributionCollection,
     Policy,
     RangeConditionError,
+    categorical_start,
     detect_oscillation,
     dirac,
     iterate,
@@ -22,6 +23,7 @@ from osdrl import (
     os_distr_opt,
     projected,
     projected_fixed_points,
+    scan_oscillation,
     solve_q_pi,
     solve_q_star,
     sup_wasserstein,
@@ -180,6 +182,12 @@ class TestProjectedFixedPoints:
             n_iters += 1
         assert n_iters <= bound
 
+    def test_categorical_start_puts_all_mass_at_lowest_point(self):
+        start = categorical_start(make_toy_mdp(), TOY_GRID)
+        assert (start.n_states, start.n_actions) == (2, 2)
+        for _, dist in start:
+            assert np.array_equal(dist.probs, [1.0, 0.0, 0.0, 0.0])
+
     def test_eval_mode_matches_projection_of_closed_form(self):
         mdp = make_toy_mdp()
         pi = Policy.uniform(2, 2)
@@ -281,6 +289,21 @@ class TestOscillationDetector:
         trace = IterationTrace(iterates, [0.1] * 39)
         report = detect_oscillation(trace)
         assert report.aperiodic and not report.converged and not report.oscillating
+
+
+    def test_scan_takes_gaps_from_callback(self):
+        calls = []
+
+        def largest_gap(q, start):
+            calls.append((q, start))
+            return 0.0 if q == 3 else 1.0
+
+        report = scan_oscillation(10, largest_gap)
+        assert report.oscillating and report.period == 3 and report.max_step_tail == 1.0
+        assert calls == [(1, 5), (2, 5), (3, 5), (4, 5)]
+        # lags that leave no pair after burn-in read as nan and are never called
+        report = scan_oscillation(10, largest_gap, burn_in=7)
+        assert math.isnan(report.recurrence[3]) and report.aperiodic
 
 
 class TestTraceCsv:

@@ -19,6 +19,7 @@ from osdrl import (
     sample_step,
     solve_q_star,
     target_microbenchmark,
+    write_learning_csv,
 )
 from osdrl.operators import random_mdp
 
@@ -365,6 +366,39 @@ class TestRunLearning:
             "mean_alpha",
         ]
         assert len(rows) == 2 + len(rec.steps) - 1  # header + records
+
+    def test_learning_csv_concatenates_records(self, tmp_path):
+        env = toy_env()
+        recs = [
+            run_learning(env, StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID, "control", 300, seed=s)
+            for s in (0, 1)
+        ]
+        write_learning_csv(recs, tmp_path / "both.csv")
+        lines = []
+        for i, rec in enumerate(recs):
+            rec.to_csv(tmp_path / f"{i}.csv")
+            lines += (tmp_path / f"{i}.csv").read_text().splitlines()[0 if i == 0 else 1 :]
+        assert (tmp_path / "both.csv").read_text().splitlines() == lines
+
+    @pytest.mark.parametrize("algo, step", [("os", os_cdrl_step), ("cdrl", cdrl_step)])
+    def test_step_functions_replay_the_harness_bit_for_bit(self, algo, step):
+        env, pi = toy_env(), Policy.uniform(2, 2)
+        schedule = StepSizeSchedule.polynomial()
+        rec = run_learning(env, schedule, None, TOY_GRID, "eval", 2000, seed=4, policy=pi, algo=algo)
+        # the harness draws one uniform for the action and one for the successor
+        rng = np.random.default_rng(4)
+        state = LearnerState.initial(2, 2, TOY_GRID, env.mdp.discount)
+        x = env.reset(rng)
+        for _ in range(2000):
+            if env.is_terminal(x):
+                x = env.reset(rng)
+            a = min(int(np.searchsorted(np.cumsum(pi.probs[x]), rng.random(), side="right")), 1)
+            tr = sample_step(env, x, a, rng)
+            state = step(state, tr, schedule, mode="eval", policy=pi)
+            x = tr.next_state
+        assert np.array_equal(state.probs, rec.final_state.probs)
+        assert np.array_equal(state.visits, rec.final_state.visits)
+        assert state.range_violations == rec.final_state.range_violations
 
     def test_rejects_bad_arguments(self):
         env = toy_env()

@@ -121,6 +121,13 @@ class TestToyMdp:
             q_pi = q_pi_linear_solve(mdp, pi)
             assert np.max(np.abs(q_pi - q_star)) < 1e-9
 
+    def test_reward_perturbation_keeps_the_tie(self):
+        for r_a in (0.7, 1.95, 2.9):
+            mdp = make_toy_mdp(r_a)
+            assert mdp.reward[0, 1, 1] == r_a and mdp.reward[0, 1, 0] == 3.0 - r_a
+            q_star = q_star_brute_force(mdp)
+            assert abs(q_star[0, 0] - 2.0) < 1e-12 and abs(q_star[0, 1] - 2.0) < 1e-12
+
     def test_deterministic_transition(self):
         mdp = make_toy_mdp()
         rng = np.random.default_rng(0)
