@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DistributionCollection, categorical_w1, dirac
+from .distributions import DistributionCollection, categorical_means, categorical_w1, dirac
 from .dp import (
     AtomBudgetExceeded,
     RangeConditionError,
     categorical_start,
-    detect_oscillation,
     iterate,
     projected_fixed_points,
     scan_oscillation,
@@ -38,7 +37,7 @@ from .learning import (
     write_learning_csv,
 )
 from .mdp import FROZEN_LAKE_MAP, Policy, TabularMdp, make_frozen_lake, make_toy_mdp
-from .operators import distr_bellman_eval, distr_bellman_opt, os_distr_eval, os_distr_opt, projected
+from .operators import categorical_full_opt, distr_bellman_eval, os_distr_eval, os_distr_opt, projected
 from .svgplot import histogram_chart, line_chart
 from .verify import run_properties
 
@@ -199,20 +198,14 @@ def _start_collection(mdp: TabularMdp) -> DistributionCollection:
     return DistributionCollection.constant(mdp.n_states, mdp.n_actions, dirac(0.0))
 
 
-def _stack(iterates) -> np.ndarray:
-    """Categorical probabilities of a sequence of collections, as an array
-    of shape (n, S, A, K)."""
-    return np.array(
-        [[[mu[x, a].probs for a in range(mu.n_actions)] for x in range(mu.n_states)] for mu in iterates]
-    )
-
-
-def _prob_stack(op, start: DistributionCollection, n_steps: int) -> np.ndarray:
-    """Iterate op n_steps times from start and stack every iterate."""
-    iterates = [start]
-    for _ in range(n_steps):
-        iterates.append(op(iterates[-1]))
-    return _stack(iterates)
+def _prob_stack(op, start: np.ndarray, n_steps: int) -> np.ndarray:
+    """Iterate an array operator n_steps times from start and stack every
+    iterate, as an array of shape (n_steps + 1, S, A, K)."""
+    stack = np.empty((n_steps + 1,) + start.shape)
+    stack[0] = start
+    for n in range(n_steps):
+        stack[n + 1] = op(stack[n])
+    return stack
 
 
 def _stack_scan(stack: np.ndarray, grid):
@@ -276,9 +269,9 @@ def cmd_instability(config: dict) -> int:
     os_residual = os_trace.ref_distances[-1]
     os_converged = os_residual < 1e-8
 
-    cdrl_op = projected(lambda m: distr_bellman_opt(m, mdp, tie_break="lowest"), grid)
-    cdrl_trace = iterate(cdrl_op, categorical_start(mdp, grid), config["steps"])
-    cdrl_report = detect_oscillation(cdrl_trace)
+    start = categorical_start(mdp, grid).probs()
+    cdrl_stack = _prob_stack(categorical_full_opt(mdp, grid), start, config["steps"])
+    cdrl_report = _stack_scan(cdrl_stack, grid)
 
     search = {"triggered": False, "candidates_tried": 0}
     perturbed_stack = None
@@ -297,8 +290,7 @@ def cmd_instability(config: dict) -> int:
             search["candidates_tried"] = index + 1
             if abs(q_cand[0, 0] - q_cand[0, 1]) > 1e-9:
                 continue  # tie broken by rounding; not a valid candidate
-            op = projected(lambda m, _c=candidate: distr_bellman_opt(m, _c, tie_break="lowest"), grid)
-            stack = _prob_stack(op, categorical_start(candidate, grid), search_steps)
+            stack = _prob_stack(categorical_full_opt(candidate, grid), start, search_steps)
             scan = _stack_scan(stack, grid)
             if scan.oscillating:
                 search.update(
@@ -313,8 +305,8 @@ def cmd_instability(config: dict) -> int:
                 break
 
     panels = [
-        ("onestep", _stack(os_trace.iterates), "projected one-step control"),
-        ("cdrl", _stack(cdrl_trace.iterates), "projected full control"),
+        ("onestep", np.array([mu.probs() for mu in os_trace.iterates]), "projected one-step control"),
+        ("cdrl", cdrl_stack, "projected full control"),
     ]
     if perturbed_stack is not None:
         panels.append(("cdrl_perturbed", perturbed_stack, "perturbed instance"))
@@ -323,8 +315,7 @@ def cmd_instability(config: dict) -> int:
         for x, a in ((0, 0), (0, 1)):
             path = out / f"{name}_probs_x{x}_a{a}.svg"
             _plot_stack(stack, grid, (x, a), path, f"{title} at (x{x + 1}, a{a + 1})")
-    traces = {"onestep": os_trace, "cdrl": cdrl_trace}
-    qs = {name: [mu.means() for mu in trace.iterates] for name, trace in traces.items()}
+    qs = {"onestep": [mu.means() for mu in os_trace.iterates], "cdrl": categorical_means(cdrl_stack, grid)}
     _qfunc_csv(qs, out / "qfunc.csv")
     trace_distances_to_csv(os_trace, out / "distances_onestep.csv")
     series = [("cdrl", qs["cdrl"]), ("one-step", qs["onestep"])]

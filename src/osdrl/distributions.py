@@ -105,7 +105,7 @@ class CategoricalDistribution:
         object.__setattr__(self, "probs", probs)
 
     def mean(self) -> float:
-        return float(self.grid @ self.probs)
+        return float(categorical_means(self.probs, self.grid))
 
     def as_atomic(self) -> AtomicDistribution:
         keep = self.probs > 0.0
@@ -168,11 +168,6 @@ def mixture(components) -> AtomicDistribution:
         values.append(comp.atoms)
         weights.append(w * comp.weights)
     return AtomicDistribution.from_points(np.concatenate(values), np.concatenate(weights))
-
-
-def mean(dist) -> float:
-    """Expectation of an atomic or categorical distribution."""
-    return dist.mean()
 
 
 def _quantile_segments(nu1: AtomicDistribution, nu2: AtomicDistribution):
@@ -263,6 +258,20 @@ def cramer_project(nu, grid) -> CategoricalDistribution:
     return CategoricalDistribution(grid=grid, probs=project_points(nu.atoms, nu.weights, grid))
 
 
+def categorical_means(probs, grid) -> np.ndarray:
+    """Means of probability vectors on one grid, over the last axis.
+
+    Each mean is one 1-D dot of grid with a row. The greedy step compares
+    means with ==, so every caller must round them alike: on random rows a
+    batched probs @ grid, an einsum or (probs * grid).sum(-1) each differ
+    from the 1-D dot in the last bit in about 20-40% of rows (K = 3, 4, 51).
+    """
+    grid = np.asarray(grid, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    rows = probs.reshape(-1, probs.shape[-1])
+    return np.fromiter(map(grid.dot, rows), float, len(rows)).reshape(probs.shape[:-1])
+
+
 def categorical_w1(p, q, grid) -> np.ndarray:
     """W1 between probability vectors on one shared grid, over the last axis:
     the area between the two CDFs, |cumsum(p - q)| weighted by the cell widths."""
@@ -340,6 +349,10 @@ class DistributionCollection:
 
     def means(self) -> np.ndarray:
         return np.array([[d.mean() for d in row] for row in self._entries])
+
+    def probs(self) -> np.ndarray:
+        """(n_states, n_actions, K) probabilities of categorical entries on one grid."""
+        return np.array([[d.probs for d in row] for row in self._entries])
 
     def total_atoms(self) -> int:
         return sum(

@@ -14,6 +14,7 @@ import numpy as np
 from .distributions import (
     CategoricalDistribution,
     DistributionCollection,
+    categorical_w1,
     cramer_project,
     dirac,
     sup_wasserstein,
@@ -23,9 +24,8 @@ from .operators import (
     _one_step_collection,
     bellman_eval,
     bellman_opt,
-    os_distr_eval,
-    os_distr_opt,
-    projected,
+    categorical_os_eval,
+    categorical_os_opt,
 )
 
 _MAX_SOLVE_ITERS = 10_000_000  # defensive cap; contraction terminates far earlier
@@ -174,18 +174,18 @@ def projected_fixed_points(
     control mode (policy=None) the projection of the optimality fixed point.
     Requires every supported target r(x,a,x') + gamma*V(x') to lie inside
     [z_1, z_K] (raises RangeConditionError otherwise, naming the offending
-    triplets). The closed form is cross-checked by iterating the projected
-    operator from the all-delta(z_1) collection to within tol.
+    triplets). The closed form is cross-checked by iterating the array form
+    of the projected operator from the all-delta(z_1) start to within tol.
     """
     grid = np.asarray(grid, dtype=float)
     if policy is None:
         q = solve_q_star(mdp, tol)
         v = q.max(axis=1)
-        op = projected(lambda m: os_distr_opt(m, mdp), grid)
+        op = categorical_os_opt(mdp, grid)
     else:
         q = solve_q_pi(mdp, policy, tol)
         v = (policy.probs * q).sum(axis=1)
-        op = projected(lambda m: os_distr_eval(m, mdp, policy), grid)
+        op = categorical_os_eval(mdp, policy, grid)
 
     targets = mdp.reward + mdp.discount * v[None, None, :]
     bad = (mdp.kernel > 0.0) & ((targets < grid[0]) | (targets > grid[-1]))
@@ -194,16 +194,16 @@ def projected_fixed_points(
         raise RangeConditionError(triplets)
 
     eta = _one_step_collection(mdp, v).map(lambda d: cramer_project(d, grid))
-    current = categorical_start(mdp, grid)
+    current = categorical_start(mdp, grid).probs()
     gamma = mdp.discount
     threshold = tol * (1.0 - gamma) / gamma if gamma > 0.0 else math.inf
     for _ in range(_MAX_SOLVE_ITERS):
         nxt = op(current)
-        step = sup_wasserstein(nxt, current, 1.0)
+        step = float(categorical_w1(nxt, current, grid).max())
         current = nxt
         if step < threshold or gamma == 0.0:
             break
-    residual = sup_wasserstein(current, eta, 1.0)
+    residual = float(categorical_w1(current, eta.probs(), grid).max())
     if residual > 10.0 * tol:
         raise RuntimeError(
             f"projected iteration disagrees with the closed-form fixed point "

@@ -7,12 +7,16 @@ operators are pure functions of their inputs.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .distributions import (
+    ATOM_MERGE_TOL,
     AtomicDistribution,
     DistributionCollection,
     _as_atomic,
+    categorical_means,
     cramer_project,
     mixture,
     pushforward_affine,
@@ -144,6 +148,160 @@ def projected(op, grid):
 
 
 # ---------------------------------------------------------------------------
+# Array forms of the projected operators: an (S, A, K) probability array on
+# the grid maps to an (S, A, K) array. Each equals its object-level
+# composition bit for bit, because the instability search decides greedy ties
+# by exact equality of means. So every float operation of the object path is
+# repeated in the same order: AtomicDistribution.from_points (stable sort,
+# merging atoms within ATOM_MERGE_TOL, merged weights summed in order) and
+# project_points (clamped mass first, then the lower and the upper cell
+# shares in atom order).
+
+
+def _merge_sorted(values, weights):
+    """from_points on rows sorted by value, weight 0 marking an absent atom:
+    each run of atoms within ATOM_MERGE_TOL of its predecessor gets its
+    weights' in-order sum at its first atom, and weight 0 elsewhere."""
+    present = weights > 0.0
+    # on sorted rows the running max of present values is the last one
+    last = np.maximum.accumulate(np.where(present, values, -np.inf), axis=1)
+    prev = np.concatenate((np.full((len(values), 1), -np.inf), last[:, :-1]), axis=1)
+    starts = (present & (values - prev > ATOM_MERGE_TOL)).ravel()
+    run = np.cumsum(starts) - 1
+    keep = present.ravel()
+    merged = np.zeros(weights.size)
+    merged[starts] = np.bincount(run[keep], weights=weights.ravel()[keep])
+    return merged.reshape(weights.shape)
+
+
+class _Cells(NamedTuple):
+    """project_points' weight-free arithmetic for rows of atoms on a grid."""
+
+    index: np.ndarray  # bincount targets: clamped cells, then lower and upper cells
+    hi_gap: np.ndarray  # grid[i] - z (0 for a clamped atom)
+    lo_gap: np.ndarray  # z - grid[i-1] (0 for a clamped atom)
+    gap: np.ndarray  # grid[i] - grid[i-1] (1 for a clamped atom)
+    clamped: np.ndarray  # (2, rows, atoms): z <= z_1 (to the first cell), z > z_K (to the last)
+    crowded: np.ndarray  # rows of clamped.reshape(2 * rows, -1) with more than two present atoms
+
+
+def _cells(values, grid, present) -> _Cells:
+    k = grid.size
+    cell = np.searchsorted(grid, values, side="left")
+    upper = np.minimum(np.maximum(cell, 1), k - 1)
+    inner = upper == cell
+    hi, lo = grid[upper], grid[upper - 1]
+    base = np.arange(len(values)) * k
+    target = (base[:, None] + upper).ravel()
+    clamped = (cell == np.array([0, k])[:, None, None]) & present
+    return _Cells(
+        np.concatenate((base, base + k - 1, target - 1, target)),
+        np.where(inner, hi - values, 0.0),
+        np.where(inner, values - lo, 0.0),
+        np.where(inner, hi - lo, 1.0),
+        clamped,
+        (clamped.sum(axis=2).ravel() > 2).nonzero()[0],
+    )
+
+
+def _project_rows(weights, cells: _Cells) -> np.ndarray:
+    """project_points of each row of merged atoms (weight 0 = absent), as
+    an (rows, K) array. One in-order accumulation gives every cell the
+    clamped mass, then the lower shares, then the upper shares, in the order
+    project_points adds them."""
+    # project_points' weights[clamped].sum() over each row's present atoms
+    masked = np.where(cells.clamped, weights, 0.0).reshape(2 * len(weights), -1)
+    clamped = masked.cumsum(axis=1)[:, -1]  # exact for up to two terms
+    for row in cells.crowded:
+        clamped[row] = masked[row][masked[row] > 0.0].sum()  # numpy's own order
+    values = np.concatenate(
+        (clamped, (weights * cells.hi_gap / cells.gap).ravel(), (weights * cells.lo_gap / cells.gap).ravel())
+    )
+    return np.bincount(cells.index, weights=values).reshape(len(weights), -1)
+
+
+def _successors(mdp: TabularMdp):
+    """Each entry's successors x' with P(x'|x,a) > 0 in index order, padded
+    with copies of the last one, as (E, W) arrays: x', P (0 for a padding
+    copy, so its atoms are absent) and r(x, a, x')."""
+    kernel = mdp.kernel.reshape(-1, mdp.n_states)
+    successors = [np.flatnonzero(row > 0.0) for row in kernel]
+    width = max(s.size for s in successors)
+    nxt = np.array([np.pad(s, (0, width - s.size), mode="edge") for s in successors])
+    entry = np.arange(len(kernel))[:, None]
+    real = np.arange(width) < np.array([s.size for s in successors])[:, None]
+    return nxt, np.where(real, kernel[entry, nxt], 0.0), mdp.reward.reshape(-1, mdp.n_states)[entry, nxt]
+
+
+def categorical_full_opt(mdp: TabularMdp, grid):
+    """Array form of projected(lambda m: distr_bellman_opt(m, mdp, "lowest"), grid).
+
+    Each entry's atoms r(x,a,x') + gamma * z_k, their stable sort order,
+    bracketing cells and whether any two can merge are laid out once; an
+    application gathers the greedy successors' weights P(x'|x,a) * p_k and
+    projects them.
+    """
+    grid = np.asarray(grid, dtype=float)
+    n_states, n_actions, k = mdp.n_states, mdp.n_actions, grid.size
+    gamma = mdp.discount
+    nxt, p, reward = _successors(mdp)
+    # component (e, j): the pushforward of the greedy action at successor j
+    atoms = reward[:, :, None] + gamma * grid
+    merge_components = gamma > 0.0 and bool(np.any(np.diff(atoms, axis=2) <= ATOM_MERGE_TOL))
+    order = np.argsort(atoms.reshape(len(p), -1), axis=1, kind="stable")
+    gather = order + np.arange(len(p))[:, None] * order.shape[1]
+    values = atoms.ravel()[gather]
+    real = np.repeat(p, k, axis=1).ravel()[gather] > 0.0
+    # a merge is possible when fewer runs than atoms survive with all present
+    may_merge = np.count_nonzero(_merge_sorted(values, real * 1.0)) < np.count_nonzero(real)
+    cells = _cells(values, grid, real)
+    states = np.arange(n_states)
+
+    def apply(probs: np.ndarray) -> np.ndarray:
+        greedy = categorical_means(probs, grid).argmax(axis=1)  # lowest-index ties
+        comp = probs[states, greedy][nxt]
+        if gamma == 0.0:
+            comp = np.zeros_like(comp)  # each pushforward is dirac(r), weight 1
+            comp[..., 0] = 1.0
+        elif merge_components:
+            comp = _merge_sorted(atoms.reshape(-1, k), comp.reshape(-1, k)).reshape(comp.shape)
+        weights = (p[:, :, None] * comp).ravel()[gather]
+        if may_merge:
+            weights = _merge_sorted(values, weights)
+        return _project_rows(weights, cells).reshape(n_states, n_actions, k)
+
+    return apply
+
+
+def _projected_one_step(mdp: TabularMdp, grid, next_value):
+    # array form of projected(_one_step_collection(mdp, next_value(means))):
+    # each entry's Dirac targets at its successors
+    grid = np.asarray(grid, dtype=float)
+    nxt, p, reward = _successors(mdp)
+    offsets = np.arange(len(p))[:, None] * p.shape[1]
+
+    def apply(probs: np.ndarray) -> np.ndarray:
+        targets = reward + mdp.discount * next_value(categorical_means(probs, grid))[nxt]
+        order = np.argsort(targets, axis=1, kind="stable") + offsets
+        values = targets.ravel()[order]
+        merged = _merge_sorted(values, p.ravel()[order])
+        cells = _cells(values, grid, merged > 0.0)
+        return _project_rows(merged, cells).reshape(mdp.n_states, mdp.n_actions, grid.size)
+
+    return apply
+
+
+def categorical_os_opt(mdp: TabularMdp, grid):
+    """Array form of projected(lambda m: os_distr_opt(m, mdp), grid)."""
+    return _projected_one_step(mdp, grid, lambda q: q.max(axis=1))
+
+
+def categorical_os_eval(mdp: TabularMdp, policy: Policy, grid):
+    """Array form of projected(lambda m: os_distr_eval(m, mdp, policy), grid)."""
+    return _projected_one_step(mdp, grid, lambda q: (policy.probs * q).sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
 # Seeded random instances for the property suites: Dirichlet(1, ..., 1)
 # kernel rows, rewards uniform on [-1, 1], discount drawn from {0.5, 0.9}.
 
@@ -177,6 +335,17 @@ def random_collection(
     return DistributionCollection.build(
         n_states, n_actions, lambda x, a: random_atomic(rng, **kwargs)
     )
+
+
+def random_probs(
+    rng: np.random.Generator, n_states: int, n_actions: int, k: int, zero_frac: float = 0.3
+) -> np.ndarray:
+    """(n_states, n_actions, k) probability vectors with about zero_frac of
+    the cells empty."""
+    probs = rng.dirichlet(np.ones(k), size=(n_states, n_actions))
+    probs[rng.random(probs.shape) < zero_frac] = 0.0
+    probs[probs.sum(axis=-1) == 0.0, 0] = 1.0
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def random_grid(

@@ -23,7 +23,6 @@ from .distributions import (
     cramer_project,
     dirac,
     dominance_excess,
-    mean,
     sup_wasserstein,
     wasserstein,
 )
@@ -36,10 +35,13 @@ from .dp import (
     solve_q_star,
 )
 from .learning import LearnerState, StepSizeSchedule, os_cdrl_step, target_microbenchmark
-from .mdp import EpisodicEnv, Policy, make_toy_mdp, sample_step
+from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
 from .operators import (
     bellman_eval,
     bellman_opt,
+    categorical_full_opt,
+    categorical_os_eval,
+    categorical_os_opt,
     distr_bellman_eval,
     distr_bellman_opt,
     os_distr_eval,
@@ -50,6 +52,7 @@ from .operators import (
     random_grid,
     random_mdp,
     random_policy,
+    random_probs,
 )
 
 TOY_GRID = (0.0, 1.9, 2.1, 10.0)
@@ -302,7 +305,7 @@ def check_mean_preservation(seed: int = 0, n_cases: int = 10_000) -> PropertyRes
         n = int(rng.integers(1, 6))
         atoms = rng.uniform(grid[0], grid[-1], size=n)
         nu = AtomicDistribution.from_points(atoms, rng.dirichlet(np.ones(n)))
-        err = abs(mean(cramer_project(nu, grid)) - mean(nu))
+        err = abs(cramer_project(nu, grid).mean() - nu.mean())
         tracker.record(err - 1e-12, lambda g=grid, d=nu: {"grid": g.tolist(), "nu": d.to_json()})
     return tracker.result()
 
@@ -421,6 +424,87 @@ def check_categorical_w1(seed: int = 0, n_cases: int = 2000) -> PropertyResult:
             abs(float(categorical_w1(p, q, grid)) - exact),
             lambda g=grid, p=p, q=q: {"grid": g.tolist(), "p": p.tolist(), "q": q.tolist()},
         )
+    return tracker.result()
+
+
+def _tied(rng, probs, near: bool) -> np.ndarray:
+    """Every action takes action 0's probabilities, so the greedy step sees
+    exact ties; near=True then moves a few ulp of mass between two cells of
+    the last action, so its mean sits a rounding step from the others."""
+    probs = np.repeat(probs[:, :1], probs.shape[1], axis=1)
+    if near:
+        for row in probs[:, -1]:
+            src = int(rng.choice(np.flatnonzero(row > 0.0)))
+            moved = row[src] * 2.0**-52 * float(rng.integers(1, 4))
+            row[src] -= moved
+            row[(src + 1) % row.size] += moved
+    return probs
+
+
+def check_categorical_operators(seed: int = 0, n_cases: int = 120) -> PropertyResult:
+    """The array forms of the projected operators equal their object-level
+    compositions bit for bit (tolerance 0, max abs difference reported).
+
+    Case 0 is Frozen Lake, through the one-step operators that its W1
+    reference iterates; the rest cycle through the toy family at random
+    r_a (random inputs with exact or near ties, and an iterate of the full
+    operator, where tied means dither), r_a = 1.5 (the two successors of
+    (x1, a2) pay the same reward, so their atoms coincide), random MDPs on
+    narrow grids that clamp three or more atoms per entry, random MDPs whose
+    successors' rewards lie within 1e-12 (merged by from_points), and random
+    MDPs with stochastic evaluation policies."""
+    rng = np.random.default_rng(seed)
+    tracker = _Tracker("categorical_operators_match_object", 0.0)
+    for case_index in range(n_cases):
+        family = (case_index - 1) % 6 if case_index else None
+        if family is None:
+            mdp, grid = make_frozen_lake().mdp, np.array([0.0, 10.0, 20.0])
+        elif family < 3:
+            # family 2 draws r_a from the window where the search finds oscillations
+            r_a = (float(rng.uniform(0.0, 3.0)), 1.5, float(rng.uniform(1.8, 2.2)))[family]
+            mdp, grid = make_toy_mdp(r_a), np.asarray(TOY_GRID)
+        elif family == 3:
+            # 9 atoms per entry on a narrow grid: around 0 they clamp on
+            # both sides, below -11.9 all clamp above (rewards >= -1, gamma
+            # <= 0.9), where numpy sums the clamped mass pairwise
+            mdp = random_mdp(rng, 3, 2)
+            grid = float(rng.choice([0.0, -12.0])) + np.array([-0.05, 0.0, 0.05])
+        else:
+            mdp, grid = random_mdp(rng, 3, 2), random_grid(rng, max_points=5)
+            if family == 4:
+                reward = mdp.reward.copy()
+                reward[..., 1] = reward[..., 0] + rng.choice([0.0, 3e-13, 9e-13, 3e-12], size=reward.shape[:2])
+                mdp = TabularMdp(kernel=mdp.kernel, reward=reward, discount=mdp.discount)
+        probs = random_probs(rng, mdp.n_states, mdp.n_actions, grid.size, zero_frac=0.0 if family == 3 else 0.3)
+        if family == 2:
+            op, probs = categorical_full_opt(mdp, grid), categorical_start(mdp, grid).probs()
+            for _ in range(int(rng.integers(20, 140))):
+                probs = op(probs)
+        elif family is not None and case_index % 3:
+            probs = _tied(rng, probs, near=case_index % 3 == 2)
+        pi = random_policy(rng, mdp.n_states, mdp.n_actions)
+        mu = DistributionCollection.build(
+            mdp.n_states, mdp.n_actions, lambda x, a: CategoricalDistribution(grid, probs[x, a])
+        )
+        pairs = (
+            ("full_opt", categorical_full_opt(mdp, grid), lambda m: distr_bellman_opt(m, mdp, tie_break="lowest")),
+            ("one_step_opt", categorical_os_opt(mdp, grid), lambda m: os_distr_opt(m, mdp)),
+            ("one_step_eval", categorical_os_eval(mdp, pi, grid), lambda m: os_distr_eval(m, mdp, pi)),
+        )
+        for name, array_op, object_op in pairs[family is None :]:  # Frozen Lake: its reference's operators
+            got, want = array_op(probs), projected(object_op, grid)(mu).probs()
+            equal = np.array_equal(got, want)
+            diff = float(np.max(np.abs(got - want)))
+            tracker.record(
+                0.0 if equal else (diff if diff > 0.0 else math.inf),
+                lambda n=name, m=mdp, g=grid, p=probs, q=pi: {
+                    "operator": n,
+                    "mdp": m.to_json(),
+                    "grid": g.tolist(),
+                    "probs": p.tolist(),
+                    "policy": q.probs.tolist(),
+                },
+            )
     return tracker.result()
 
 
@@ -551,6 +635,7 @@ def run_properties(seed: int = 0, fast: bool = False):
     results += check_wasserstein_axioms(seed, n_cases=1000 // scale)
     results.append(check_w1_riemann_agreement(seed, n_cases=200 // scale))
     results.append(check_categorical_w1(seed, n_cases=2000 // scale))
+    results.append(check_categorical_operators(seed, n_cases=120 // scale))
     results.append(check_mean_commutation(seed, n_cases=300 // scale))
     results.append(check_banach_residual(seed, n_cases=50 // scale))
     results.append(check_mean_tracking(seed, n_steps=10_000 // scale))

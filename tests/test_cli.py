@@ -1,7 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+
+from osdrl import categorical_start, distr_bellman_opt, make_toy_mdp, projected
 
 from osdrl.cli import (
     CONFIG_SCHEMA,
@@ -143,6 +146,26 @@ class TestInstabilityCommand:
         with open(out / "instability" / "probs_onestep.csv") as fh:
             header = next(csv.reader(fh))
         assert header == ["iteration", "entry_id", "k", "z_k", "prob"]
+
+
+    def test_seed_nine_triggers_at_candidate_27_with_period_two(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["instability", "--seed", "9", "--out", str(out)])
+        assert code == EXIT_OK
+        search = json.loads((out / "instability" / "report.json").read_text())["search"]
+        assert search["triggered"] is True
+        assert (search["candidate_index"], search["period"]) == (27, 2)
+        # the triggered candidate's array stack, as written, equals the
+        # object-level iteration of the projected full operator
+        with open(out / "instability" / "probs_cdrl_perturbed.csv") as fh:
+            written = np.array([float(row["prob"]) for row in csv.DictReader(fh)]).reshape(141, 2, 2, 4)
+        grid = DEFAULTS["instability"]["grid"]
+        mdp = make_toy_mdp(search["r_a"])
+        op = projected(lambda m: distr_bellman_opt(m, mdp, tie_break="lowest"), grid)
+        mu = categorical_start(mdp, grid)
+        for n in range(141):
+            assert np.array_equal(written[n], mu.probs()), f"iterate {n}"
+            mu = op(mu)
 
 
 class TestFrozenlakeCommand:

@@ -8,13 +8,13 @@ from osdrl import (
     AtomicDistribution,
     CategoricalDistribution,
     DistributionCollection,
+    categorical_means,
     categorical_w1,
     cramer_project,
     dirac,
     distribution_from_json,
     dominance_excess,
     kl_divergence,
-    mean,
     mixture,
     project_points,
     pushforward_affine,
@@ -47,7 +47,7 @@ class TestAtomicDistribution:
     def test_dirac(self):
         d = dirac(0.0)
         assert d.atoms.tolist() == [0.0] and d.weights.tolist() == [1.0]
-        assert mean(dirac(2.5)) == 2.5
+        assert dirac(2.5).mean() == 2.5
 
     def test_dirac_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestPushforward:
         nu = mixture([(0.5, dirac(0.0)), (0.5, dirac(4.0))])
         out = pushforward_affine(nu, 1.0, 0.5)
         assert out.atoms.tolist() == [1.0, 3.0]
-        assert mean(out) == 1.0 + 0.5 * mean(nu) == 2.0
+        assert out.mean() == 1.0 + 0.5 * nu.mean() == 2.0
 
     def test_rejects_gamma_out_of_range(self):
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestMixture:
 
     def test_mean_convexity(self):
         out = mixture([(0.5, dirac(0.0)), (0.5, dirac(2.0))])
-        assert mean(out) == 1.0
+        assert out.mean() == 1.0
 
     def test_drops_zero_weight_components(self):
         out = mixture([(0.0, dirac(99.0)), (1.0, dirac(1.0))])
@@ -129,11 +129,22 @@ class TestMixture:
 class TestMean:
     def test_categorical_dot_product(self):
         d = CategoricalDistribution(grid=[0.0, 10.0, 20.0], probs=[0.5, 0.25, 0.25])
-        assert mean(d) == 7.5
+        assert d.mean() == 7.5
 
     def test_projection_preserves_dirac_mean(self):
         d = cramer_project(dirac(1.0), [0.0, 1.9, 2.1, 10.0])
-        assert abs(mean(d) - 1.0) <= 1e-12
+        assert abs(d.mean() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", [3, 4, 51])
+    def test_categorical_means_equal_mean_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        grid = np.sort(rng.uniform(-5.0, 20.0, size=k))
+        probs = rng.dirichlet(np.ones(k), size=(50, 3))
+        means = categorical_means(probs, grid)
+        assert means.shape == (50, 3)
+        for index in np.ndindex(50, 3):
+            d = CategoricalDistribution(grid, probs[index])
+            assert means[index] == d.mean() == float(grid @ probs[index])
 
 
 class TestWasserstein:
@@ -242,7 +253,7 @@ class TestCramerProjection:
             atoms = rng.uniform(grid[0], grid[-1], size=n)
             nu = AtomicDistribution.from_points(atoms, rng.dirichlet(np.ones(n)))
             out = cramer_project(nu, grid)
-            assert abs(mean(out) - mean(nu)) <= 1e-12
+            assert abs(out.mean() - nu.mean()) <= 1e-12
 
     def test_projection_is_w1_nonexpansive_on_diracs(self):
         rng = np.random.default_rng(8)

@@ -182,6 +182,28 @@ class TestProjectedFixedPoints:
             n_iters += 1
         assert n_iters <= bound
 
+    def test_cross_check_raises_when_iteration_disagrees(self, monkeypatch):
+        import osdrl.dp as dp
+
+        exact = dp.categorical_os_opt
+
+        def shifted(mdp, grid):
+            op = exact(mdp, grid)
+
+            def apply(probs):
+                # every cell's mass moves one cell up; the last keeps its own
+                out = op(probs)
+                moved = np.zeros_like(out)
+                moved[..., 1:] = out[..., :-1]
+                moved[..., -1] += out[..., -1]
+                return moved
+
+            return apply
+
+        monkeypatch.setattr(dp, "categorical_os_opt", shifted)
+        with pytest.raises(RuntimeError, match="disagrees with the closed-form"):
+            projected_fixed_points(make_toy_mdp(), TOY_GRID, tol=1e-10)
+
     def test_categorical_start_puts_all_mass_at_lowest_point(self):
         start = categorical_start(make_toy_mdp(), TOY_GRID)
         assert (start.n_states, start.n_actions) == (2, 2)

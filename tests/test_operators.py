@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from osdrl import (
+    CategoricalDistribution,
     DistributionCollection,
     Policy,
     bellman_eval,
     bellman_opt,
+    categorical_full_opt,
+    categorical_os_eval,
+    categorical_os_opt,
     cramer_project,
     dirac,
     distr_bellman_eval,
     distr_bellman_opt,
     greedy_policy,
+    make_frozen_lake,
     make_toy_mdp,
     mixture,
     os_distr_eval,
@@ -22,7 +27,16 @@ from osdrl import (
 )
 from osdrl.distributions import AtomicDistribution
 from osdrl.mdp import TabularMdp
-from osdrl.operators import random_atomic, random_collection, random_mdp, random_policy
+from osdrl.dp import categorical_start
+from osdrl.operators import (
+    random_atomic,
+    random_collection,
+    random_grid,
+    random_mdp,
+    random_policy,
+    random_probs,
+)
+from osdrl.verify import check_categorical_operators
 
 
 def self_loop_mdp(reward=1.0, discount=0.5):
@@ -288,3 +302,105 @@ class TestProjectedOperators:
         mu = op(all_dirac(mdp))
         again = op(mu)  # categorical input round-trips through the operator
         assert again[0, 0].probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def as_collection(probs, grid):
+    return DistributionCollection.build(
+        probs.shape[0], probs.shape[1], lambda x, a: CategoricalDistribution(grid, probs[x, a])
+    )
+
+
+def assert_ops_match(mdp, grid, probs, policy=None):
+    """Every array operator equals its object-level composition bit for bit."""
+    policy = policy or Policy.uniform(mdp.n_states, mdp.n_actions)
+    mu = as_collection(probs, grid)
+    pairs = (
+        (categorical_full_opt(mdp, grid), lambda m: distr_bellman_opt(m, mdp, tie_break="lowest")),
+        (categorical_os_opt(mdp, grid), lambda m: os_distr_opt(m, mdp)),
+        (categorical_os_eval(mdp, policy, grid), lambda m: os_distr_eval(m, mdp, policy)),
+    )
+    for array_op, object_op in pairs:
+        assert np.array_equal(array_op(probs), projected(object_op, grid)(mu).probs())
+
+
+class TestArrayOperators:
+    GRID = np.array([0.0, 1.9, 2.1, 10.0])
+
+    @pytest.mark.parametrize("r_a", [0.0, 0.7, 1.5, 1.8878306765799053, 2.05])
+    def test_full_opt_trace_matches_object_on_toy_family(self, r_a):
+        # r_a = 1.5: both successors of (x1, a2) pay 1.5, so their atoms coincide
+        mdp = make_toy_mdp(r_a)
+        array_op = categorical_full_opt(mdp, self.GRID)
+        object_op = projected(lambda m: distr_bellman_opt(m, mdp, tie_break="lowest"), self.GRID)
+        mu = categorical_start(mdp, self.GRID)
+        probs = mu.probs()
+        for _ in range(40):
+            mu, probs = object_op(mu), array_op(probs)
+            assert np.array_equal(probs, mu.probs())
+
+    def test_tied_and_near_tied_actions(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            mdp = make_toy_mdp(float(rng.uniform(0.0, 3.0)))
+            probs = random_probs(rng, 2, 2, self.GRID.size)
+            probs[:, 1] = probs[:, 0]  # exact tie: the lowest index wins
+            assert_ops_match(mdp, self.GRID, probs)
+            row = probs[0, 1]
+            src = int(np.flatnonzero(row > 0.0)[0])
+            moved = row[src] * 2.0**-52
+            row[src] -= moved
+            row[(src + 1) % row.size] += moved  # means a rounding step apart
+            assert_ops_match(mdp, self.GRID, probs)
+
+    def test_random_mdps_with_stochastic_policies(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            mdp = random_mdp(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
+            grid = random_grid(rng, max_points=6)
+            probs = random_probs(rng, mdp.n_states, mdp.n_actions, grid.size)
+            assert_ops_match(mdp, grid, probs, random_policy(rng, mdp.n_states, mdp.n_actions))
+
+    def test_many_clamped_atoms_keep_numpy_sum_order(self):
+        # every atom lies above a narrow grid: 4 successors x 3 cells clamp
+        # 12 atoms per entry into the last cell, summed as project_points sums
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            mdp = random_mdp(rng, 4, 2)
+            reward = np.abs(mdp.reward) + 0.5
+            mdp = TabularMdp(kernel=mdp.kernel, reward=reward, discount=mdp.discount)
+            grid = np.array([-0.02, 0.0, 0.02])
+            assert_ops_match(mdp, grid, random_probs(rng, 4, 2, 3, zero_frac=0.0))
+
+    @pytest.mark.parametrize("offset", [0.0, 4e-13, 9e-13, 2e-12])
+    def test_atoms_within_merge_tolerance(self, offset):
+        # successors 0 and 1 pay rewards `offset` apart: from_points merges
+        # their atoms below 1e-12 and keeps them apart above it
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            mdp = random_mdp(rng, 3, 2)
+            reward = mdp.reward.copy()
+            reward[..., 1] = reward[..., 0] + offset
+            mdp = TabularMdp(kernel=mdp.kernel, reward=reward, discount=mdp.discount)
+            grid = random_grid(rng, max_points=5)
+            assert_ops_match(mdp, grid, random_probs(rng, 3, 2, grid.size))
+
+    def test_cells_narrower_than_merge_tolerance_and_zero_discount(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            mdp = random_mdp(rng, 3, 2)
+            grid = np.array([0.0, 1e-13, 2e-13, 1.0])  # pushforwards merge atoms
+            assert_ops_match(mdp, grid, random_probs(rng, 3, 2, 4))
+            flat = TabularMdp(kernel=mdp.kernel, reward=mdp.reward, discount=0.0)
+            assert_ops_match(flat, grid, random_probs(rng, 3, 2, 4))
+
+    def test_frozen_lake(self):
+        rng = np.random.default_rng(8)
+        mdp = make_frozen_lake().mdp
+        grid = np.array([0.0, 10.0, 20.0])
+        probs = random_probs(rng, mdp.n_states, mdp.n_actions, 3)
+        assert_ops_match(mdp, grid, probs, random_policy(rng, mdp.n_states, mdp.n_actions))
+
+    def test_verify_property_passes(self):
+        result = check_categorical_operators(seed=1, n_cases=24)
+        assert result.passed and result.max_violation == 0.0
+        assert result.cases >= 24
