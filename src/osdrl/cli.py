@@ -20,11 +20,12 @@ import numpy as np
 from .distributions import DistributionCollection, categorical_means, categorical_w1, dirac
 from .dp import (
     AtomBudgetExceeded,
+    IterationTrace,
     RangeConditionError,
     categorical_start,
+    detect_oscillation,
     iterate,
     projected_fixed_points,
-    scan_oscillation,
     solve_q_star,
     trace_atoms_to_csv,
     trace_distances_to_csv,
@@ -37,7 +38,7 @@ from .learning import (
     write_learning_csv,
 )
 from .mdp import FROZEN_LAKE_MAP, Policy, TabularMdp, make_frozen_lake, make_toy_mdp
-from .operators import categorical_full_opt, distr_bellman_eval, os_distr_eval, os_distr_opt, projected
+from .operators import categorical_full_opt, categorical_os_opt, distr_bellman_eval, os_distr_eval
 from .svgplot import histogram_chart, line_chart
 from .verify import run_properties
 
@@ -208,16 +209,6 @@ def _prob_stack(op, start: np.ndarray, n_steps: int) -> np.ndarray:
     return stack
 
 
-def _stack_scan(stack: np.ndarray, grid):
-    """Oscillation scan of a stack, sup-W1 on its shared grid."""
-    n = len(stack)
-
-    def largest_gap(q, start):
-        return float(categorical_w1(stack[start : n - q], stack[start + q :], grid).max())
-
-    return scan_oscillation(n, largest_gap)
-
-
 def _stack_probs_csv(stack: np.ndarray, grid, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -261,17 +252,24 @@ def cmd_instability(config: dict) -> int:
     q_star = solve_q_star(mdp, tol=1e-12)
     if abs(q_star[0, 0] - q_star[0, 1]) > 1e-9:
         raise ConfigError("instability experiment needs tied optimal actions")
+    try:
+        eta_star = projected_fixed_points(mdp, grid, tol=1e-10).probs()
+    except RangeConditionError as exc:
+        raise ConfigError(f"grid does not cover the one-step targets: {exc}") from exc
     out = _out_dir(config, "instability")
 
-    eta_star = projected_fixed_points(mdp, grid, tol=1e-10)
-    os_op = projected(lambda m: os_distr_opt(m, mdp), grid)
-    os_trace = iterate(os_op, categorical_start(mdp, grid), config["one_step_iterations"], reference=eta_star)
+    start = categorical_start(mdp, grid).probs()
+    os_stack = _prob_stack(categorical_os_opt(mdp, grid), start, config["one_step_iterations"])
+    os_trace = IterationTrace(
+        list(os_stack),
+        categorical_w1(os_stack[1:], os_stack[:-1], grid).max(axis=(1, 2)).tolist(),
+        categorical_w1(os_stack, eta_star, grid).max(axis=(1, 2)).tolist(),
+    )
     os_residual = os_trace.ref_distances[-1]
     os_converged = os_residual < 1e-8
 
-    start = categorical_start(mdp, grid).probs()
     cdrl_stack = _prob_stack(categorical_full_opt(mdp, grid), start, config["steps"])
-    cdrl_report = _stack_scan(cdrl_stack, grid)
+    cdrl_report = detect_oscillation(cdrl_stack, grid)
 
     search = {"triggered": False, "candidates_tried": 0}
     perturbed_stack = None
@@ -291,7 +289,7 @@ def cmd_instability(config: dict) -> int:
             if abs(q_cand[0, 0] - q_cand[0, 1]) > 1e-9:
                 continue  # tie broken by rounding; not a valid candidate
             stack = _prob_stack(categorical_full_opt(candidate, grid), start, search_steps)
-            scan = _stack_scan(stack, grid)
+            scan = detect_oscillation(stack, grid)
             if scan.oscillating:
                 search.update(
                     triggered=True,
@@ -305,7 +303,7 @@ def cmd_instability(config: dict) -> int:
                 break
 
     panels = [
-        ("onestep", np.array([mu.probs() for mu in os_trace.iterates]), "projected one-step control"),
+        ("onestep", os_stack, "projected one-step control"),
         ("cdrl", cdrl_stack, "projected full control"),
     ]
     if perturbed_stack is not None:
@@ -315,7 +313,7 @@ def cmd_instability(config: dict) -> int:
         for x, a in ((0, 0), (0, 1)):
             path = out / f"{name}_probs_x{x}_a{a}.svg"
             _plot_stack(stack, grid, (x, a), path, f"{title} at (x{x + 1}, a{a + 1})")
-    qs = {"onestep": [mu.means() for mu in os_trace.iterates], "cdrl": categorical_means(cdrl_stack, grid)}
+    qs = {"onestep": categorical_means(os_stack, grid), "cdrl": categorical_means(cdrl_stack, grid)}
     _qfunc_csv(qs, out / "qfunc.csv")
     trace_distances_to_csv(os_trace, out / "distances_onestep.csv")
     series = [("cdrl", qs["cdrl"]), ("one-step", qs["onestep"])]

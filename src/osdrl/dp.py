@@ -31,35 +31,40 @@ from .operators import (
 _MAX_SOLVE_ITERS = 10_000_000  # defensive cap; contraction terminates far earlier
 
 
-def _solve(step_fn, shape, discount: float, tol: float) -> np.ndarray:
-    # Stop when the sup-norm step is below tol*(1-gamma)/gamma, which bounds
-    # the distance to the fixed point by tol; a single sweep is exact at
-    # gamma = 0.
+def _solve(step_fn, start, distance, discount: float, tol: float):
+    # Iterate from start until distance(next, current) is below
+    # tol*(1-gamma)/gamma, which bounds the distance to the fixed point by
+    # tol; a single sweep is exact at gamma = 0.
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     threshold = tol * (1.0 - discount) / discount if discount > 0.0 else math.inf
-    q = np.zeros(shape)
+    current = start
     for _ in range(_MAX_SOLVE_ITERS):
-        q_next = step_fn(q)
-        step = float(np.max(np.abs(q_next - q)))
-        q = q_next
+        nxt = step_fn(current)
+        step = distance(nxt, current)
+        current = nxt
         if step < threshold or discount == 0.0:
-            return q
-    raise RuntimeError("value iteration failed to converge (tolerance below float precision?)")
+            return current
+    raise RuntimeError("iteration failed to converge (tolerance below float precision?)")
 
 
 def solve_q_pi(mdp: TabularMdp, policy: Policy, tol: float = 1e-10) -> np.ndarray:
     """Q-function of a policy, within tol in sup norm."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    shape = (mdp.n_states, mdp.n_actions)
-    return _solve(lambda q: bellman_eval(q, mdp, policy), shape, mdp.discount, tol)
+    start = np.zeros((mdp.n_states, mdp.n_actions))
+    return _solve(lambda q: bellman_eval(q, mdp, policy), start, _distance, mdp.discount, tol)
 
 
 def solve_q_star(mdp: TabularMdp, tol: float = 1e-10) -> np.ndarray:
     """Optimal Q-function, within tol in sup norm."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    shape = (mdp.n_states, mdp.n_actions)
-    return _solve(lambda q: bellman_opt(q, mdp), shape, mdp.discount, tol)
+    start = np.zeros((mdp.n_states, mdp.n_actions))
+    return _solve(lambda q: bellman_opt(q, mdp), start, _distance, mdp.discount, tol)
+
+
+def _state_values(mdp: TabularMdp, tol: float, policy: Optional[Policy] = None) -> np.ndarray:
+    """V_pi with a policy, V* without one, within tol in sup norm."""
+    if policy is None:
+        return solve_q_star(mdp, tol).max(axis=1)
+    return (policy.probs * solve_q_pi(mdp, policy, tol)).sum(axis=1)
 
 
 def one_step_fixed_point_eval(
@@ -67,14 +72,12 @@ def one_step_fixed_point_eval(
 ) -> DistributionCollection:
     """Closed-form fixed point of the one-step evaluation operator: the Dirac
     mixture over successors at r(x,a,x') + gamma * V_pi(x')."""
-    q = solve_q_pi(mdp, policy, tol)
-    return _one_step_collection(mdp, (policy.probs * q).sum(axis=1))
+    return _one_step_collection(mdp, _state_values(mdp, tol, policy))
 
 
 def one_step_fixed_point_opt(mdp: TabularMdp, tol: float = 1e-10) -> DistributionCollection:
     """Closed-form fixed point of the one-step optimality operator."""
-    q = solve_q_star(mdp, tol)
-    return _one_step_collection(mdp, q.max(axis=1))
+    return _one_step_collection(mdp, _state_values(mdp, tol))
 
 
 class RangeConditionError(ValueError):
@@ -165,6 +168,33 @@ def categorical_start(mdp: TabularMdp, grid) -> DistributionCollection:
     )
 
 
+def _projected_closed_form(
+    mdp: TabularMdp, grid, tol: float, policy: Optional[Policy] = None
+) -> tuple:
+    """(eta, residual): the projected closed-form fixed point of the one-step
+    operator (evaluation with a policy, control without), and its sup-W1 to
+    the array operator iterated from the all-delta(z_1) start to within tol.
+
+    Raises RangeConditionError when some supported target
+    r(x,a,x') + gamma*V(x') falls outside [z_1, z_K]."""
+    grid = np.asarray(grid, dtype=float)
+    v = _state_values(mdp, tol, policy)
+    targets = mdp.reward + mdp.discount * v[None, None, :]
+    bad = (mdp.kernel > 0.0) & ((targets < grid[0]) | (targets > grid[-1]))
+    if np.any(bad):
+        triplets = [(x, a, xn, float(targets[x, a, xn])) for x, a, xn in zip(*np.nonzero(bad))]
+        raise RangeConditionError(triplets)
+
+    eta = _one_step_collection(mdp, v).map(lambda d: cramer_project(d, grid))
+    op = categorical_os_opt(mdp, grid) if policy is None else categorical_os_eval(mdp, policy, grid)
+
+    def sup_w1(p, q):
+        return float(categorical_w1(p, q, grid).max())
+
+    fixed = _solve(op, categorical_start(mdp, grid).probs(), sup_w1, mdp.discount, tol)
+    return eta, sup_w1(fixed, eta.probs())
+
+
 def projected_fixed_points(
     mdp: TabularMdp, grid, tol: float = 1e-10, policy: Optional[Policy] = None
 ) -> DistributionCollection:
@@ -177,33 +207,7 @@ def projected_fixed_points(
     triplets). The closed form is cross-checked by iterating the array form
     of the projected operator from the all-delta(z_1) start to within tol.
     """
-    grid = np.asarray(grid, dtype=float)
-    if policy is None:
-        q = solve_q_star(mdp, tol)
-        v = q.max(axis=1)
-        op = categorical_os_opt(mdp, grid)
-    else:
-        q = solve_q_pi(mdp, policy, tol)
-        v = (policy.probs * q).sum(axis=1)
-        op = categorical_os_eval(mdp, policy, grid)
-
-    targets = mdp.reward + mdp.discount * v[None, None, :]
-    bad = (mdp.kernel > 0.0) & ((targets < grid[0]) | (targets > grid[-1]))
-    if np.any(bad):
-        triplets = [(x, a, xn, float(targets[x, a, xn])) for x, a, xn in zip(*np.nonzero(bad))]
-        raise RangeConditionError(triplets)
-
-    eta = _one_step_collection(mdp, v).map(lambda d: cramer_project(d, grid))
-    current = categorical_start(mdp, grid).probs()
-    gamma = mdp.discount
-    threshold = tol * (1.0 - gamma) / gamma if gamma > 0.0 else math.inf
-    for _ in range(_MAX_SOLVE_ITERS):
-        nxt = op(current)
-        step = float(categorical_w1(nxt, current, grid).max())
-        current = nxt
-        if step < threshold or gamma == 0.0:
-            break
-    residual = float(categorical_w1(current, eta.probs(), grid).max())
+    eta, residual = _projected_closed_form(mdp, grid, tol, policy)
     if residual > 10.0 * tol:
         raise RuntimeError(
             f"projected iteration disagrees with the closed-form fixed point "
@@ -249,22 +253,16 @@ def scan_oscillation(
     return OscillationReport(converged, period is not None, period, aperiodic, max_step_tail, recurrence)
 
 
-def detect_oscillation(
-    trace: IterationTrace,
-    tol: float = 1e-6,
-    max_period: int = 4,
-    burn_in: Optional[int] = None,
-) -> OscillationReport:
-    """Flag the instability signature: successive iterates stay apart while
-    some period-q recurrence (q <= max_period) stays below tol. Distances are
-    sup-W1 between collections and sup norm between Q-functions; see
-    scan_oscillation."""
-    iterates = trace.iterates
+def detect_oscillation(stack: np.ndarray, grid) -> OscillationReport:
+    """Flag the instability signature in an (n, S, A, K) stack of iterates on
+    one grid: successive iterates stay apart in sup-W1 while some period-q
+    recurrence (q <= 4) comes within 1e-6; see scan_oscillation."""
+    n = len(stack)
 
     def largest_gap(q, start):
-        return max(_distance(iterates[i + q], iterates[i]) for i in range(start, len(iterates) - q))
+        return float(categorical_w1(stack[start : n - q], stack[start + q :], grid).max())
 
-    return scan_oscillation(len(iterates), largest_gap, tol, max_period, burn_in)
+    return scan_oscillation(n, largest_gap)
 
 
 def _entry_points(dist):

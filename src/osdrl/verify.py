@@ -26,14 +26,7 @@ from .distributions import (
     sup_wasserstein,
     wasserstein,
 )
-from .dp import (
-    categorical_start,
-    iterate,
-    one_step_fixed_point_eval,
-    one_step_fixed_point_opt,
-    solve_q_pi,
-    solve_q_star,
-)
+from .dp import _projected_closed_form, _state_values, categorical_start, iterate, solve_q_star
 from .learning import LearnerState, StepSizeSchedule, os_cdrl_step, target_microbenchmark
 from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
 from .operators import (
@@ -223,30 +216,19 @@ def check_contraction_suite(seed: int = 0, n_cases: int = 1000) -> list:
     return results
 
 
-def _fitting_grid(mdp, v, rng, k: int = 7) -> np.ndarray:
+def _fitting_grid(mdp, v, k: int = 7) -> np.ndarray:
     targets = mdp.reward + mdp.discount * v[None, None, :]
     lo, hi = float(targets.min()), float(targets.max())
     pad = 0.1 * (hi - lo) + 0.1
     return np.linspace(lo - pad, hi + pad, k)
 
 
-def _iterate_to_fixed_point(op, mdp, grid, reference, tol) -> float:
-    """sup-W1 to reference once op, iterated from the all-delta(z1) start,
-    comes within tol, or after the contraction bound's number of steps."""
-    max_iters = math.ceil(math.log(tol / max(grid[-1] - grid[0], tol)) / math.log(mdp.discount)) + 2
-    current = categorical_start(mdp, grid)
-    for _ in range(max_iters):
-        dist = sup_wasserstein(current, reference, 1.0)
-        if dist <= tol:
-            return dist
-        current = op(current)
-    return sup_wasserstein(current, reference, 1.0)
-
-
 def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> list:
     """Iterating the projected one-step operators from the all-delta(z1)
     collection reaches the projection of the closed-form fixed point within
-    1e-8, on the toy MDP and random instances satisfying the range condition."""
+    1e-8, on the toy MDP and random instances satisfying the range condition.
+    The array operators iterate; one object-level application at the closed
+    form checks it against the exact layer."""
     rng = np.random.default_rng(seed)
     tol = 1e-8
     # (mdp, policy, grid): no policy is control; no grid fits one to the targets
@@ -258,20 +240,16 @@ def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> l
         cases.append((mdp, random_policy(rng, mdp.n_states, 2), None))
     trackers = {kind: _Tracker(f"projected_fixed_point_{kind}", tol) for kind in ("control", "eval")}
     for mdp, pi, grid in cases:
-        if pi is None:
-            v = solve_q_star(mdp, tol=1e-12).max(axis=1)
-            eta = one_step_fixed_point_opt(mdp, tol=1e-12)
-            op = lambda m, _mdp=mdp: os_distr_opt(m, _mdp)
-        else:
-            v = (pi.probs * solve_q_pi(mdp, pi, tol=1e-12)).sum(axis=1)
-            eta = one_step_fixed_point_eval(mdp, pi, tol=1e-12)
-            op = lambda m, _mdp=mdp, _pi=pi: os_distr_eval(m, _mdp, _pi)
         if grid is None:
-            grid = _fitting_grid(mdp, v, rng)
-        eta = eta.map(lambda d: cramer_project(d, grid))
-        dist = _iterate_to_fixed_point(projected(op, grid), mdp, grid, eta, tol)
+            grid = _fitting_grid(mdp, _state_values(mdp, 1e-12, pi))
+        eta, residual = _projected_closed_form(mdp, grid, 1e-12, pi)
+        if pi is None:
+            op = lambda m: os_distr_opt(m, mdp)
+        else:
+            op = lambda m: os_distr_eval(m, mdp, pi)
+        exact = sup_wasserstein(projected(op, grid)(eta), eta, 1.0)
         trackers["control" if pi is None else "eval"].record(
-            dist - tol,
+            max(residual, exact) - tol,
             lambda m=mdp, p=pi, g=grid: {
                 "mdp": m.to_json(),
                 "grid": g.tolist(),
@@ -531,7 +509,7 @@ def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
         err = max(err, np.max(np.abs(out_opt.means() - bellman_opt(q, mdp))))
         # projected variant on a grid that covers every one-step target
         v = q.max(axis=1)
-        grid = _fitting_grid(mdp, v, rng)
+        grid = _fitting_grid(mdp, v)
         projected_means = out_opt.map(lambda d: cramer_project(d, grid)).means()
         err = max(err, np.max(np.abs(projected_means - bellman_opt(q, mdp))))
         tracker.record(err, case)
@@ -547,7 +525,7 @@ def check_banach_residual(seed: int = 0, n_cases: int = 50) -> PropertyResult:
         mdp = random_mdp(rng, int(rng.integers(2, 4)), 2)
         pi = random_policy(rng, mdp.n_states, 2)
         mu0 = random_collection(rng, mdp.n_states, 2, max_atoms=3)
-        grid = _fitting_grid(mdp, solve_q_star(mdp, tol=1e-10).max(axis=1), rng)
+        grid = _fitting_grid(mdp, solve_q_star(mdp, tol=1e-10).max(axis=1))
         ops = [
             lambda m: os_distr_eval(m, mdp, pi),
             lambda m: os_distr_opt(m, mdp),

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from osdrl import categorical_start, distr_bellman_opt, make_toy_mdp, projected
+from osdrl import (
+    categorical_start,
+    distr_bellman_opt,
+    make_toy_mdp,
+    os_distr_opt,
+    projected,
+    projected_fixed_points,
+    sup_wasserstein,
+)
 
 from osdrl.cli import (
     CONFIG_SCHEMA,
@@ -147,6 +155,42 @@ class TestInstabilityCommand:
             header = next(csv.reader(fh))
         assert header == ["iteration", "entry_id", "k", "z_k", "prob"]
 
+
+    def test_narrow_grid_exits_with_config_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": [0, 1, 2]}')
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "grid" in capsys.readouterr().err
+        assert not (out / "instability").exists()
+
+    def test_one_step_trace_matches_object_iteration(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"search_candidates": 0}')
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_INCONCLUSIVE
+        with open(out / "instability" / "probs_onestep.csv") as fh:
+            written = np.array([float(row["prob"]) for row in csv.DictReader(fh)]).reshape(61, 2, 2, 4)
+        with open(out / "instability" / "distances_onestep.csv") as fh:
+            distances = list(csv.DictReader(fh))
+        assert len(distances) == 61
+        # the array stack, as written, equals 60 object-level applications of
+        # the projected one-step operator; its W1 columns agree with the
+        # exact quantile sup-W1 on those iterates
+        grid = DEFAULTS["instability"]["grid"]
+        mdp = make_toy_mdp()
+        op = projected(lambda m: os_distr_opt(m, mdp), grid)
+        eta = projected_fixed_points(mdp, grid, tol=1e-10)
+        mus = [categorical_start(mdp, grid)]
+        for _ in range(60):
+            mus.append(op(mus[-1]))
+        for n, (mu, row) in enumerate(zip(mus, distances)):
+            assert np.array_equal(written[n], mu.probs()), f"iterate {n}"
+            assert abs(float(row["dist_to_reference"]) - sup_wasserstein(mu, eta, 1.0)) <= 1e-12
+        for n in range(60):
+            step = sup_wasserstein(mus[n + 1], mus[n], 1.0)
+            assert abs(float(distances[n]["dist_to_next"]) - step) <= 1e-12
+        assert distances[60]["dist_to_next"] == ""
 
     def test_seed_nine_triggers_at_candidate_27_with_period_two(self, tmp_path):
         out = tmp_path / "o"

@@ -33,6 +33,7 @@ from osdrl import (
 )
 from osdrl.mdp import TabularMdp
 from osdrl.operators import bellman_eval, bellman_opt, distr_bellman_eval, random_mdp, random_policy
+from osdrl.verify import check_fixed_points
 
 TOY_GRID = [0.0, 1.9, 2.1, 10.0]
 
@@ -153,6 +154,28 @@ class TestOneStepFixedPoints:
         assert np.max(np.abs(nu.means() - solve_q_star(mdp, tol=tol))) <= 10 * tol
 
 
+def shift_array_operator_up(monkeypatch):
+    """Make dp's array one-step control operator move every cell's mass one
+    cell up (the last cell keeps its own)."""
+    import osdrl.dp as dp
+
+    exact = dp.categorical_os_opt
+
+    def shifted(mdp, grid):
+        op = exact(mdp, grid)
+
+        def apply(probs):
+            out = op(probs)
+            moved = np.zeros_like(out)
+            moved[..., 1:] = out[..., :-1]
+            moved[..., -1] += out[..., -1]
+            return moved
+
+        return apply
+
+    monkeypatch.setattr(dp, "categorical_os_opt", shifted)
+
+
 class TestProjectedFixedPoints:
     def test_toy_control_entry(self):
         eta = projected_fixed_points(make_toy_mdp(), TOY_GRID, tol=1e-10)
@@ -183,26 +206,28 @@ class TestProjectedFixedPoints:
         assert n_iters <= bound
 
     def test_cross_check_raises_when_iteration_disagrees(self, monkeypatch):
-        import osdrl.dp as dp
-
-        exact = dp.categorical_os_opt
-
-        def shifted(mdp, grid):
-            op = exact(mdp, grid)
-
-            def apply(probs):
-                # every cell's mass moves one cell up; the last keeps its own
-                out = op(probs)
-                moved = np.zeros_like(out)
-                moved[..., 1:] = out[..., :-1]
-                moved[..., -1] += out[..., -1]
-                return moved
-
-            return apply
-
-        monkeypatch.setattr(dp, "categorical_os_opt", shifted)
+        shift_array_operator_up(monkeypatch)
         with pytest.raises(RuntimeError, match="disagrees with the closed-form"):
             projected_fixed_points(make_toy_mdp(), TOY_GRID, tol=1e-10)
+
+    def test_fixed_point_property_fails_under_shifted_array_operator(self, monkeypatch):
+        shift_array_operator_up(monkeypatch)
+        control, evaluation = check_fixed_points()
+        assert not control.passed and control.failing_case is not None
+        assert evaluation.passed
+
+    def test_fixed_point_property_fails_under_object_operator_mutant(self, monkeypatch):
+        import osdrl.verify as verify
+        from osdrl.operators import _one_step_collection
+
+        def gamma_twice(mu, mdp):
+            # targets r + gamma^2 V: the discount applied twice
+            return _one_step_collection(mdp, mdp.discount * mu.means().max(axis=1))
+
+        monkeypatch.setattr(verify, "os_distr_opt", gamma_twice)
+        control, evaluation = check_fixed_points()
+        assert not control.passed and control.failing_case is not None
+        assert evaluation.passed
 
     def test_categorical_start_puts_all_mass_at_lowest_point(self):
         start = categorical_start(make_toy_mdp(), TOY_GRID)
@@ -278,40 +303,25 @@ class TestIterate:
 
 
 class TestOscillationDetector:
-    @staticmethod
-    def _collection(p):
-        grid = np.array([0.0, 1.0])
-        from osdrl import CategoricalDistribution
+    GRID = np.array([0.0, 1.0])
 
-        return DistributionCollection.constant(
-            1, 1, CategoricalDistribution(grid=grid, probs=[p, 1.0 - p])
-        )
+    @staticmethod
+    def _stack(ps):
+        # one entry on the grid (0, 1) per iterate, with mass p at 0
+        return np.array([[[[p, 1.0 - p]]] for p in ps])
 
     def test_flags_period_two_cycle(self):
-        from osdrl import IterationTrace
-
-        cycle = [self._collection(0.2), self._collection(0.8)] * 20
-        trace = IterationTrace(cycle, [0.6] * (len(cycle) - 1))
-        report = detect_oscillation(trace)
+        report = detect_oscillation(self._stack([0.2, 0.8] * 20), self.GRID)
         assert report.oscillating and report.period == 2 and not report.converged
 
     def test_converged_trace(self):
-        from osdrl import IterationTrace
-
-        constant = [self._collection(0.5)] * 30
-        trace = IterationTrace(constant, [0.0] * 29)
-        report = detect_oscillation(trace)
+        report = detect_oscillation(self._stack([0.5] * 30), self.GRID)
         assert report.converged and not report.oscillating
 
     def test_aperiodic_trace(self):
-        from osdrl import IterationTrace
-
         rng = np.random.default_rng(3)
-        iterates = [self._collection(p) for p in rng.uniform(0.05, 0.95, size=40)]
-        trace = IterationTrace(iterates, [0.1] * 39)
-        report = detect_oscillation(trace)
+        report = detect_oscillation(self._stack(rng.uniform(0.05, 0.95, size=40)), self.GRID)
         assert report.aperiodic and not report.converged and not report.oscillating
-
 
     def test_scan_takes_gaps_from_callback(self):
         calls = []
