@@ -3,7 +3,9 @@
 Two per-transition updates share one harness: the one-step update mixes in
 the projection of a single Dirac at the bootstrapped scalar target, while the
 baseline categorical update projects the K shifted atoms of the next-state
-distribution. Both preserve normalization exactly up to rounding.
+distribution. Both preserve normalization exactly up to rounding. Both read
+next-state means from a table kept beside the probabilities, so a step of
+the harness calls numpy only to build one row's target and update that row.
 """
 
 from __future__ import annotations
@@ -11,15 +13,23 @@ from __future__ import annotations
 import csv
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from operator import mul
 from statistics import median
 from typing import Optional
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, DistributionCollection, categorical_w1, project_points
+from .distributions import (
+    CategoricalDistribution,
+    DistributionCollection,
+    categorical_means,
+    categorical_w1,
+    project_points,
+)
 from .mdp import EpisodicEnv, Policy, Transition
+from .operators import TIE_BREAKS
 
 # Default epsilon decay: reaches 0.26 at step 5e4 when decaying 1 -> 0.25.
 DEFAULT_EPS_RATE = math.log(75.0) / 5e4
@@ -125,7 +135,7 @@ class LearnerState:
         return cls(grid=grid, probs=probs, visits=visits, discount=float(discount), rng=rng)
 
     def q_values(self) -> np.ndarray:
-        return self.probs @ self.grid
+        return categorical_means(self.probs, self.grid)
 
     def as_collection(self) -> DistributionCollection:
         return DistributionCollection.build(
@@ -135,9 +145,10 @@ class LearnerState:
         )
 
 
-def project_dirac_sparse(grid: np.ndarray, u: float):
+def project_dirac_sparse(grid, u: float):
     """Sparse categorical projection of a point mass: at most two
-    (index, weight) cells, located by binary search."""
+    (index, weight) cells, located by binary search. grid is a sequence of
+    Python floats, which bisect and subtract faster than numpy scalars."""
     if len(grid) < 2:
         raise ValueError("grid must hold at least 2 points")
     i = bisect_left(grid, u)
@@ -157,59 +168,92 @@ def _check_mode(mode: str, policy) -> None:
         raise ValueError("eval mode requires a policy")
 
 
-# The two in-place updates below move row (x, a) of probs a step alpha toward
-# a projected target built from transition (x, a, r, x_next). policy=None
-# bootstraps greedily (control); a policy mixes the next state's actions
-# (eval). Each returns True when the target puts mass outside [z_1, z_K].
+class _Tables:
+    """What one learner update reads and writes, held in the forms a per-step
+    Python loop reads fastest.
+
+    rows[x][a] is a view of probs[x, a], and q[x][a] its mean as a Python
+    float: float(row @ grid), the 1-D dot categorical_means rounds with. An
+    update recomputes the mean of the one row it changes. policy is None for
+    the greedy bootstrap (control) or the Policy that mixes the next state's
+    actions (eval).
+    """
+
+    def __init__(self, probs, grid, gamma, policy=None, tie_break="lowest", rng=None):
+        self.probs = probs
+        self.grid = grid
+        self.points = grid.tolist()
+        self.gamma = gamma
+        self.rows = [list(rows) for rows in probs]
+        self.q = categorical_means(probs, grid).tolist()
+        self.policy = policy
+        self.policy_rows = None if policy is None else policy.probs.tolist()
+        self.tie_break = tie_break
+        self.rng = rng
+        self._target_maps = {}
+
+    def target_map(self, r: float):
+        """(M, off) for reward r. The projection is linear, so the baseline
+        target of next-state probabilities p is p @ M, where row k of M is
+        project_points of a unit atom at r + gamma * z_k. off marks the atoms
+        off the grid, None when there are none. Built on first use of r."""
+        found = self._target_maps.get(r)
+        if found is None:
+            atoms = r + self.gamma * self.grid
+            unit = np.ones(1)
+            matrix = np.array([project_points(atoms[k : k + 1], unit, self.grid) for k in range(atoms.size)])
+            off = (atoms < self.grid[0]) | (atoms > self.grid[-1])
+            found = self._target_maps[r] = (matrix, off if off.any() else None)
+        return found
 
 
-def _os_update(probs, grid, x, a, r, x_next, gamma, alpha, policy) -> bool:
+# The two in-place updates below move row (x, a) a step alpha toward a
+# projected target built from transition (x, a, r, x_next) and keep its mean
+# in the table. Each returns True when the target puts mass outside
+# [z_1, z_K].
+
+
+def _os_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     """One-step update: the target projects a single Dirac at
     r + gamma * V(x_next), V the maximal or policy-mixed mean."""
-    q_next = probs[x_next] @ grid
-    v = float(q_next.max()) if policy is None else float(policy.probs[x_next] @ q_next)
-    u = r + gamma * v
-    row = probs[x, a]
+    q_next = t.q[x_next]
+    v = max(q_next) if t.policy is None else sum(map(mul, t.policy_rows[x_next], q_next))
+    u = r + t.gamma * v
+    cells, weights = project_dirac_sparse(t.points, u)
+    row = t.rows[x][a]
     row *= 1.0 - alpha
-    points = grid.tolist()  # Python floats bisect and subtract faster than numpy scalars
-    i = bisect_left(points, u)
-    if i == 0:
-        row[0] += alpha
-        return u < points[0]
-    if i == len(points):
-        row[-1] += alpha
-        return True
-    lo, hi = points[i - 1], points[i]
-    gap = hi - lo
-    row[i - 1] += alpha * (hi - u) / gap
-    row[i] += alpha * (u - lo) / gap
-    return False
+    for i, w in zip(cells, weights):
+        row[i] += alpha * w
+    t.q[x][a] = float(row @ t.grid)
+    return not t.points[0] <= u <= t.points[-1]
 
 
-def _cdrl_update(probs, grid, x, a, r, x_next, gamma, alpha, policy, tie_break="lowest", rng=None) -> bool:
+def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     """Baseline update: the target projects the K shifted atoms
     r + gamma * z_k of the next state's distribution at the greedy action
     (ties broken by tie_break) or mixed under the policy."""
-    if policy is not None:
-        next_probs = policy.probs[x_next] @ probs[x_next]
+    if t.policy is not None:
+        next_probs = t.policy.probs[x_next] @ t.probs[x_next]
     else:
-        q_next = probs[x_next] @ grid
-        if tie_break == "lowest":
-            next_probs = probs[x_next, int(np.argmax(q_next))]
+        q_next = t.q[x_next]
+        best = max(q_next)
+        if t.tie_break == "lowest":
+            next_probs = t.rows[x_next][q_next.index(best)]
         else:
-            winners = np.flatnonzero(q_next == q_next.max())
-            if tie_break == "uniform":
-                next_probs = probs[x_next, winners].mean(axis=0)
-            elif tie_break == "random":
-                if rng is None:
-                    raise ValueError("tie_break='random' requires a LearnerState rng")
-                next_probs = probs[x_next, winners[rng.integers(winners.size)]]
+            winners = [b for b, v in enumerate(q_next) if v == best]
+            if t.tie_break == "uniform":
+                next_probs = t.probs[x_next, winners].mean(axis=0)
             else:
-                raise ValueError(f"unknown tie_break {tie_break!r}")
-    atoms = r + gamma * grid
-    target = project_points(atoms, next_probs, grid)
-    probs[x, a] = (1.0 - alpha) * probs[x, a] + alpha * target
-    return bool(np.any(((atoms < grid[0]) | (atoms > grid[-1])) & (next_probs > 0.0)))
+                next_probs = t.rows[x_next][winners[t.rng.integers(len(winners))]]
+    matrix, off = t.target_map(r)
+    # next_probs may be row (x, a) itself: read it before the row changes
+    target = next_probs @ matrix
+    violated = off is not None and bool(np.any(next_probs[off] > 0.0))
+    row = t.rows[x][a]
+    row *= 1.0 - alpha
+    row += alpha * target
+    t.q[x][a] = float(row @ t.grid)
+    return violated
 
 
 def _step(update, state, tr, schedule, mode, policy, **kwargs) -> LearnerState:
@@ -217,11 +261,8 @@ def _step(update, state, tr, schedule, mode, policy, **kwargs) -> LearnerState:
     _check_mode(mode, policy)
     probs, visits = state.probs.copy(), state.visits.copy()
     x, a = tr.state, tr.action
-    alpha = schedule.step_size(visits[x, a])
-    violated = update(
-        probs, state.grid, x, a, tr.reward, tr.next_state, state.discount, alpha,
-        policy if mode == "eval" else None, **kwargs,
-    )
+    tables = _Tables(probs, state.grid, state.discount, policy if mode == "eval" else None, **kwargs)
+    violated = update(tables, x, a, tr.reward, tr.next_state, schedule.step_size(visits[x, a]))
     visits[x, a] += 1
     violations = state.range_violations + int(violated)
     return replace(state, probs=probs, visits=visits, t=state.t + 1, range_violations=violations)
@@ -255,6 +296,10 @@ def cdrl_step(
     """Baseline categorical update: the target projects the K shifted atoms
     of the next-state distribution at the greedy (control) or policy-mixed
     (eval) action."""
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    if tie_break == "random" and state.rng is None:
+        raise ValueError("tie_break='random' requires a LearnerState rng")
     return _step(_cdrl_update, state, tr, schedule, mode, policy, tie_break=tie_break, rng=state.rng)
 
 
@@ -308,6 +353,22 @@ def _reference_probs(reference, grid: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _cumulative(probs) -> list:
+    """Cumulative sums over the last axis as nested lists, each row's entries
+    from its last positive cell on set to 1.0: bisect_right of a uniform in
+    [0, 1) then lands only on cells of positive probability."""
+    cum = np.cumsum(probs, axis=-1)
+    rows = cum.reshape(-1, cum.shape[-1])
+    for row, p in zip(rows, np.reshape(probs, rows.shape)):
+        row[np.flatnonzero(p)[-1] :] = 1.0
+    return cum.tolist()
+
+
+# Uniforms drawn per rng call in run_learning: rows of 3, one row per step.
+_BLOCK = 1024
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
 def run_learning(
     env: EpisodicEnv,
     schedule: StepSizeSchedule,
@@ -330,6 +391,13 @@ def run_learning(
     (lowest-index argmax) and the supplied policy in eval mode. Episodes
     restart at the initial state upon reaching a terminal state. Bit-identical
     output for a fixed (env, arguments, seed).
+
+    Step t reads the t-th row (u0, u1, u2) of uniforms from
+    default_rng(seed), drawn in blocks of rows: u0 decides whether to
+    explore (control) or draws the policy's action (eval), u1 the
+    exploratory action, u2 the successor. A restart at a random initial
+    state draws the state with u2, and the successor with u2 rescaled to
+    that state's cell. So a run's first n steps do not depend on n_steps.
     """
     _check_mode(mode, policy)
     if mode == "control" and exploration is None:
@@ -338,20 +406,32 @@ def run_learning(
         raise ValueError(f"algo must be one of {ALGOS}, got {algo!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
 
     mdp = env.mdp
     n_states, n_actions = mdp.n_states, mdp.n_actions
+    if policy is not None and policy.probs.shape != (n_states, n_actions):
+        raise ValueError(f"policy shape {policy.probs.shape} does not match the MDP's {(n_states, n_actions)}")
     gamma = mdp.discount
     grid = np.asarray(grid, dtype=float)
     state = LearnerState.initial(n_states, n_actions, grid, gamma)
-    probs, visits = state.probs, state.visits
+    probs = state.probs
+    eval_mode = mode == "eval"
+    tables = _Tables(probs, grid, gamma, policy if eval_mode else None)
+    q = tables.q
     update = _os_update if algo == "os" else _cdrl_update
-    update_policy = policy if mode == "eval" else None
+    if schedule.kind == "constant":
+        c, omega = schedule.alpha, 0.0
+    else:
+        c, omega = schedule.c, schedule.omega
 
-    cum_kernel = np.cumsum(mdp.kernel, axis=2)
-    reward_table = mdp.reward
+    cum_kernel = _cumulative(mdp.kernel)
+    rewards = mdp.reward.tolist()
     terminals = env.terminal_states
-    policy_cum = np.cumsum(policy.probs, axis=1) if policy is not None else None
+    policy_cum = _cumulative(policy.probs) if eval_mode else None
+    initial = env.initial_state
+    initial_cum = _cumulative(initial) if np.ndim(initial) else None
     ref_probs = _reference_probs(reference, grid) if reference is not None else None
     ref_q = np.asarray(reference_q, dtype=float) if reference_q is not None else None
     track = [tuple(pair) for pair in track]
@@ -360,50 +440,60 @@ def run_learning(
     rec_steps, rec_eps, rec_alpha, rec_viol = [], [], [], []
     rec_w1, rec_qsup, rec_qsq, rec_q = [], [], [], []
     tracked = {pair: [] for pair in track}
+    visits = [[0] * n_actions for _ in range(n_states)]
     violations = 0
+
+    def epsilon(t):
+        return exploration.epsilon(t) if exploration is not None else math.nan
 
     def record(step, eps):
         rec_steps.append(step)
         rec_eps.append(eps)
-        rec_alpha.append(float(np.mean(schedule.step_sizes(visits))))
+        rec_alpha.append(float(np.mean(schedule.step_sizes(np.array(visits)))))
         rec_viol.append(violations)
+        means = np.array(q)
         if ref_probs is not None:
             rec_w1.append(float(np.max(categorical_w1(probs, ref_probs, grid))))
         if ref_q is not None:
-            err = probs @ grid - ref_q
+            err = means - ref_q
             rec_qsup.append(float(np.max(np.abs(err))))
             rec_qsq.append(float(np.sum(err * err)))
         if record_q:
-            rec_q.append(probs @ grid)
+            rec_q.append(means)
         for pair in track:
             tracked[pair].append(probs[pair].copy())
 
-    x = env.reset(rng)
-    record(0, exploration.epsilon(0) if exploration is not None else math.nan)
+    record(0, epsilon(0))
+    last_action = n_actions - 1
+    x = None if initial_cum is not None else initial
     for t in range(n_steps):
-        if x in terminals:
-            x = env.reset(rng)
-        if mode == "control":
-            eps = exploration.epsilon(t)
-            if rng.random() < eps:
-                a = int(rng.integers(n_actions))
+        i = t % _BLOCK
+        if i == 0:
+            block = rng.random((min(_BLOCK, n_steps - t), 3)).tolist()
+        u0, u1, u2 = block[i]
+        if x is None or x in terminals:
+            if initial_cum is None:
+                x = initial
             else:
-                a = int(np.argmax(probs[x] @ grid))
+                x = bisect_right(initial_cum, u2)
+                lo = initial_cum[x - 1] if x else 0.0
+                u2 = min((u2 - lo) / (initial_cum[x] - lo), _BELOW_ONE)
+        if eval_mode:
+            a = bisect_right(policy_cum[x], u0)
+        elif u0 < exploration.epsilon(t):
+            a = min(int(u1 * n_actions), last_action)
         else:
-            eps = exploration.epsilon(t) if exploration is not None else math.nan
-            a = int(np.searchsorted(policy_cum[x], rng.random(), side="right"))
-            a = min(a, n_actions - 1)
-        x_next = int(np.searchsorted(cum_kernel[x, a], rng.random(), side="right"))
-        x_next = min(x_next, n_states - 1)
-        r = float(reward_table[x, a, x_next])
-
-        alpha = schedule.step_size(visits[x, a])
-        violations += update(probs, grid, x, a, r, x_next, gamma, alpha, update_policy)
-        visits[x, a] += 1
+            qx = q[x]
+            a = qx.index(max(qx))
+        x_next = bisect_right(cum_kernel[x][a], u2)
+        n = visits[x][a]
+        violations += update(tables, x, a, rewards[x][a][x_next], x_next, c / (1.0 + n) ** omega)
+        visits[x][a] = n + 1
         x = x_next
         if (t + 1) % record_every == 0 or t + 1 == n_steps:
-            record(t + 1, eps)
+            record(t + 1, epsilon(t))
 
+    state.visits[:] = visits
     state.t = n_steps
     state.range_violations = violations
     return LearningRecord(

@@ -27,7 +27,15 @@ from .distributions import (
     wasserstein,
 )
 from .dp import _projected_closed_form, _state_values, categorical_start, iterate, solve_q_star
-from .learning import LearnerState, StepSizeSchedule, os_cdrl_step, target_microbenchmark
+from .learning import (
+    LearnerState,
+    StepSizeSchedule,
+    _cdrl_update,
+    _os_update,
+    _Tables,
+    os_cdrl_step,
+    target_microbenchmark,
+)
 from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
 from .operators import (
     bellman_eval,
@@ -486,6 +494,72 @@ def check_categorical_operators(seed: int = 0, n_cases: int = 120) -> PropertyRe
     return tracker.result()
 
 
+def _expected_update(update, tables, mdp, x, a, alpha) -> np.ndarray:
+    """Row (x, a) after one update at step size alpha, averaged over the
+    successors x' ~ P(.|x, a): one call of the learner's update per
+    successor, each from the same tables."""
+    row, mean = tables.probs[x, a].copy(), tables.q[x][a]
+    expected = np.zeros(row.size)
+    for x_next in np.flatnonzero(mdp.kernel[x, a]):
+        update(tables, x, a, float(mdp.reward[x, a, x_next]), int(x_next), alpha)
+        expected += mdp.kernel[x, a, x_next] * tables.probs[x, a]
+        tables.probs[x, a], tables.q[x][a] = row, mean
+    return expected
+
+
+def check_mean_field(seed: int = 0, n_cases: int = 100) -> PropertyResult:
+    """Each learner's expected update is a step toward its projected
+    operator: averaged over x' ~ P(.|x,a), one update of row (x, a) at step
+    size alpha equals (1 - alpha) p + alpha op(p) at (x, a), to 1e-12, for
+    every entry. The one-step learner's op is categorical_os_opt (control) or
+    categorical_os_eval (eval), the baseline's categorical_full_opt (control)
+    or the object-level projected full evaluation operator (eval); the
+    projection is linear, so the mixture over successors commutes with it.
+    Random MDPs and grids, clamped targets included; a third of the cases
+    give every action the same row (exact greedy ties) and a third move a few
+    ulp of mass in the last action (ties a rounding step apart)."""
+    rng = np.random.default_rng(seed)
+    tracker = _Tracker("learner_mean_field", 1e-12)
+    for case_index in range(n_cases):
+        mdp = random_mdp(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        grid = random_grid(rng, max_points=5)
+        probs = random_probs(rng, mdp.n_states, mdp.n_actions, grid.size, zero_frac=0.3)
+        if case_index % 3:
+            probs = _tied(rng, probs, near=case_index % 3 == 2)
+        pi = random_policy(rng, mdp.n_states, mdp.n_actions)
+        alpha = float(rng.uniform(0.05, 1.0))
+        mu = DistributionCollection.build(
+            mdp.n_states, mdp.n_actions, lambda x, a: CategoricalDistribution(grid, probs[x, a])
+        )
+        ops = (
+            ("os", "control", _os_update, None, categorical_os_opt(mdp, grid)(probs)),
+            ("os", "eval", _os_update, pi, categorical_os_eval(mdp, pi, grid)(probs)),
+            ("cdrl", "control", _cdrl_update, None, categorical_full_opt(mdp, grid)(probs)),
+            ("cdrl", "eval", _cdrl_update, pi, projected(lambda m: distr_bellman_eval(m, mdp, pi), grid)(mu).probs()),
+        )
+        for algo, mode, update, policy, target in ops:
+            tables = _Tables(probs.copy(), grid, mdp.discount, policy)
+            step = (1.0 - alpha) * probs + alpha * target
+            gap = max(
+                float(np.max(np.abs(_expected_update(update, tables, mdp, x, a, alpha) - step[x, a])))
+                for x in range(mdp.n_states)
+                for a in range(mdp.n_actions)
+            )
+            tracker.record(
+                gap,
+                lambda al=algo, mo=mode, m=mdp, g=grid, p=probs, q=pi, s=alpha: {
+                    "algo": al,
+                    "mode": mo,
+                    "mdp": m.to_json(),
+                    "grid": g.tolist(),
+                    "probs": p.tolist(),
+                    "policy": q.probs.tolist(),
+                    "alpha": s,
+                },
+            )
+    return tracker.result()
+
+
 def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
     """Entrywise means of every distributional operator output equal the
     scalar Bellman operator applied to entrywise means; projected variants
@@ -617,6 +691,7 @@ def run_properties(seed: int = 0, fast: bool = False):
     results.append(check_mean_commutation(seed, n_cases=300 // scale))
     results.append(check_banach_residual(seed, n_cases=50 // scale))
     results.append(check_mean_tracking(seed, n_steps=10_000 // scale))
+    results.append(check_mean_field(seed, n_cases=100 // scale))
     complexity, bench = check_target_complexity(seed, fast=fast)
     results.append(complexity)
     return results, bench

@@ -132,13 +132,14 @@ def test_criterion_6_theorem_one_convergence():
     # an almost-sure limit with no finite-time rate, and the per-seed count
     # is governed by the mean error at (x1,a2). Mean tracking (Lyle et al.
     # 2019, arXiv:1901.11084) forces W1 >= |Q_hat - Q*| there, and over
-    # seeds 0..99 the excess W1 - |Q_hat - Q*| is at most 0.0087. The target
+    # seeds 0..99 the excess W1 - |Q_hat - Q*| is at most 0.0086. The target
     # at (x1,a2) is a 1/2-1/2 mix of the values 0 and ~4 (variance 4). With
-    # 20k-46k visits there and alpha = (1+n)^-0.7, Q_hat(x1,a2) - 2 has std
-    # ~0.035 over seeds 0..99, so a correct learner passes ~80% of seeds and
-    # reaches >= 18/20 with probability ~0.21. On seeds 0..19 the medians are 0.0503 @1e4 and
-    # 0.0173 @1e5 (16/20 below 0.05); a median of 20 seeds exceeds 0.05
-    # with probability ~0.003 at the measured per-seed rate.
+    # 20k-36k visits there and alpha = (1+n)^-0.7, Q_hat(x1,a2) - 2 has std
+    # ~0.037 over seeds 0..99, so a correct learner passes ~75% of seeds and
+    # reaches >= 18/20 with probability ~0.09. On seeds 0..19 the medians are
+    # 0.0329 @1e4 and 0.0270 @1e5 (16/20 below 0.05); a median of 20 seeds
+    # exceeds 0.05 with probability ~0.014 at the measured per-seed rate.
+    # (Figures for run_learning's 3-uniforms-per-step streams.)
     start = time.monotonic()
     mdp = make_toy_mdp()
     env = EpisodicEnv(mdp=mdp, terminal_states=frozenset({1}), initial_state=0)

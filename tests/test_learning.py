@@ -3,13 +3,16 @@ import csv
 import numpy as np
 import pytest
 
+import osdrl.learning
 from osdrl import (
     EpisodicEnv,
     ExplorationSchedule,
     LearnerState,
     Policy,
     StepSizeSchedule,
+    TabularMdp,
     Transition,
+    categorical_means,
     cdrl_step,
     make_toy_mdp,
     os_cdrl_step,
@@ -22,12 +25,24 @@ from osdrl import (
     write_learning_csv,
 )
 from osdrl.operators import random_mdp
+from osdrl.verify import check_mean_field
 
 TOY_GRID = np.array([0.0, 1.9, 2.1, 10.0])
 
 
 def toy_env():
     return EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({1}), initial_state=0)
+
+
+def random_start_env():
+    """A seeded 5-state MDP whose last state is terminal, with episodes
+    starting at states 0..2 with probabilities 0.5, 0.3, 0.2."""
+    mdp = random_mdp(np.random.default_rng(31), n_states=5, n_actions=2, discounts=(0.9,))
+    kernel, reward = mdp.kernel.copy(), mdp.reward.copy()
+    kernel[4], reward[4] = 0.0, 0.0
+    kernel[4, :, 4] = 1.0
+    mdp = TabularMdp(kernel=kernel, reward=reward, discount=mdp.discount)
+    return EpisodicEnv(mdp=mdp, terminal_states=frozenset({4}), initial_state=[0.5, 0.3, 0.2, 0.0, 0.0])
 
 
 class FixedAlpha:
@@ -104,6 +119,20 @@ class TestLearnerState:
     def test_q_values(self):
         state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
         assert np.all(state.q_values() == 0.0)
+
+    def test_q_values_round_like_categorical_means(self):
+        # the greedy step compares means with ==: q_values, the learner's
+        # kept table and categorical_means must agree to the last bit
+        rng = np.random.default_rng(3)
+        grid = np.sort(rng.uniform(-5.0, 5.0, size=11))
+        state = LearnerState.initial(3, 2, grid, 0.5)
+        state.probs[:] = rng.dirichlet(np.ones(11), size=(3, 2))
+        assert np.array_equal(state.q_values(), categorical_means(state.probs, grid))
+        rec = run_learning(
+            toy_env(), StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID,
+            "control", 3000, seed=5, algo="cdrl", record_q=True,
+        )
+        assert np.array_equal(rec.q_means[-1], categorical_means(rec.final_state.probs, TOY_GRID))
 
     def test_as_collection_round_trip(self):
         state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
@@ -385,17 +414,21 @@ class TestRunLearning:
         env, pi = toy_env(), Policy.uniform(2, 2)
         schedule = StepSizeSchedule.polynomial()
         rec = run_learning(env, schedule, None, TOY_GRID, "eval", 2000, seed=4, policy=pi, algo=algo)
-        # the harness draws one uniform for the action and one for the successor
-        rng = np.random.default_rng(4)
-        state = LearnerState.initial(2, 2, TOY_GRID, env.mdp.discount)
-        x = env.reset(rng)
-        for _ in range(2000):
+        # the harness reads a row of 3 uniforms per step: the first draws the
+        # policy's action, the second (the exploratory action) goes unused in
+        # eval mode, the third draws the successor
+        uniforms = np.random.default_rng(4).random((2000, 3))
+        mdp = env.mdp
+        state = LearnerState.initial(2, 2, TOY_GRID, mdp.discount)
+        x = env.initial_state
+        for u_action, _, u_next in uniforms:
             if env.is_terminal(x):
-                x = env.reset(rng)
-            a = min(int(np.searchsorted(np.cumsum(pi.probs[x]), rng.random(), side="right")), 1)
-            tr = sample_step(env, x, a, rng)
+                x = env.initial_state
+            a = int(np.searchsorted(np.cumsum(pi.probs[x]), u_action, side="right"))
+            x_next = int(np.searchsorted(np.cumsum(mdp.kernel[x, a]), u_next, side="right"))
+            tr = Transition(x, a, float(mdp.reward[x, a, x_next]), x_next)
             state = step(state, tr, schedule, mode="eval", policy=pi)
-            x = tr.next_state
+            x = x_next
         assert np.array_equal(state.probs, rec.final_state.probs)
         assert np.array_equal(state.visits, rec.final_state.visits)
         assert state.range_violations == rec.final_state.range_violations
@@ -414,6 +447,60 @@ class TestRunLearning:
                 env, StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID,
                 "control", 0, 0,
             )
+        for record_every in (0, -3):
+            with pytest.raises(ValueError, match="record_every"):
+                run_learning(
+                    env, StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID,
+                    "control", 100, 0, record_every=record_every,
+                )
+        for pi in (Policy.uniform(3, 2), Policy.uniform(2, 3)):
+            with pytest.raises(ValueError, match="policy shape"):
+                run_learning(env, StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0, policy=pi)
+
+    @pytest.mark.parametrize("make_env", [toy_env, random_start_env])
+    @pytest.mark.parametrize("algo", ["os", "cdrl"])
+    def test_first_steps_do_not_depend_on_the_horizon(self, make_env, algo):
+        # 5000 and 10000 steps split their uniforms into different blocks;
+        # the shorter run must equal the first half of the longer one
+        env = make_env()
+        pairs = [(x, a) for x in range(env.mdp.n_states) for a in range(env.mdp.n_actions)]
+        grid = TOY_GRID if make_env is toy_env else np.linspace(-3.0, 5.0, 6)
+        short, long = (
+            run_learning(
+                env, StepSizeSchedule.polynomial(), ExplorationSchedule(), grid, "control", n, seed=7,
+                algo=algo, record_every=1000, track=pairs, record_q=True,
+            )
+            for n in (5000, 10_000)
+        )
+        n = len(short.steps)
+        assert short.steps[-1] == long.steps[n - 1] == 5000
+        for name in ("epsilon", "mean_alpha", "range_violations", "q_means"):
+            assert np.array_equal(getattr(short, name), getattr(long, name)[:n]), name
+        for pair in pairs:
+            assert np.array_equal(short.tracked[pair], long.tracked[pair][:n])
+        halfway = np.array([long.tracked[pair][n - 1] for pair in pairs])
+        assert np.array_equal(short.final_state.probs.reshape(halfway.shape), halfway)
+
+    def test_random_restart_is_independent_of_the_successor(self):
+        # every episode is one step from a start state drawn from
+        # (0.5, 0.3, 0.2) to terminal 3 (reward 1) or 4 (reward 0) with
+        # probability 1/2 each: the start states' visit shares follow the
+        # initial distribution and every mean approaches 1/2, which fails if
+        # the draw of the start state leaks into the draw of the successor
+        kernel, reward = np.zeros((5, 2, 5)), np.zeros((5, 2, 5))
+        kernel[:3, :, 3:] = 0.5
+        reward[:3, :, 3] = 1.0
+        kernel[3:, :, 3:] = np.eye(2)[:, None, :]
+        mdp = TabularMdp(kernel=kernel, reward=reward, discount=0.5)
+        env = EpisodicEnv(mdp=mdp, terminal_states=frozenset({3, 4}), initial_state=[0.5, 0.3, 0.2, 0.0, 0.0])
+        pi = Policy.uniform(5, 2)
+        rec = run_learning(
+            env, StepSizeSchedule.polynomial(), None, [0.0, 1.0], "eval", 20_000, seed=0, policy=pi,
+        )
+        visits = rec.final_state.visits
+        assert visits.sum() == 20_000 and visits[3:].sum() == 0
+        assert np.allclose(visits[:3].sum(axis=1) / 20_000, [0.5, 0.3, 0.2], atol=0.02)
+        assert np.max(np.abs(rec.final_state.q_values()[:3] - 0.5)) < 0.1
 
     def test_theorem_one_on_random_mdp(self):
         # convergence property on a seeded 5-state MDP with persistent
@@ -457,3 +544,20 @@ class TestMicrobenchmark:
         result = target_microbenchmark(k_values=(8, 512), n_reps=16, n_inputs=16)
         assert result.ratio_increasing
         assert result.max_cells <= 2
+
+
+class TestMeanField:
+    def test_expected_update_is_the_projected_operator_step(self):
+        result = check_mean_field(seed=1, n_cases=12)
+        assert result.passed, result.failing_case
+        assert result.cases == 4 * 12  # two learners in two modes per case
+
+    def test_swapped_interpolation_weights_fail(self, monkeypatch):
+        def swapped(grid, u):
+            cells, weights = project_dirac_sparse(grid, u)
+            return cells, weights[::-1]
+
+        monkeypatch.setattr(osdrl.learning, "project_dirac_sparse", swapped)
+        result = check_mean_field(seed=1, n_cases=12)
+        assert not result.passed
+        assert result.failing_case["algo"] == "os"
