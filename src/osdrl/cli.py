@@ -528,7 +528,7 @@ def cmd_frozenlake(config: dict) -> int:
 
 def cmd_verify(config: dict) -> int:
     out = _out_dir(config, "verify")
-    results, bench = run_properties(seed=config["seed"], fast=config["fast"])
+    results, bench, suites = run_properties(seed=config["seed"], fast=config["fast"])
     passed = all(r.passed for r in results)
     report = {
         "seed": config["seed"],
@@ -536,6 +536,7 @@ def cmd_verify(config: dict) -> int:
         "passed": passed,
         "properties": [r.to_json() for r in results],
         "microbenchmark": bench.to_json(),
+        "suites": suites,
     }
     _write_json(out / "report.json", report)
     for r in results:

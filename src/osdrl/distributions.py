@@ -51,18 +51,52 @@ class AtomicDistribution:
         weights = np.asarray(weights, dtype=float)
         if values.shape != weights.shape or values.ndim != 1:
             raise ValueError("values and weights must be equal-length 1-D arrays")
-        if np.any(weights < 0.0):
+        if not np.isfinite(values).all():
+            raise ValueError("atoms must be finite")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be positive and finite")
+        if (weights < 0.0).any():
             raise ValueError("weights must be nonnegative")
         keep = weights > 0.0
         values, weights = values[keep], weights[keep]
         if values.size == 0:
             raise ValueError("no atoms with positive weight")
         order = np.argsort(values, kind="stable")
-        values, weights = values[order], weights[order]
-        group = np.concatenate(([0], np.cumsum(np.diff(values) > ATOM_MERGE_TOL)))
-        merged_w = np.bincount(group, weights=weights)
-        first = np.concatenate(([0], np.nonzero(np.diff(group))[0] + 1))
-        return cls(atoms=values[first], weights=merged_w)
+        return cls._merged(values[order], weights[order])
+
+    @classmethod
+    def _merged(cls, values, weights) -> "AtomicDistribution":
+        """from_points' merge, on fresh sorted arrays with positive weights:
+        each run of atoms within ATOM_MERGE_TOL of its predecessor becomes its
+        first atom, carrying the run's weights summed in order. With no run to
+        merge every weight is already its run's sum (0.0 + w == w exactly)."""
+        starts = values[1:] - values[:-1] > ATOM_MERGE_TOL
+        if starts.all():
+            return cls._trusted(values, weights)
+        starts = np.concatenate(([True], starts))
+        merged = np.bincount(np.cumsum(starts) - 1, weights=weights)
+        return cls._trusted(values[starts], merged)
+
+    @classmethod
+    def _trusted(cls, atoms, weights) -> "AtomicDistribution":
+        """Wrap arrays this module has just built (by _merged, dirac or
+        as_atomic): fresh, 1-D, equal-length, non-empty, strictly increasing,
+        with positive weights. Only what that construction cannot guarantee
+        is checked: finite atoms (an affine image can overflow) and finite
+        weights summing to 1. The arrays are frozen in place, not copied."""
+        if not np.isfinite(atoms).all():
+            raise ValueError("atoms must be finite")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be positive and finite")
+        total = float(weights.sum())
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 (got {total!r})")
+        atoms.setflags(write=False)
+        weights.setflags(write=False)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "atoms", atoms)
+        object.__setattr__(dist, "weights", weights)
+        return dist
 
     def mean(self) -> float:
         return float(self.atoms @ self.weights)
@@ -104,12 +138,26 @@ class CategoricalDistribution:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", probs)
 
+    @classmethod
+    def _trusted(cls, grid, probs) -> "CategoricalDistribution":
+        """Wrap a frozen grid that the caller has checked and a fresh probs
+        vector projected onto it (nonnegative by construction); only the sum
+        of probs is checked. probs is frozen in place, not copied."""
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            raise ValueError(f"probs must sum to 1 (got {total!r})")
+        probs.setflags(write=False)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "grid", grid)
+        object.__setattr__(dist, "probs", probs)
+        return dist
+
     def mean(self) -> float:
         return float(categorical_means(self.probs, self.grid))
 
     def as_atomic(self) -> AtomicDistribution:
         keep = self.probs > 0.0
-        return AtomicDistribution(atoms=self.grid[keep], weights=self.probs[keep])
+        return AtomicDistribution._trusted(self.grid[keep], self.probs[keep])
 
     def to_json(self) -> dict:
         return {"grid": self.grid.tolist(), "probs": self.probs.tolist()}
@@ -139,7 +187,7 @@ def dirac(z: float) -> AtomicDistribution:
     """Point mass at z."""
     if not math.isfinite(z):
         raise ValueError(f"dirac location must be finite, got {z}")
-    return AtomicDistribution(atoms=[z], weights=[1.0])
+    return AtomicDistribution._trusted(np.array([z], dtype=float), np.ones(1))
 
 
 def pushforward_affine(nu: AtomicDistribution, r0: float, gamma: float) -> AtomicDistribution:
@@ -150,7 +198,9 @@ def pushforward_affine(nu: AtomicDistribution, r0: float, gamma: float) -> Atomi
         raise ValueError(f"shift must be finite, got {r0}")
     if gamma == 0.0:
         return dirac(r0)
-    return AtomicDistribution.from_points(r0 + gamma * nu.atoms, nu.weights)
+    # z -> r0 + gamma * z is nondecreasing, so the image stays sorted (ties
+    # possible) and from_points' filter and stable sort would change nothing
+    return AtomicDistribution._merged(r0 + gamma * nu.atoms, nu.weights.copy())
 
 
 def mixture(components) -> AtomicDistribution:
@@ -158,7 +208,7 @@ def mixture(components) -> AtomicDistribution:
     and zero-weight components dropped."""
     components = list(components)
     total = math.fsum(w for w, _ in components)
-    if any(w < 0.0 for w, _ in components) or abs(total - 1.0) > PROB_SUM_TOL:
+    if any(w < 0.0 for w, _ in components) or not abs(total - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"mixture weights must be nonnegative and sum to 1 (got {total!r})")
     values, weights = [], []
     for w, comp in components:
@@ -178,13 +228,14 @@ def _quantile_segments(nu1: AtomicDistribution, nu2: AtomicDistribution):
     """
     cum1 = np.cumsum(nu1.weights)
     cum2 = np.cumsum(nu2.weights)
-    breaks = np.unique(np.concatenate(([0.0], cum1[:-1], cum2[:-1], [1.0])))
-    lengths = np.diff(breaks)
+    breaks = np.sort(np.concatenate(([0.0], cum1[:-1], cum2[:-1], [1.0])))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    # distinct sorted breaks: every segment length is positive
+    lengths = breaks[1:] - breaks[:-1]
     mids = (breaks[:-1] + breaks[1:]) / 2.0
     idx1 = np.minimum(np.searchsorted(cum1, mids, side="left"), nu1.atoms.size - 1)
     idx2 = np.minimum(np.searchsorted(cum2, mids, side="left"), nu2.atoms.size - 1)
-    keep = lengths > 0.0
-    return lengths[keep], nu1.atoms[idx1[keep]], nu2.atoms[idx2[keep]]
+    return lengths, nu1.atoms[idx1], nu2.atoms[idx2]
 
 
 def wasserstein(nu1, nu2, p: float = 1.0) -> float:
@@ -249,13 +300,13 @@ def project_points(atoms, weights, grid) -> np.ndarray:
 def cramer_project(nu, grid) -> CategoricalDistribution:
     """Project a finitely supported measure onto a categorical grid
     (see project_points)."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _frozen_array(grid)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be 1-D with at least 2 points")
-    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+    if not np.isfinite(grid).all() or (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be finite and strictly increasing")
     nu = _as_atomic(nu)
-    return CategoricalDistribution(grid=grid, probs=project_points(nu.atoms, nu.weights, grid))
+    return CategoricalDistribution._trusted(grid, project_points(nu.atoms, nu.weights, grid))
 
 
 def categorical_means(probs, grid) -> np.ndarray:

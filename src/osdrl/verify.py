@@ -10,6 +10,7 @@ report and a process exit code.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -675,23 +676,31 @@ def check_target_complexity(seed: int = 0, fast: bool = False) -> tuple:
 
 
 def run_properties(seed: int = 0, fast: bool = False):
-    """Run every suite; returns (results, microbenchmark)."""
+    """Run every suite; returns (results, microbenchmark, suites), where
+    suites lists each check_* suite's {name, seconds} in run order."""
     scale = 10 if fast else 1
-    results = []
-    results += check_contraction_suite(seed, n_cases=1000 // scale)
-    results += check_fixed_points(seed, n_control=10, n_eval=5)
-    results.append(check_projection_lemma(seed, n_cases=10_000 // scale))
-    results.append(check_mean_preservation(seed, n_cases=10_000 // scale))
-    results.append(check_projection_monotonicity(seed, n_cases=2000 // scale))
-    results.append(check_operator_monotonicity(seed, n_cases=400 // scale))
-    results += check_wasserstein_axioms(seed, n_cases=1000 // scale)
-    results.append(check_w1_riemann_agreement(seed, n_cases=200 // scale))
-    results.append(check_categorical_w1(seed, n_cases=2000 // scale))
-    results.append(check_categorical_operators(seed, n_cases=120 // scale))
-    results.append(check_mean_commutation(seed, n_cases=300 // scale))
-    results.append(check_banach_residual(seed, n_cases=50 // scale))
-    results.append(check_mean_tracking(seed, n_steps=10_000 // scale))
-    results.append(check_mean_field(seed, n_cases=100 // scale))
-    complexity, bench = check_target_complexity(seed, fast=fast)
+    results, suites = [], []
+
+    def run(check, **kwargs):
+        start = time.perf_counter()
+        out = check(seed, **kwargs)
+        suites.append({"name": check.__name__, "seconds": time.perf_counter() - start})
+        return out
+
+    results += run(check_contraction_suite, n_cases=1000 // scale)
+    results += run(check_fixed_points, n_control=10, n_eval=5)
+    results.append(run(check_projection_lemma, n_cases=10_000 // scale))
+    results.append(run(check_mean_preservation, n_cases=10_000 // scale))
+    results.append(run(check_projection_monotonicity, n_cases=2000 // scale))
+    results.append(run(check_operator_monotonicity, n_cases=400 // scale))
+    results += run(check_wasserstein_axioms, n_cases=1000 // scale)
+    results.append(run(check_w1_riemann_agreement, n_cases=200 // scale))
+    results.append(run(check_categorical_w1, n_cases=2000 // scale))
+    results.append(run(check_categorical_operators, n_cases=120 // scale))
+    results.append(run(check_mean_commutation, n_cases=300 // scale))
+    results.append(run(check_banach_residual, n_cases=50 // scale))
+    results.append(run(check_mean_tracking, n_steps=10_000 // scale))
+    results.append(run(check_mean_field, n_cases=100 // scale))
+    complexity, bench = run(check_target_complexity, fast=fast)
     results.append(complexity)
-    return results, bench
+    return results, bench, suites

@@ -268,3 +268,7 @@ class TestVerifyCommand:
         for entry in report["properties"]:
             assert {"name", "cases", "max_violation", "passed"} <= set(entry)
         assert report["microbenchmark"]["max_cells"] <= 2
+        names = [suite["name"] for suite in report["suites"]]
+        assert len(names) == len(set(names)) >= 15
+        assert all(name.startswith("check_") for name in names)
+        assert all(suite["seconds"] >= 0.0 for suite in report["suites"])

@@ -72,6 +72,20 @@ class TestAtomicDistribution:
         d = AtomicDistribution.from_points([0.0, 5e-13], [0.5, 0.5])
         assert d.atoms.size == 1
 
+    @pytest.mark.parametrize(
+        "values, weights, message",
+        [
+            ([0.0, math.nan], [0.5, 0.5], "atoms must be finite"),
+            ([math.inf, 0.0], [0.5, 0.5], "atoms must be finite"),
+            ([0.0, 1.0], [math.nan, 1.0], "weights must be positive and finite"),
+            ([0.0, 1.0], [0.0, math.inf], "weights must be positive and finite"),
+        ],
+    )
+    def test_from_points_rejects_nonfinite(self, values, weights, message):
+        # a NaN atom used to merge into its predecessor, a NaN weight to be dropped
+        with pytest.raises(ValueError, match=message):
+            AtomicDistribution.from_points(values, weights)
+
     def test_json_round_trip(self):
         d = AtomicDistribution.from_points([0.0, 4.0], [0.5, 0.5])
         back = distribution_from_json(json.loads(json.dumps(d.to_json())))
@@ -124,6 +138,11 @@ class TestMixture:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             mixture([(0.7, dirac(0.0)), (0.7, dirac(1.0))])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_weight(self, bad):
+        with pytest.raises(ValueError, match="sum to 1"):
+            mixture([(bad, dirac(0.0)), (1.0, dirac(1.0))])
 
 
 class TestMean:
@@ -406,3 +425,130 @@ class TestDistributionCollection:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             DistributionCollection([[dirac(0.0)], [dirac(0.0), dirac(1.0)]])
+
+
+def reference_from_points(values, weights) -> AtomicDistribution:
+    """from_points written out through the public, fully checked constructor:
+    stable sort, merge of each run within 1e-12 of its predecessor into the
+    run's first atom with the run's weights summed in order."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    keep = weights > 0.0
+    order = np.argsort(values[keep], kind="stable")
+    values, weights = values[keep][order], weights[keep][order]
+    group = np.concatenate(([0], np.cumsum(np.diff(values) > 1e-12)))
+    first = np.concatenate(([0], np.nonzero(np.diff(group))[0] + 1))
+    return AtomicDistribution(atoms=values[first], weights=np.bincount(group, weights=weights))
+
+
+def spread_inputs(seed=7, n_random=300):
+    """(values, weights) pairs covering what from_points merges and drops:
+    duplicates, gaps just under, at and just over the merge tolerance, chains
+    of near atoms, single atoms and zero weights, then seeded random mixes."""
+    yield [0.0], [1.0]
+    yield [2.0, 2.0, 2.0], [0.25, 0.5, 0.25]
+    yield [0.0, 5e-13], [0.5, 0.5]
+    yield [0.0, 1e-12], [0.5, 0.5]  # a gap of exactly 1e-12 merges
+    yield [0.0, 2e-12], [0.5, 0.5]
+    yield [0.0, 6e-13, 1.2e-12, 1.8e-12, 1.0], [0.2] * 5  # one chained run
+    yield [3.0, -1.0, 3.0, 7.0], [0.0, 0.5, 0.5, 0.0]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        n = int(rng.integers(1, 9))
+        base = rng.integers(-3, 4, size=n) * 0.5
+        values = base + rng.choice([0.0, 5e-13, 1e-12, 2e-12, 0.3], size=n)
+        weights = rng.dirichlet(np.ones(n))
+        if n > 1:
+            weights[rng.random(n) < 0.2] = 0.0
+            if weights.sum() == 0.0:
+                weights[0] = 1.0
+            weights /= weights.sum()
+        yield values, weights
+
+
+def assert_same(trusted, public):
+    assert type(trusted) is type(public)
+    for name in public.__dataclass_fields__:
+        out, ref = getattr(trusted, name), getattr(public, name)
+        assert np.array_equal(out, ref), name
+        assert out.dtype == ref.dtype and out.ndim == 1
+        assert not out.flags.writeable, f"{name} is writable"
+    # every trusted output passes the public constructor unchanged
+    rebuilt = type(public)(*(getattr(trusted, f) for f in public.__dataclass_fields__))
+    for name in public.__dataclass_fields__:
+        assert np.array_equal(getattr(rebuilt, name), getattr(trusted, name)), name
+
+
+class TestTrustedConstruction:
+    """Outputs built without the public constructor's re-checks equal what
+    the checked path builds, bit for bit, and are frozen."""
+
+    def test_from_points(self):
+        for values, weights in spread_inputs():
+            assert_same(
+                AtomicDistribution.from_points(values, weights),
+                reference_from_points(values, weights),
+            )
+
+    def test_output_is_independent_of_the_inputs(self):
+        values, weights = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+        d = AtomicDistribution.from_points(values, weights)
+        values[:] = 9.0
+        weights[:] = 9.0
+        assert d.atoms.tolist() == [0.0, 1.0] and d.weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-13, 4e-13, 1e-12 / 3, 0.3, 0.9])
+    def test_pushforward(self, gamma):
+        # at gamma 1e-13 the unit gaps scale under the merge tolerance
+        for values, weights in spread_inputs(n_random=100):
+            nu = AtomicDistribution.from_points(values, weights)
+            for r0 in (0.0, -1.7, 1e-12):
+                if gamma == 0.0:
+                    ref = AtomicDistribution(atoms=[r0], weights=[1.0])
+                else:
+                    ref = reference_from_points(r0 + gamma * nu.atoms, nu.weights)
+                assert_same(pushforward_affine(nu, r0, gamma), ref)
+
+    def test_mixture(self):
+        rng = np.random.default_rng(11)
+        inputs = list(spread_inputs(n_random=120))
+        for _ in range(100):
+            picks = rng.choice(len(inputs), size=int(rng.integers(1, 4)))
+            comps = [AtomicDistribution.from_points(*inputs[i]) for i in picks]
+            mix = rng.dirichlet(np.ones(len(comps)))
+            mix[rng.random(len(comps)) < 0.2] = 0.0
+            if mix.sum() == 0.0:
+                mix[0] = 1.0
+            mix /= mix.sum()
+            kept = [(w, c) for w, c in zip(mix, comps) if w != 0.0]
+            ref = reference_from_points(
+                np.concatenate([c.atoms for _, c in kept]),
+                np.concatenate([w * c.weights for w, c in kept]),
+            )
+            assert_same(mixture(zip(mix.tolist(), comps)), ref)
+
+    def test_dirac(self):
+        for z in (0.0, -3.25, 1e300):
+            assert_same(dirac(z), AtomicDistribution(atoms=[z], weights=[1.0]))
+
+    def test_cramer_project_and_as_atomic(self):
+        rng = np.random.default_rng(5)
+        for values, weights in spread_inputs(n_random=100):
+            nu = AtomicDistribution.from_points(values, weights)
+            grid = np.sort(rng.choice(np.arange(-4.0, 4.5, 0.5), size=int(rng.integers(2, 7)), replace=False))
+            out = cramer_project(nu, grid)
+            ref = CategoricalDistribution(grid=grid, probs=project_points(nu.atoms, nu.weights, grid))
+            assert_same(out, ref)
+            keep = ref.probs > 0.0
+            assert_same(out.as_atomic(), AtomicDistribution(atoms=grid[keep], weights=ref.probs[keep]))
+            grid[0] = -99.0  # the caller's grid changes; the output's must not
+            assert np.array_equal(out.grid, ref.grid)
+
+    def test_checks_that_are_kept(self):
+        # an affine image can overflow, so finiteness is still checked
+        with pytest.raises(ValueError, match="atoms must be finite"), np.errstate(over="ignore"):
+            pushforward_affine(AtomicDistribution.from_points([0.0, 1e308], [0.5, 0.5]), 1e308, 0.9)
+        with pytest.raises(ValueError, match="sum to 1"):
+            AtomicDistribution.from_points([0.0, 1.0], [0.5, 0.4])
+        with pytest.raises(ValueError, match="sum to 1"), np.errstate(over="ignore"):
+            cramer_project(AtomicDistribution.from_points([0.0], [1.0]), [-1e308, 1e308])
