@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,7 @@ def cmd_frozenlake(config: dict) -> int:
     track = [tuple(pair) for pair in config["track"]]
     seeds = list(range(config["seed"], config["seed"] + config["seeds"]))
     records = []
+    learner_start = time.perf_counter()
     for seed in seeds:
         records.append(
             run_learning(
@@ -459,6 +461,7 @@ def cmd_frozenlake(config: dict) -> int:
                 record_q=True,
             )
         )
+    learner_seconds = time.perf_counter() - learner_start
 
     write_learning_csv(records, out / "learning.csv")
 
@@ -509,6 +512,9 @@ def cmd_frozenlake(config: dict) -> int:
         "q_error_sq_of_mean_last": float(err_sq[-1]),
         "reference_available": reference is not None,
         "reference_error": reference_error,
+        # wall time of the learner runs, and their seed-steps per second
+        "learner_seconds": learner_seconds,
+        "learner_steps_per_s": len(seeds) * config["steps"] / learner_seconds,
         "normalized": bool(
             max(
                 float(np.max(np.abs(rec.tracked[pair].sum(axis=1) - 1.0)))

@@ -14,6 +14,7 @@ import csv
 import math
 import time
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from operator import mul
 from statistics import median
@@ -145,20 +146,32 @@ class LearnerState:
         )
 
 
+def _add_dirac(row, points, u: float, alpha: float) -> None:
+    """Add alpha times the categorical projection of a point mass at u to
+    row, in place: at most two cells, located by binary search. points is
+    the grid as a sequence of Python floats, which bisect and subtract
+    faster than numpy scalars. The one implementation of the projected
+    Dirac's weights."""
+    i = bisect_left(points, u)
+    if i == 0:  # clamped: the weight is 1.0, and alpha * 1.0 == alpha
+        row[0] += alpha
+    elif i == len(points):
+        row[i - 1] += alpha
+    else:
+        lo, hi = points[i - 1], points[i]
+        gap = hi - lo
+        row[i - 1] += alpha * ((hi - u) / gap)
+        row[i] += alpha * ((u - lo) / gap)
+
+
 def project_dirac_sparse(grid, u: float):
     """Sparse categorical projection of a point mass: at most two
-    (index, weight) cells, located by binary search. grid is a sequence of
-    Python floats, which bisect and subtract faster than numpy scalars."""
+    (index, weight) cells, as a tuple of indices and a tuple of weights."""
     if len(grid) < 2:
         raise ValueError("grid must hold at least 2 points")
-    i = bisect_left(grid, u)
-    if i == 0:
-        return (0,), (1.0,)
-    if i == len(grid):
-        return (len(grid) - 1,), (1.0,)
-    lo, hi = grid[i - 1], grid[i]
-    gap = hi - lo
-    return (i - 1, i), ((hi - u) / gap, (u - lo) / gap)
+    cells = defaultdict(float)
+    _add_dirac(cells, grid, u, 1.0)
+    return tuple(cells), tuple(cells.values())
 
 
 def _check_mode(mode: str, policy) -> None:
@@ -173,7 +186,8 @@ class _Tables:
     Python loop reads fastest.
 
     rows[x][a] is a view of probs[x, a], and q[x][a] its mean as a Python
-    float: float(row @ grid), the 1-D dot categorical_means rounds with. An
+    float: float(dot(row)), dot the bound grid.dot, which is the 1-D dot
+    categorical_means rounds with and costs about half of row @ grid. An
     update recomputes the mean of the one row it changes. policy is None for
     the greedy bootstrap (control) or the Policy that mixes the next state's
     actions (eval).
@@ -183,6 +197,7 @@ class _Tables:
         self.probs = probs
         self.grid = grid
         self.points = grid.tolist()
+        self.dot = grid.dot
         self.gamma = gamma
         self.rows = [list(rows) for rows in probs]
         self.q = categorical_means(probs, grid).tolist()
@@ -195,15 +210,17 @@ class _Tables:
     def target_map(self, r: float):
         """(M, off) for reward r. The projection is linear, so the baseline
         target of next-state probabilities p is p @ M, where row k of M is
-        project_points of a unit atom at r + gamma * z_k. off marks the atoms
-        off the grid, None when there are none. Built on first use of r."""
+        project_points of a unit atom at r + gamma * z_k. off is 1.0 at the
+        atoms off the grid and 0.0 elsewhere, None when there are none: p
+        is nonnegative, so the target leaves the grid exactly when
+        off.dot(p) > 0. Built on first use of r."""
         found = self._target_maps.get(r)
         if found is None:
             atoms = r + self.gamma * self.grid
             unit = np.ones(1)
             matrix = np.array([project_points(atoms[k : k + 1], unit, self.grid) for k in range(atoms.size)])
             off = (atoms < self.grid[0]) | (atoms > self.grid[-1])
-            found = self._target_maps[r] = (matrix, off if off.any() else None)
+            found = self._target_maps[r] = (matrix, off.astype(float) if off.any() else None)
         return found
 
 
@@ -219,13 +236,12 @@ def _os_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     q_next = t.q[x_next]
     v = max(q_next) if t.policy is None else sum(map(mul, t.policy_rows[x_next], q_next))
     u = r + t.gamma * v
-    cells, weights = project_dirac_sparse(t.points, u)
+    points = t.points
     row = t.rows[x][a]
     row *= 1.0 - alpha
-    for i, w in zip(cells, weights):
-        row[i] += alpha * w
-    t.q[x][a] = float(row @ t.grid)
-    return not t.points[0] <= u <= t.points[-1]
+    _add_dirac(row, points, u, alpha)
+    t.q[x][a] = float(t.dot(row))
+    return not points[0] <= u <= points[-1]
 
 
 def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
@@ -248,11 +264,11 @@ def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     matrix, off = t.target_map(r)
     # next_probs may be row (x, a) itself: read it before the row changes
     target = next_probs @ matrix
-    violated = off is not None and bool(np.any(next_probs[off] > 0.0))
+    violated = off is not None and float(off.dot(next_probs)) > 0.0
     row = t.rows[x][a]
     row *= 1.0 - alpha
     row += alpha * target
-    t.q[x][a] = float(row @ t.grid)
+    t.q[x][a] = float(t.dot(row))
     return violated
 
 
@@ -465,33 +481,38 @@ def run_learning(
 
     record(0, epsilon(0))
     last_action = n_actions - 1
+    if exploration is not None:
+        # exploration.epsilon(t), with its operations in the same order
+        eps_end, exp, minus_rate = exploration.eps_end, math.exp, -exploration.rate
+        eps_span = exploration.eps_start - eps_end
+    record_at = min(record_every, n_steps) - 1
     x = None if initial_cum is not None else initial
-    for t in range(n_steps):
-        i = t % _BLOCK
-        if i == 0:
-            block = rng.random((min(_BLOCK, n_steps - t), 3)).tolist()
-        u0, u1, u2 = block[i]
-        if x is None or x in terminals:
-            if initial_cum is None:
-                x = initial
+    for start in range(0, n_steps, _BLOCK):
+        block = rng.random((min(_BLOCK, n_steps - start), 3)).tolist()
+        for t, (u0, u1, u2) in enumerate(block, start):
+            if x is None or x in terminals:
+                if initial_cum is None:
+                    x = initial
+                else:
+                    x = bisect_right(initial_cum, u2)
+                    lo = initial_cum[x - 1] if x else 0.0
+                    u2 = min((u2 - lo) / (initial_cum[x] - lo), _BELOW_ONE)
+            if eval_mode:
+                a = bisect_right(policy_cum[x], u0)
+            elif u0 < eps_end + eps_span * exp(minus_rate * t):
+                a = min(int(u1 * n_actions), last_action)
             else:
-                x = bisect_right(initial_cum, u2)
-                lo = initial_cum[x - 1] if x else 0.0
-                u2 = min((u2 - lo) / (initial_cum[x] - lo), _BELOW_ONE)
-        if eval_mode:
-            a = bisect_right(policy_cum[x], u0)
-        elif u0 < exploration.epsilon(t):
-            a = min(int(u1 * n_actions), last_action)
-        else:
-            qx = q[x]
-            a = qx.index(max(qx))
-        x_next = bisect_right(cum_kernel[x][a], u2)
-        n = visits[x][a]
-        violations += update(tables, x, a, rewards[x][a][x_next], x_next, c / (1.0 + n) ** omega)
-        visits[x][a] = n + 1
-        x = x_next
-        if (t + 1) % record_every == 0 or t + 1 == n_steps:
-            record(t + 1, epsilon(t))
+                qx = q[x]
+                a = qx.index(max(qx))
+            x_next = bisect_right(cum_kernel[x][a], u2)
+            visits_x = visits[x]
+            n = visits_x[a]
+            violations += update(tables, x, a, rewards[x][a][x_next], x_next, c / (1.0 + n) ** omega)
+            visits_x[a] = n + 1
+            x = x_next
+            if t == record_at:
+                record(t + 1, epsilon(t))
+                record_at = min(t + record_every, n_steps - 1)
 
     state.visits[:] = visits
     state.t = n_steps
@@ -539,9 +560,11 @@ def target_microbenchmark(
 
     For each grid size K, times the dense K-atom projected target against the
     sparse single-Dirac target on identical random inputs (medians over
-    n_reps). Also verifies the sparse target writes at most 2 cells for
-    every K. The scalar bootstrap values are precomputed outside the timed
-    region so only target construction is measured.
+    n_reps). The sparse side times _add_dirac, the kernel the one-step
+    learner runs, adding into one row. Also verifies the sparse target
+    writes at most 2 cells for every K. The scalar bootstrap values are
+    precomputed outside the timed region so only target construction is
+    measured.
     """
     k_values = tuple(int(k) for k in k_values)
     if any(k < 2 for k in k_values):
@@ -561,11 +584,12 @@ def target_microbenchmark(
         for u in scalar_targets:
             idxs, _ = project_dirac_sparse(grid_list, u)
             max_cells = max(max_cells, len(idxs))
+        scalar_list, sparse_row = scalar_targets.tolist(), np.zeros(k)
         os_times, cdrl_times = [], []
         for _ in range(n_reps):
             t0 = time.perf_counter()
-            for u in scalar_targets:
-                project_dirac_sparse(grid_list, u)
+            for u in scalar_list:
+                _add_dirac(sparse_row, grid_list, u, 1.0)
             t1 = time.perf_counter()
             for r, row in zip(rewards, next_probs):
                 project_points(r + gamma * grid, row, grid)

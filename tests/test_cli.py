@@ -234,6 +234,17 @@ class TestFrozenlakeCommand:
             groups[(r["step"], r["seed"])] += float(r["prob"])
         assert all(abs(total - 1.0) <= 1e-9 for total in groups.values())
 
+    def test_report_gives_learner_throughput(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(self.CFG)
+        out = tmp_path / "o"
+        assert main(["frozenlake", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "frozenlake" / "report.json").read_text())
+        seconds, rate = report["learner_seconds"], report["learner_steps_per_s"]
+        assert seconds > 0.0 and rate > 0.0
+        # counted in seed-steps: 2 seeds x 400 steps
+        assert rate * seconds == pytest.approx(2 * 400)
+
     def test_missing_reference_is_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"grid": [0, 1, 2], "seeds": 1, "steps": 200}')
