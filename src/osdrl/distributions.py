@@ -18,6 +18,23 @@ from .mdp import _frozen_array
 ATOM_MERGE_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
 
+# The ufuncs that ndarray.all, .any, .sum and .cumsum call, without the
+# Python-level wrappers in between: the same reductions, bit for bit.
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
+_sum, _cumsum = np.add.reduce, np.add.accumulate
+_ZERO, _ONE, _TRUE = _frozen_array([0.0]), _frozen_array([1.0]), _frozen_array([True], dtype=bool)
+
+
+def _merge_runs(values, weights):
+    """from_points' merge of sorted arrays: each run of atoms within
+    ATOM_MERGE_TOL of its predecessor becomes its first atom with the run's
+    weights summed in order. With no run the arrays come back as they are."""
+    starts = values[1:] - values[:-1] > ATOM_MERGE_TOL
+    if _all(starts):
+        return values, weights
+    starts = np.concatenate((_TRUE, starts))
+    return values[starts], np.bincount(starts.cumsum() - 1, weights=weights)
+
 
 @dataclass(frozen=True)
 class AtomicDistribution:
@@ -31,13 +48,13 @@ class AtomicDistribution:
         weights = _frozen_array(self.weights)
         if atoms.ndim != 1 or atoms.shape != weights.shape or atoms.size == 0:
             raise ValueError("atoms and weights must be equal-length 1-D arrays")
-        if not np.all(np.isfinite(atoms)):
+        if not _all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
-        if atoms.size > 1 and np.any(np.diff(atoms) <= 0):
+        if _any(atoms[1:] <= atoms[:-1]):
             raise ValueError("atoms must be strictly increasing")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        if _any(weights <= 0.0) or not _all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
-        total = float(weights.sum())
+        total = float(_sum(weights))
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
         object.__setattr__(self, "atoms", atoms)
@@ -51,45 +68,33 @@ class AtomicDistribution:
         weights = np.asarray(weights, dtype=float)
         if values.shape != weights.shape or values.ndim != 1:
             raise ValueError("values and weights must be equal-length 1-D arrays")
-        if not np.isfinite(values).all():
+        if not _all(np.isfinite(values)):
             raise ValueError("atoms must be finite")
-        if not np.isfinite(weights).all():
+        if not _all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
-        if (weights < 0.0).any():
+        if _any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         keep = weights > 0.0
         values, weights = values[keep], weights[keep]
         if values.size == 0:
             raise ValueError("no atoms with positive weight")
-        order = np.argsort(values, kind="stable")
-        return cls._merged(values[order], weights[order])
-
-    @classmethod
-    def _merged(cls, values, weights) -> "AtomicDistribution":
-        """from_points' merge, on fresh sorted arrays with positive weights:
-        each run of atoms within ATOM_MERGE_TOL of its predecessor becomes its
-        first atom, carrying the run's weights summed in order. With no run to
-        merge every weight is already its run's sum (0.0 + w == w exactly)."""
-        starts = values[1:] - values[:-1] > ATOM_MERGE_TOL
-        if starts.all():
-            return cls._trusted(values, weights)
-        starts = np.concatenate(([True], starts))
-        merged = np.bincount(np.cumsum(starts) - 1, weights=weights)
-        return cls._trusted(values[starts], merged)
+        order = values.argsort(kind="stable")
+        return cls._trusted(*_merge_runs(values[order], weights[order]))
 
     @classmethod
     def _trusted(cls, atoms, weights) -> "AtomicDistribution":
-        """Wrap arrays this module has just built (by _merged, dirac or
-        as_atomic): fresh, 1-D, equal-length, non-empty, strictly increasing,
-        with positive weights. Only what that construction cannot guarantee
-        is checked: finite atoms (an affine image can overflow) and finite
-        weights summing to 1. The arrays are frozen in place, not copied."""
-        if not np.isfinite(atoms).all():
+        """Wrap arrays this module has just built (by _merge_runs, dirac or
+        as_atomic), or frozen ones it shares: 1-D, equal-length, non-empty,
+        sorted, with positive weights. Only finite atoms (an affine image can
+        overflow; sorted, both ends suffice) and finite weights summing to 1
+        (positive weights are finite if their sum is) are checked. The arrays
+        are frozen in place, not copied."""
+        if not (-math.inf < atoms[0] and atoms[-1] < math.inf):
             raise ValueError("atoms must be finite")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be positive and finite")
-        total = float(weights.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        total = float(_sum(weights))
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            if not _all(np.isfinite(weights)):
+                raise ValueError("weights must be positive and finite")
             raise ValueError(f"weights must sum to 1 (got {total!r})")
         atoms.setflags(write=False)
         weights.setflags(write=False)
@@ -103,8 +108,8 @@ class AtomicDistribution:
 
     def cdf(self, z) -> np.ndarray:
         """F(z) = P(Z <= z), evaluated at each point of z."""
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        return cum[np.searchsorted(self.atoms, np.asarray(z, dtype=float), side="right")]
+        cum = np.concatenate((_ZERO, _cumsum(self.weights)))
+        return cum[self.atoms.searchsorted(np.asarray(z, dtype=float), side="right")]
 
     def to_json(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
@@ -128,11 +133,11 @@ class CategoricalDistribution:
             raise ValueError("grid and probs must be equal-length 1-D arrays")
         if grid.size < 2:
             raise ValueError("categorical support needs at least 2 grid points")
-        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
             raise ValueError("grid must be finite and strictly increasing")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        if _any(probs < 0.0) or not _all(np.isfinite(probs)):
             raise ValueError("probs must be nonnegative and finite")
-        total = float(probs.sum())
+        total = float(_sum(probs))
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probs must sum to 1 (got {total!r})")
         object.__setattr__(self, "grid", grid)
@@ -143,7 +148,7 @@ class CategoricalDistribution:
         """Wrap a frozen grid that the caller has checked and a fresh probs
         vector projected onto it (nonnegative by construction); only the sum
         of probs is checked. probs is frozen in place, not copied."""
-        total = float(probs.sum())
+        total = float(_sum(probs))
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probs must sum to 1 (got {total!r})")
         probs.setflags(write=False)
@@ -153,7 +158,7 @@ class CategoricalDistribution:
         return dist
 
     def mean(self) -> float:
-        return float(categorical_means(self.probs, self.grid))
+        return float(self.grid.dot(self.probs))  # categorical_means' 1-D dot
 
     def as_atomic(self) -> AtomicDistribution:
         keep = self.probs > 0.0
@@ -196,28 +201,44 @@ def pushforward_affine(nu: AtomicDistribution, r0: float, gamma: float) -> Atomi
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     if not math.isfinite(r0):
         raise ValueError(f"shift must be finite, got {r0}")
+    return AtomicDistribution._trusted(*_pushforward(nu, r0, gamma))
+
+
+def _pushforward(nu, r0, gamma):
+    """pushforward_affine's atoms and weights: z -> r0 + gamma * z is
+    nondecreasing, so the image stays sorted (ties possible) and only
+    from_points' merge can change it."""
     if gamma == 0.0:
-        return dirac(r0)
-    # z -> r0 + gamma * z is nondecreasing, so the image stays sorted (ties
-    # possible) and from_points' filter and stable sort would change nothing
-    return AtomicDistribution._merged(r0 + gamma * nu.atoms, nu.weights.copy())
+        return np.array([r0], dtype=float), np.ones(1)  # dirac(r0)
+    return _merge_runs(r0 + gamma * nu.atoms, nu.weights)
+
+
+def _check_mixture_weights(ws) -> None:
+    if any(w < 0.0 for w in ws) or not abs(math.fsum(ws) - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"mixture weights must be nonnegative and sum to 1 (got {math.fsum(ws)!r})")
+
+
+def _mixed(values, weights) -> AtomicDistribution:
+    """from_points of mixture components' atoms and scaled weights w * weights,
+    less the checks they have passed: only a product underflowing to 0 is
+    dropped (and an overflowed atom of one still fails as infinite)."""
+    values, weights = np.concatenate(values), np.concatenate(weights)
+    keep = weights > 0.0
+    if not _all(keep):
+        if not _all(np.isfinite(values)):
+            raise ValueError("atoms must be finite")
+        values, weights = values[keep], weights[keep]
+    order = values.argsort(kind="stable")
+    return AtomicDistribution._trusted(*_merge_runs(values[order], weights[order]))
 
 
 def mixture(components) -> AtomicDistribution:
-    """Convex combination of atomic distributions; coincident atoms are merged
-    and zero-weight components dropped."""
+    """Convex combination of atomic distributions: from_points of the
+    concatenated atoms and weights, without re-checking the components."""
     components = list(components)
-    total = math.fsum(w for w, _ in components)
-    if any(w < 0.0 for w, _ in components) or not abs(total - 1.0) <= PROB_SUM_TOL:
-        raise ValueError(f"mixture weights must be nonnegative and sum to 1 (got {total!r})")
-    values, weights = [], []
-    for w, comp in components:
-        if w == 0.0:
-            continue
-        comp = _as_atomic(comp)
-        values.append(comp.atoms)
-        weights.append(w * comp.weights)
-    return AtomicDistribution.from_points(np.concatenate(values), np.concatenate(weights))
+    _check_mixture_weights([w for w, _ in components])
+    kept = [(w, _as_atomic(comp)) for w, comp in components if w != 0.0]
+    return _mixed([c.atoms for _, c in kept], [w * c.weights for w, c in kept])
 
 
 def _quantile_segments(nu1: AtomicDistribution, nu2: AtomicDistribution):
@@ -226,49 +247,57 @@ def _quantile_segments(nu1: AtomicDistribution, nu2: AtomicDistribution):
     Returns (lengths, q1, q2): segment lengths and the constant quantile
     values of each distribution on each segment.
     """
-    cum1 = np.cumsum(nu1.weights)
-    cum2 = np.cumsum(nu2.weights)
-    breaks = np.sort(np.concatenate(([0.0], cum1[:-1], cum2[:-1], [1.0])))
-    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    cum1 = _cumsum(nu1.weights)
+    cum2 = _cumsum(nu2.weights)
+    breaks = np.concatenate((_ZERO, cum1[:-1], cum2[:-1], _ONE))
+    breaks.sort()
+    breaks = breaks[np.concatenate((_TRUE, breaks[1:] != breaks[:-1]))]
     # distinct sorted breaks: every segment length is positive
     lengths = breaks[1:] - breaks[:-1]
     mids = (breaks[:-1] + breaks[1:]) / 2.0
-    idx1 = np.minimum(np.searchsorted(cum1, mids, side="left"), nu1.atoms.size - 1)
-    idx2 = np.minimum(np.searchsorted(cum2, mids, side="left"), nu2.atoms.size - 1)
+    idx1 = np.minimum(cum1.searchsorted(mids), nu1.atoms.size - 1)
+    idx2 = np.minimum(cum2.searchsorted(mids), nu2.atoms.size - 1)
     return lengths, nu1.atoms[idx1], nu2.atoms[idx2]
 
 
-def wasserstein(nu1, nu2, p: float = 1.0) -> float:
-    """Exact p-Wasserstein distance between two finitely supported measures.
+def wasserstein_ps(nu1, nu2, ps) -> tuple:
+    """Exact p-Wasserstein distances between two finitely supported measures,
+    one for each p in ps, all from one common refinement.
 
-    Computed as the L^p norm of the difference of quantile functions over the
+    Each is the L^p norm of the difference of quantile functions over the
     merged breakpoints of the two CDFs; no sampling or discretization error.
     Requires finite p >= 1.
     """
-    p = float(p)
-    if math.isinf(p):
-        raise ValueError("p = inf is not supported")
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if math.isinf(p) or not p >= 1.0:
+            raise ValueError("p = inf is not supported" if math.isinf(p) else f"p must be >= 1, got {p}")
     lengths, q1, q2 = _quantile_segments(_as_atomic(nu1), _as_atomic(nu2))
     diffs = np.abs(q1 - q2)
-    if p == 1.0:
-        return float(lengths @ diffs)
-    return float((lengths @ diffs**p) ** (1.0 / p))
+    return tuple(float(lengths @ diffs) if p == 1.0 else float((lengths @ diffs**p) ** (1.0 / p)) for p in ps)
 
 
-def sup_wasserstein(mu1, mu2, p: float = 1.0) -> float:
-    """Max over (state, action) entries of the p-Wasserstein distance."""
+def wasserstein(nu1, nu2, p: float = 1.0) -> float:
+    """Exact p-Wasserstein distance: wasserstein_ps at one p."""
+    return wasserstein_ps(nu1, nu2, (p,))[0]
+
+
+def sup_wasserstein_ps(mu1, mu2, ps) -> tuple:
+    """Max over (state, action) entries of the p-Wasserstein distance, for
+    each p in the sequence ps. Each entry pair is refined once for every p;
+    each max equals sup_wasserstein(mu1, mu2, p) bit for bit."""
     if (mu1.n_states, mu1.n_actions) != (mu2.n_states, mu2.n_actions):
         raise ValueError(
             f"mismatched index sets: {(mu1.n_states, mu1.n_actions)} vs "
             f"{(mu2.n_states, mu2.n_actions)}"
         )
-    return max(
-        wasserstein(mu1[x, a], mu2[x, a], p)
-        for x in range(mu1.n_states)
-        for a in range(mu1.n_actions)
-    )
+    per_entry = [wasserstein_ps(mu1[x, a], mu2[x, a], ps) for x in range(mu1.n_states) for a in range(mu1.n_actions)]
+    return tuple(map(max, zip(*per_entry)))
+
+
+def sup_wasserstein(mu1, mu2, p: float = 1.0) -> float:
+    """Max over (state, action) entries of W_p: sup_wasserstein_ps at one p."""
+    return sup_wasserstein_ps(mu1, mu2, (p,))[0]
 
 
 def project_points(atoms, weights, grid) -> np.ndarray:
@@ -281,13 +310,13 @@ def project_points(atoms, weights, grid) -> np.ndarray:
     The projection is linear in the weights.
     """
     probs = np.zeros(grid.size)
-    idx = np.searchsorted(grid, atoms, side="left")
+    idx = grid.searchsorted(atoms)
     below = idx == 0
     above = idx == grid.size
-    probs[0] += weights[below].sum()
-    probs[-1] += weights[above].sum()
+    probs[0] += _sum(weights[below])
+    probs[-1] += _sum(weights[above])
     inner = ~(below | above)
-    if np.any(inner):
+    if _any(inner):
         i = idx[inner]
         z = atoms[inner]
         w = weights[inner]
@@ -303,7 +332,7 @@ def cramer_project(nu, grid) -> CategoricalDistribution:
     grid = _frozen_array(grid)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be 1-D with at least 2 points")
-    if not np.isfinite(grid).all() or (grid[1:] <= grid[:-1]).any():
+    if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
         raise ValueError("grid must be finite and strictly increasing")
     nu = _as_atomic(nu)
     return CategoricalDistribution._trusted(grid, project_points(nu.atoms, nu.weights, grid))
@@ -338,8 +367,8 @@ def dominance_excess(hi, lo) -> float:
     """Largest amount by which the CDF of hi exceeds that of lo on the merged
     atoms; at most 0 exactly when hi stochastically dominates lo."""
     hi, lo = _as_atomic(hi), _as_atomic(lo)
-    zs = np.union1d(hi.atoms, lo.atoms)
-    return float(np.max(hi.cdf(zs) - lo.cdf(zs)))
+    zs = np.concatenate((hi.atoms, lo.atoms))  # unsorted, with repeats: the max is the same
+    return float(np.maximum.reduce(hi.cdf(zs) - lo.cdf(zs)))
 
 
 def stochastically_dominates(nu1, nu2, tol: float = 1e-12) -> bool:

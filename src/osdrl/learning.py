@@ -15,7 +15,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import mul
 from statistics import median
 from typing import Optional
@@ -538,16 +538,10 @@ class MicrobenchmarkResult:
 
     rows: list
     ratio_increasing: bool
-    ratio_monotone: bool
     max_cells: int
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "ratio_increasing": self.ratio_increasing,
-            "ratio_monotone": self.ratio_monotone,
-            "max_cells": self.max_cells,
-        }
+        return asdict(self)
 
 
 def target_microbenchmark(
@@ -605,10 +599,8 @@ def target_microbenchmark(
                 "ratio": cdrl_med / os_med,
             }
         )
-    ratios = [row["ratio"] for row in rows]
     return MicrobenchmarkResult(
         rows=rows,
-        ratio_increasing=ratios[-1] > ratios[0],
-        ratio_monotone=all(b > a for a, b in zip(ratios, ratios[1:])),
+        ratio_increasing=rows[-1]["ratio"] > rows[0]["ratio"],
         max_cells=max_cells,
     )

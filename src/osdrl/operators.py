@@ -16,10 +16,11 @@ from .distributions import (
     AtomicDistribution,
     DistributionCollection,
     _as_atomic,
+    _check_mixture_weights,
+    _mixed,
+    _pushforward,
     categorical_means,
     cramer_project,
-    mixture,
-    pushforward_affine,
 )
 from .mdp import Policy, TabularMdp
 
@@ -80,22 +81,28 @@ def distr_bellman_eval(
     Entry (x, a) becomes the mixture over successor pairs (x', a') weighted
     by P(x'|x,a) pi(a'|x') of the pushforwards z -> r(x,a,x') + gamma * z of
     mu[x', a']. Atom counts grow by a factor of up to n_states * n_actions.
+    Each entry equals mixture of the pushforward_affine images bit for bit,
+    mixed from arrays with no AtomicDistribution per successor pair.
     """
     gamma = mdp.discount
+    kernel, reward, pi = mdp.kernel.tolist(), mdp.reward.tolist(), policy.probs.tolist()
+    nus = [[_as_atomic(mu[x, a]) for a in range(mdp.n_actions)] for x in range(mdp.n_states)]
 
     def entry(x, a):
-        comps = []
-        for x_next in range(mdp.n_states):
-            p = mdp.kernel[x, a, x_next]
+        ws, values, weights = [], [], []
+        for p, r, pi_next, nus_next in zip(kernel[x][a], reward[x][a], pi, nus, strict=True):
             if p == 0.0:
                 continue
-            r = mdp.reward[x, a, x_next]
-            for a_next in range(mdp.n_actions):
-                w = p * policy.probs[x_next, a_next]
+            for q, nu in zip(pi_next, nus_next, strict=True):
+                w = p * q
                 if w == 0.0:
                     continue
-                comps.append((w, pushforward_affine(_as_atomic(mu[x_next, a_next]), r, gamma)))
-        return mixture(comps)
+                atoms, masses = _pushforward(nu, r, gamma)
+                ws.append(w)
+                values.append(atoms)
+                weights.append(w * masses)
+        _check_mixture_weights(ws)
+        return _mixed(values, weights)
 
     return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
 

@@ -12,8 +12,11 @@ from osdrl import (
     categorical_w1,
     cramer_project,
     dirac,
+    distr_bellman_eval,
+    distr_bellman_opt,
     distribution_from_json,
     dominance_excess,
+    greedy_policy,
     kl_divergence,
     mixture,
     project_points,
@@ -22,7 +25,9 @@ from osdrl import (
     sup_wasserstein,
     wasserstein,
 )
-from osdrl.operators import random_atomic, random_grid
+from osdrl.distributions import sup_wasserstein_ps, wasserstein_ps
+from osdrl.mdp import Policy, TabularMdp
+from osdrl.operators import random_atomic, random_collection, random_grid
 
 
 def riemann_w1(nu1, nu2, spacing):
@@ -552,3 +557,171 @@ class TestTrustedConstruction:
             AtomicDistribution.from_points([0.0, 1.0], [0.5, 0.4])
         with pytest.raises(ValueError, match="sum to 1"), np.errstate(over="ignore"):
             cramer_project(AtomicDistribution.from_points([0.0], [1.0]), [-1e308, 1e308])
+
+
+def reference_full_eval(mu, mdp, policy) -> DistributionCollection:
+    """distr_bellman_eval written out as first built: one public
+    pushforward_affine per successor pair with positive weight, then mixture,
+    whose from_points of the concatenation is written out again here
+    (reference_from_points) so that the check does not share its sort."""
+
+    def entry(x, a):
+        comps = []
+        for x_next in range(mdp.n_states):
+            p = mdp.kernel[x, a, x_next]
+            if p == 0.0:
+                continue
+            for a_next in range(mdp.n_actions):
+                w = p * policy.probs[x_next, a_next]
+                if w == 0.0:
+                    continue
+                nu = mu[x_next, a_next]
+                nu = nu.as_atomic() if isinstance(nu, CategoricalDistribution) else nu
+                comps.append((w, pushforward_affine(nu, mdp.reward[x, a, x_next], mdp.discount)))
+        ref = reference_from_points(
+            np.concatenate([c.atoms for _, c in comps]), np.concatenate([w * c.weights for w, c in comps])
+        )
+        assert_same(mixture(comps), ref)
+        return ref
+
+    return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
+
+
+def reference_greedy(mu) -> Policy:
+    """The lowest-index greedy policy of distr_bellman_opt, from means written
+    out: atoms @ weights, and categorical_means for a categorical entry."""
+
+    def mean(d):
+        if isinstance(d, CategoricalDistribution):
+            return float(categorical_means(d.probs, d.grid))
+        return float(d.atoms @ d.weights)
+
+    return greedy_policy(np.array([[mean(mu[x, a]) for a in range(mu.n_actions)] for x in range(mu.n_states)]), "lowest")
+
+
+def full_operator_cases(seed=3, n_cases=60):
+    """(mdp, policy, mu) triples for the full operators: discounts 0, 1e-13
+    (each pushforward merges inside itself) and 0.5 or 0.9; zero kernel
+    entries and zero policy weights; rewards shared by every successor and
+    atoms on a coarse lattice, so that many components' atoms tie exactly and
+    the stable sort and the in-order sums are exercised; categorical entries
+    with empty cells in every third case."""
+    rng = np.random.default_rng(seed)
+    for case in range(n_cases):
+        n_states, n_actions = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+        kernel[rng.random(kernel.shape) < 0.25] = 0.0
+        kernel[kernel.sum(axis=2) == 0.0, 0] = 1.0
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        reward = rng.uniform(-1.0, 1.0, size=kernel.shape)
+        if case % 2:
+            reward = np.round(reward * 2) / 2  # ties across successors
+        if case % 5 == 0:
+            reward[...] = reward[:, :, :1]  # every successor pays the same
+        gamma = (0.0, 1e-13, 0.5, 0.9)[case % 4]
+        mdp = TabularMdp(kernel=kernel, reward=reward, discount=gamma)
+        probs = rng.dirichlet(np.ones(n_actions), size=n_states)
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        policy = Policy(probs / probs.sum(axis=1, keepdims=True))
+        grid = np.arange(-2.0, 2.5, 0.5)
+
+        def dist(x, a):
+            if case % 3 == 0 and (x + a) % 2:
+                p = rng.dirichlet(np.ones(grid.size))
+                p[rng.random(grid.size) < 0.4] = 0.0
+                p[rng.integers(grid.size)] += 1.0 - p.sum()
+                return CategoricalDistribution(grid, p)
+            n = int(rng.integers(1, 6))
+            return AtomicDistribution.from_points(rng.choice(grid, size=n), rng.dirichlet(np.ones(n)))
+
+        yield mdp, policy, DistributionCollection.build(n_states, n_actions, dist)
+
+
+def reference_wasserstein(nu1, nu2, p):
+    """wasserstein as first written: its own refinement per call and per p."""
+    nu1 = nu1.as_atomic() if isinstance(nu1, CategoricalDistribution) else nu1
+    nu2 = nu2.as_atomic() if isinstance(nu2, CategoricalDistribution) else nu2
+    cum1, cum2 = np.cumsum(nu1.weights), np.cumsum(nu2.weights)
+    breaks = np.sort(np.concatenate(([0.0], cum1[:-1], cum2[:-1], [1.0])))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
+    lengths = breaks[1:] - breaks[:-1]
+    mids = (breaks[:-1] + breaks[1:]) / 2.0
+    q1 = nu1.atoms[np.minimum(np.searchsorted(cum1, mids, side="left"), nu1.atoms.size - 1)]
+    q2 = nu2.atoms[np.minimum(np.searchsorted(cum2, mids, side="left"), nu2.atoms.size - 1)]
+    diffs = np.abs(q1 - q2)
+    if p == 1.0:
+        return float(lengths @ diffs)
+    return float((lengths @ diffs**p) ** (1.0 / p))
+
+
+class TestExactOracleKeepsItsBits:
+    """The full operators, built from arrays, equal one public
+    pushforward_affine per successor pair mixed by mixture, bit for bit; the
+    shared-refinement sup-W_p equals one refinement per p."""
+
+    def test_full_eval_and_greedy_opt(self):
+        seen = set()
+        for mdp, policy, mu in full_operator_cases():
+            eval_ref = reference_full_eval(mu, mdp, policy)
+            opt_ref = reference_full_eval(mu, mdp, reference_greedy(mu))
+            for (x, a), out in distr_bellman_eval(mu, mdp, policy):
+                assert_same(out, eval_ref[x, a])
+            for (x, a), out in distr_bellman_opt(mu, mdp, "lowest"):
+                assert_same(out, opt_ref[x, a])
+            seen.add(mdp.discount)
+        assert seen == {0.0, 1e-13, 0.5, 0.9}
+
+    def test_cases_cover_ties_zeros_and_categorical_entries(self):
+        # merged counts entries with fewer atoms than their components hold
+        zero_kernel = zero_policy = categorical = merged = 0
+        for mdp, policy, mu in full_operator_cases():
+            zero_kernel += bool(np.any(mdp.kernel == 0.0))
+            zero_policy += bool(np.any(policy.probs == 0.0))
+            categorical += any(isinstance(d, CategoricalDistribution) for _, d in mu)
+            n_atoms = lambda d: np.count_nonzero(d.probs) if isinstance(d, CategoricalDistribution) else d.atoms.size
+            sizes = np.array([[n_atoms(mu[x, a]) for a in range(mdp.n_actions)] for x in range(mdp.n_states)])
+            for (x, a), out in distr_bellman_eval(mu, mdp, policy):
+                weights = mdp.kernel[x, a][:, None] * policy.probs
+                merged += out.atoms.size < sizes[weights != 0.0].sum()
+        assert min(zero_kernel, zero_policy, categorical) > 10 and merged > 100
+
+    def test_overflow_still_fails_as_infinite(self):
+        mdp = TabularMdp(kernel=np.full((1, 1, 1), 1.0), reward=np.full((1, 1, 1), 1e308), discount=0.9)
+        mu = DistributionCollection.constant(1, 1, AtomicDistribution.from_points([0.0, 1e308], [0.5, 0.5]))
+        policy = Policy(np.ones((1, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="atoms must be finite"):
+                reference_full_eval(mu, mdp, policy)
+            with pytest.raises(ValueError, match="atoms must be finite"):
+                distr_bellman_eval(mu, mdp, policy)
+            with pytest.raises(ValueError, match="atoms must be finite"):
+                distr_bellman_opt(mu, mdp, "lowest")
+
+    def test_shared_refinement_sup_wasserstein(self):
+        rng = np.random.default_rng(17)
+        ps = (1.0, 2.0, 4.0)
+        for _ in range(200):
+            n_states, n_actions = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            mu1 = random_collection(rng, n_states, n_actions, max_atoms=4)
+            mu2 = random_collection(rng, n_states, n_actions, max_atoms=4)
+            shared = sup_wasserstein_ps(mu1, mu2, ps)
+            for p, value in zip(ps, shared):
+                assert value == sup_wasserstein(mu1, mu2, p)
+                assert value == max(reference_wasserstein(mu1[x, a], mu2[x, a], p) for (x, a), _ in mu1)
+            for (x, a), nu in mu1:
+                assert wasserstein_ps(nu, mu2[x, a], ps) == tuple(reference_wasserstein(nu, mu2[x, a], p) for p in ps)
+
+    def test_symmetry_check_refines_the_swapped_pair(self, monkeypatch):
+        # a W_p that is off by 1e-9 when its arguments are swapped: the
+        # symmetry property must see it, so (b, a) must be its own refinement
+        import osdrl.verify as verify
+
+        def lopsided(nu1, nu2, ps):
+            shift = 1e-9 if nu1.atoms[0] > nu2.atoms[0] else 0.0
+            return tuple(d + shift for d in wasserstein_ps(nu1, nu2, ps))
+
+        monkeypatch.setattr(verify, "wasserstein_ps", lopsided)
+        symmetry, identity, _ = verify.check_wasserstein_axioms(seed=0, n_cases=20)
+        assert not symmetry.passed and symmetry.max_violation >= 1e-9
+        assert identity.passed
