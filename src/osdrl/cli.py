@@ -138,7 +138,7 @@ def _track(v) -> bool:
         ok = isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_int, p))
         return ok and 0 <= p[0] < _LAKE_STATES and 0 <= p[1] < _LAKE_ACTIONS
 
-    return isinstance(v, (list, tuple)) and all(map(pair_ok, v))
+    return isinstance(v, (list, tuple)) and len(v) >= 1 and all(map(pair_ok, v))
 
 
 # key -> (check, what a valid value is), one entry per key of DEFAULTS
@@ -161,7 +161,7 @@ CONFIG_SCHEMA = {
     "record_every": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "track": (
         _track,
-        f"a list of [state, action] pairs, states in [0, {_LAKE_STATES}), actions in [0, {_LAKE_ACTIONS})",
+        f"a nonempty list of [state, action] pairs, states in [0, {_LAKE_STATES}), actions in [0, {_LAKE_ACTIONS})",
     ),
     "fast": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -174,6 +174,9 @@ def _validate_config(command: str, config: dict) -> None:
             raise ConfigError(f"{key} must be {what}, got {value!r}")
     if command == "frozenlake" and config["steps"] < 1:
         raise ConfigError("steps must be >= 1 for frozenlake")
+    # the candidate search draws rewards near the interior grid points
+    if command == "instability" and len(config["grid"]) < 3:
+        raise ConfigError(f"grid must hold at least 3 points for instability, got {config['grid']!r}")
 
 
 def _out_dir(config: dict, experiment: str) -> Path:

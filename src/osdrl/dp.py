@@ -169,16 +169,16 @@ def categorical_start(mdp: TabularMdp, grid) -> DistributionCollection:
 
 
 def _projected_closed_form(
-    mdp: TabularMdp, grid, tol: float, policy: Optional[Policy] = None
+    mdp: TabularMdp, grid, v: np.ndarray, tol: float, policy: Optional[Policy] = None
 ) -> tuple:
     """(eta, residual): the projected closed-form fixed point of the one-step
-    operator (evaluation with a policy, control without), and its sup-W1 to
-    the array operator iterated from the all-delta(z_1) start to within tol.
+    operator (evaluation with a policy, control without), built from the
+    state values v, and its sup-W1 to the array operator iterated from the
+    all-delta(z_1) start to within tol.
 
     Raises RangeConditionError when some supported target
     r(x,a,x') + gamma*V(x') falls outside [z_1, z_K]."""
     grid = np.asarray(grid, dtype=float)
-    v = _state_values(mdp, tol, policy)
     targets = mdp.reward + mdp.discount * v[None, None, :]
     bad = (mdp.kernel > 0.0) & ((targets < grid[0]) | (targets > grid[-1]))
     if np.any(bad):
@@ -207,7 +207,7 @@ def projected_fixed_points(
     triplets). The closed form is cross-checked by iterating the array form
     of the projected operator from the all-delta(z_1) start to within tol.
     """
-    eta, residual = _projected_closed_form(mdp, grid, tol, policy)
+    eta, residual = _projected_closed_form(mdp, grid, _state_values(mdp, tol, policy), tol, policy)
     if residual > 10.0 * tol:
         raise RuntimeError(
             f"projected iteration disagrees with the closed-form fixed point "

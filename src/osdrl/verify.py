@@ -234,9 +234,10 @@ def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> l
         cases.append((mdp, random_policy(rng, mdp.n_states, 2), None))
     trackers = {kind: _Tracker(f"projected_fixed_point_{kind}", tol) for kind in ("control", "eval")}
     for mdp, pi, grid in cases:
+        v = _state_values(mdp, 1e-12, pi)
         if grid is None:
-            grid = _fitting_grid(mdp, _state_values(mdp, 1e-12, pi))
-        eta, residual = _projected_closed_form(mdp, grid, 1e-12, pi)
+            grid = _fitting_grid(mdp, v)
+        eta, residual = _projected_closed_form(mdp, grid, v, 1e-12, pi)
         if pi is None:
             op = lambda m: os_distr_opt(m, mdp)
         else:

@@ -64,6 +64,9 @@ class TestConfigHandling:
             ("frozenlake", "eps_start", 2),
             ("verify", "fast", "no"),
             ("histograms", "bins", True),
+            ("frozenlake", "track", []),
+            # the candidate search draws rewards near grid[1] .. grid[-2]
+            ("instability", "grid", [0.0, 10.0]),
         ],
     )
     def test_bad_typed_value_rejected(self, tmp_path, command, key, value):

@@ -28,7 +28,7 @@ from osdrl import (
     target_microbenchmark,
     write_learning_csv,
 )
-from osdrl.learning import _add_dirac, _cdrl_update, _os_update, _Tables
+from osdrl.learning import ALGOS, _add_dirac, _cdrl_update, _os_update, _Tables
 from osdrl.operators import random_mdp
 from osdrl.verify import check_mean_field
 
@@ -301,15 +301,16 @@ class ReferenceLearner:
         return violated
 
 
-def update_cases(seed, n_cases=60, n_updates=12):
-    """A seeded spread of (grid, gamma, probs, policy, transitions). A
-    quarter of the cases have gamma 0, where a reward on a grid point puts
-    u exactly there; rewards also fall below z_1, above z_K and in between.
-    A third of the cases give every action the same row (exact greedy
-    ties), and about a third of the cells hold no mass."""
+def update_cases(seed, n_cases=60, n_updates=12, k=None):
+    """A seeded spread of (grid, gamma, probs, policy, transitions), on
+    grids of 2 to 6 points or of k points. A quarter of the cases have
+    gamma 0, where a reward on a grid point puts u exactly there; rewards
+    also fall below z_1, above z_K (clamped ends) and in between. A third of
+    the cases give every action the same row (exact greedy ties), and about
+    a third of the cells hold no mass."""
     rng = np.random.default_rng(seed)
     for case in range(n_cases):
-        k = int(rng.integers(2, 7))
+        k = int(rng.integers(2, 7)) if k is None else k
         grid = rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.1, 2.0, size=k))
         gamma = 0.0 if case % 4 == 0 else float(rng.uniform(0.1, 0.99))
         n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -339,34 +340,46 @@ def update_cases(seed, n_cases=60, n_updates=12):
         yield grid, gamma, probs, policy, transitions
 
 
-class TestUpdatesKeepTheirBits:
-    @pytest.mark.parametrize(
-        "algo, mode, tie_break",
-        [
-            ("os", "control", "lowest"),
-            ("os", "eval", "lowest"),
-            ("cdrl", "control", "lowest"),
-            ("cdrl", "control", "uniform"),
-            ("cdrl", "control", "random"),
-            ("cdrl", "eval", "lowest"),
-        ],
-    )
-    def test_rows_means_and_flags_match_the_reference(self, algo, mode, tie_break):
-        update = _os_update if algo == "os" else _cdrl_update
-        seen = Counter()
-        for grid, gamma, probs, policy, transitions in update_cases(seed=5):
-            policy = policy if mode == "eval" else None
-            tables = _Tables(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
-            ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
-            ref_update = ref.os_update if algo == "os" else ref.cdrl_update
+def replay(algo, mode, tie_break, cases) -> Counter:
+    """Run each case's transitions through the learner's update and the
+    reference side by side, asserting the same rows, means and flags after
+    every update; return the situations the reference met."""
+    update = _os_update if algo == "os" else _cdrl_update
+    seen = Counter()
+    for grid, gamma, probs, policy, transitions in cases:
+        policy = policy if mode == "eval" else None
+        tables = _Tables(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
+        ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
+        ref_update = ref.os_update if algo == "os" else ref.cdrl_update
+        assert tables.q == ref.q
+        for x, a, r, x_next, alpha in transitions:
+            flag = update(tables, x, a, r, x_next, alpha)
+            assert flag == ref_update(x, a, r, x_next, alpha)
+            assert type(flag) is bool
+            assert np.array_equal(tables.probs, ref.probs)
             assert tables.q == ref.q
-            for x, a, r, x_next, alpha in transitions:
-                flag = update(tables, x, a, r, x_next, alpha)
-                assert flag == ref_update(x, a, r, x_next, alpha)
-                assert type(flag) is bool
-                assert np.array_equal(tables.probs, ref.probs)
-                assert tables.q == ref.q
-            seen += ref.seen
+        seen += ref.seen
+    return seen
+
+
+# the row-scaling threshold forced to pick numpy, or the per-cell loop, at every K
+BOTH_SCALINGS = pytest.mark.parametrize("cell_loop_max_k", [0, 10**6], ids=["numpy", "by_cell"])
+
+
+UPDATE_KINDS = [
+    ("os", "control", "lowest"),
+    ("os", "eval", "lowest"),
+    ("cdrl", "control", "lowest"),
+    ("cdrl", "control", "uniform"),
+    ("cdrl", "control", "random"),
+    ("cdrl", "eval", "lowest"),
+]
+
+
+class TestUpdatesKeepTheirBits:
+    @pytest.mark.parametrize("algo, mode, tie_break", UPDATE_KINDS)
+    def test_rows_means_and_flags_match_the_reference(self, algo, mode, tie_break):
+        seen = replay(algo, mode, tie_break, update_cases(seed=5))
         # the spread reached every situation it is meant to cover
         if algo == "os":
             assert min(seen["below"], seen["above"], seen["inside"], seen["on_grid"]) > 0, seen
@@ -374,6 +387,50 @@ class TestUpdatesKeepTheirBits:
             assert min(seen["off_grid_hit"], seen["off_grid_missed"], seen["on_grid_atoms"]) > 0, seen
         if mode == "control":
             assert seen["tie"] > 0, seen
+
+    @BOTH_SCALINGS
+    def test_either_row_scaling_alone_keeps_the_bits(self, monkeypatch, cell_loop_max_k):
+        monkeypatch.setattr(osdrl.learning, "_CELL_LOOP_MAX_K", cell_loop_max_k)
+        for algo, mode, tie_break in UPDATE_KINDS:
+            replay(algo, mode, tie_break, update_cases(seed=5))
+        for k in (2, 3, 51):
+            replay("os", "control", "lowest", update_cases(seed=6, n_cases=4, k=k))
+            replay("cdrl", "eval", "lowest", update_cases(seed=6, n_cases=4, k=k))
+
+    @pytest.mark.parametrize("k", [2, 3, 51])
+    @pytest.mark.parametrize("algo, mode", [("os", "control"), ("os", "eval"), ("cdrl", "control"), ("cdrl", "eval")])
+    def test_grids_either_side_of_the_scaling_threshold(self, algo, mode, k):
+        # at the module's own threshold: K = 2 and 3 scale cell by cell, K = 51 with numpy
+        seen = replay(algo, mode, "lowest", update_cases(seed=6, n_cases=16, k=k))
+        if algo == "os":
+            assert min(seen["below"], seen["above"]) > 0, seen
+
+    def test_only_small_grids_scale_cell_by_cell(self):
+        # a per-cell loop costs about 0.1 us a cell against numpy's flat
+        # in-place cost, so long rows keep numpy
+        probs = np.full((2, 2, 51), 1.0 / 51)
+        for k, by_cell in ((2, True), (3, True), (4, True), (51, False)):
+            grid = np.linspace(0.0, 10.0, k)
+            assert _Tables(probs[..., :k].copy(), grid, 0.9).by_cell is by_cell
+
+    @BOTH_SCALINGS
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_a_row_written_through_probs_is_what_the_next_update_reads(self, monkeypatch, algo, cell_loop_max_k):
+        # restore a row by assignment, as the mean-field property does
+        # between successors, then update it again
+        monkeypatch.setattr(osdrl.learning, "_CELL_LOOP_MAX_K", cell_loop_max_k)
+        update = _os_update if algo == "os" else _cdrl_update
+        for grid, gamma, probs, _, transitions in update_cases(seed=7, n_cases=12):
+            tables = _Tables(probs.copy(), grid, gamma)
+            ref = ReferenceLearner(probs.copy(), grid, gamma, None, "lowest", None)
+            ref_update = ref.os_update if algo == "os" else ref.cdrl_update
+            for x, a, r, x_next, alpha in transitions:
+                row, mean = tables.probs[x, a].copy(), tables.q[x][a]
+                update(tables, x, a, r, x_next, alpha)
+                tables.probs[x, a], tables.q[x][a] = row, mean
+                assert update(tables, x, a, r, x_next, alpha) == ref_update(x, a, r, x_next, alpha)
+                assert np.array_equal(tables.probs, ref.probs)
+                assert categorical_means(tables.probs, grid).tolist() == tables.q == ref.q
 
 
 class TestCdrlStep:
