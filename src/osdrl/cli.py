@@ -175,8 +175,8 @@ def _validate_config(command: str, config: dict) -> None:
     if command == "frozenlake" and config["steps"] < 1:
         raise ConfigError("steps must be >= 1 for frozenlake")
     # the candidate search draws rewards near the interior grid points
-    if command == "instability" and len(config["grid"]) < 3:
-        raise ConfigError(f"grid must hold at least 3 points for instability, got {config['grid']!r}")
+    if command == "instability" and config["search_candidates"] > 0 and len(config["grid"]) < 3:
+        raise ConfigError(f"grid must hold at least 3 points when search_candidates > 0, got {config['grid']!r}")
 
 
 def _out_dir(config: dict, experiment: str) -> Path:

@@ -5,8 +5,8 @@ the projection of a single Dirac at the bootstrapped scalar target, while the
 baseline categorical update projects the K shifted atoms of the next-state
 distribution. Both preserve normalization exactly up to rounding. Both read
 next-state means from a table kept beside the probabilities and write the
-row they update cell by cell in Python floats, so at small K a step of the
-harness calls numpy only for the new row's mean (and the baseline's target).
+row they update cell by cell in Python floats, so a step of the harness
+calls numpy only for the new row's mean (and the baseline's target).
 """
 
 from __future__ import annotations
@@ -182,30 +182,19 @@ def _check_mode(mode: str, policy) -> None:
         raise ValueError("eval mode requires a policy")
 
 
-# Rows of at most this many cells are scaled cell by cell in Python floats
-# through a memoryview, longer rows by one numpy in-place op. The loop costs
-# about 0.1 us per cell and the numpy op a flat 0.5-1.1 us, so they cross
-# near K = 8: forced either way on Frozen Lake, the one-step learner ran 8%
-# faster per cell at K = 8 and 8% slower at K = 10, the baseline within 3%
-# from K = 8 to 12 (numpy 2.4, Python 3.11, 2-CPU x86-64 host).
-_CELL_LOOP_MAX_K = 8
-
-
 class _Tables:
     """What one learner update reads and writes, held in the forms a per-step
     Python loop reads fastest.
 
-    rows[x][a] is a view of probs[x, a], and cells[x][a] a memoryview of it,
-    whose elements read and write as Python floats at a fraction of numpy's
-    per-element cost; both share probs' memory, so a write through any of
-    the three is seen by the others. q[x][a] is the row's mean as a Python
-    float: float(dot(row)), dot the bound grid.dot, which is the 1-D dot
-    categorical_means rounds with and costs about half of row @ grid. An
-    update recomputes the mean of the one row it changes. by_cell says
-    whether updates scale a row cell by cell (K at most _CELL_LOOP_MAX_K) or
-    with numpy; the float operations are the same either way. policy is None
-    for the greedy bootstrap (control) or the Policy that mixes the next
-    state's actions (eval).
+    rows[x][a] is a view of probs[x, a], and cells[x][a] a memoryview of it
+    (both share probs' memory) whose elements read and write as Python
+    floats. Updates write a row cell by cell, about 0.1 us a cell against
+    numpy's flat 0.5-1 us per in-place op: faster at small K, slower at
+    large K. q[x][a] is the row's mean as a Python float: float(dot(row)),
+    dot the bound grid.dot, which is the 1-D dot categorical_means rounds
+    with and costs about half of row @ grid. An update recomputes the mean
+    of the one row it changes. policy is None for the greedy bootstrap
+    (control) or the Policy that mixes the next state's actions (eval).
     """
 
     def __init__(self, probs, grid, gamma, policy=None, tie_break="lowest", rng=None):
@@ -216,9 +205,8 @@ class _Tables:
         self.gamma = gamma
         self.rows = [list(rows) for rows in probs]
         self.cells = [list(map(memoryview, rows)) for rows in self.rows]
-        self.by_cell = grid.size <= _CELL_LOOP_MAX_K
         self.indices = range(grid.size)
-        self.q = [[float(self.dot(row)) for row in rows] for rows in self.rows]
+        self.q = categorical_means(probs, grid).tolist()
         self.policy = policy
         self.policy_rows = None if policy is None else policy.probs.tolist()
         self.tie_break = tie_break
@@ -256,11 +244,8 @@ def _os_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     u = r + t.gamma * v
     points = t.points
     row, cells, keep = t.rows[x][a], t.cells[x][a], 1.0 - alpha
-    if t.by_cell:
-        for i in t.indices:
-            cells[i] *= keep
-    else:
-        row *= keep
+    for i in t.indices:
+        cells[i] *= keep
     _add_dirac(cells, points, u, alpha)
     t.q[x][a] = float(t.dot(row))
     return not points[0] <= u <= points[-1]
@@ -288,13 +273,9 @@ def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     target = next_probs @ matrix
     violated = off is not None and float(off.dot(next_probs)) > 0.0
     row, cells, keep = t.rows[x][a], t.cells[x][a], 1.0 - alpha
-    if t.by_cell:
-        # the roundings of row *= keep; row += alpha * target, in their order
-        for i, v in enumerate(target.tolist()):
-            cells[i] = cells[i] * keep + alpha * v
-    else:
-        row *= keep
-        row += alpha * target
+    # the roundings of row *= keep; row += alpha * target, in their order
+    for i, v in enumerate(target.tolist()):
+        cells[i] = cells[i] * keep + alpha * v
     t.q[x][a] = float(t.dot(row))
     return violated
 
@@ -363,10 +344,6 @@ class LearningRecord:
     q_means: Optional[np.ndarray] = None
     tracked: dict = field(default_factory=dict)
     final_state: Optional[LearnerState] = None
-
-    def to_csv(self, path) -> None:
-        """Write this record alone in the learning.csv format."""
-        write_learning_csv([self], path)
 
 
 def write_learning_csv(records, path) -> None:

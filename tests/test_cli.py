@@ -139,6 +139,14 @@ class TestInstabilityCommand:
         assert report["cdrl_default"]["oscillating"] is False
         assert report["conclusive"] is False
 
+    def test_two_point_grid_runs_without_search(self, tmp_path):
+        # only the candidate search needs an interior grid point
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": [0.0, 10.0], "search_candidates": 0, "steps": 30, "one_step_iterations": 30}')
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_INCONCLUSIVE
+        assert (out / "instability" / "probs_cdrl.csv").exists()
+
     def test_six_panels_written(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"search_candidates": 0, "steps": 30, "one_step_iterations": 30}')

@@ -362,10 +362,6 @@ def replay(algo, mode, tie_break, cases) -> Counter:
     return seen
 
 
-# the row-scaling threshold forced to pick numpy, or the per-cell loop, at every K
-BOTH_SCALINGS = pytest.mark.parametrize("cell_loop_max_k", [0, 10**6], ids=["numpy", "by_cell"])
-
-
 UPDATE_KINDS = [
     ("os", "control", "lowest"),
     ("os", "eval", "lowest"),
@@ -388,37 +384,17 @@ class TestUpdatesKeepTheirBits:
         if mode == "control":
             assert seen["tie"] > 0, seen
 
-    @BOTH_SCALINGS
-    def test_either_row_scaling_alone_keeps_the_bits(self, monkeypatch, cell_loop_max_k):
-        monkeypatch.setattr(osdrl.learning, "_CELL_LOOP_MAX_K", cell_loop_max_k)
-        for algo, mode, tie_break in UPDATE_KINDS:
-            replay(algo, mode, tie_break, update_cases(seed=5))
-        for k in (2, 3, 51):
-            replay("os", "control", "lowest", update_cases(seed=6, n_cases=4, k=k))
-            replay("cdrl", "eval", "lowest", update_cases(seed=6, n_cases=4, k=k))
-
     @pytest.mark.parametrize("k", [2, 3, 51])
     @pytest.mark.parametrize("algo, mode", [("os", "control"), ("os", "eval"), ("cdrl", "control"), ("cdrl", "eval")])
-    def test_grids_either_side_of_the_scaling_threshold(self, algo, mode, k):
-        # at the module's own threshold: K = 2 and 3 scale cell by cell, K = 51 with numpy
+    def test_short_and_long_grids(self, algo, mode, k):
         seen = replay(algo, mode, "lowest", update_cases(seed=6, n_cases=16, k=k))
         if algo == "os":
             assert min(seen["below"], seen["above"]) > 0, seen
 
-    def test_only_small_grids_scale_cell_by_cell(self):
-        # a per-cell loop costs about 0.1 us a cell against numpy's flat
-        # in-place cost, so long rows keep numpy
-        probs = np.full((2, 2, 51), 1.0 / 51)
-        for k, by_cell in ((2, True), (3, True), (4, True), (51, False)):
-            grid = np.linspace(0.0, 10.0, k)
-            assert _Tables(probs[..., :k].copy(), grid, 0.9).by_cell is by_cell
-
-    @BOTH_SCALINGS
     @pytest.mark.parametrize("algo", ALGOS)
-    def test_a_row_written_through_probs_is_what_the_next_update_reads(self, monkeypatch, algo, cell_loop_max_k):
+    def test_a_row_written_through_probs_is_what_the_next_update_reads(self, algo):
         # restore a row by assignment, as the mean-field property does
         # between successors, then update it again
-        monkeypatch.setattr(osdrl.learning, "_CELL_LOOP_MAX_K", cell_loop_max_k)
         update = _os_update if algo == "os" else _cdrl_update
         for grid, gamma, probs, _, transitions in update_cases(seed=7, n_cases=12):
             tables = _Tables(probs.copy(), grid, gamma)
@@ -593,7 +569,7 @@ class TestRunLearning:
             record_every=200,
         )
         path = tmp_path / "learn.csv"
-        rec.to_csv(path)
+        write_learning_csv([rec], path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
@@ -616,7 +592,7 @@ class TestRunLearning:
         write_learning_csv(recs, tmp_path / "both.csv")
         lines = []
         for i, rec in enumerate(recs):
-            rec.to_csv(tmp_path / f"{i}.csv")
+            write_learning_csv([rec], tmp_path / f"{i}.csv")
             lines += (tmp_path / f"{i}.csv").read_text().splitlines()[0 if i == 0 else 1 :]
         assert (tmp_path / "both.csv").read_text().splitlines() == lines
 
