@@ -34,7 +34,6 @@ from .dp import (
     solve_q_pi,
     solve_q_star,
     trace_atoms_to_csv,
-    trace_distances_to_csv,
 )
 from .learning import (
     ExplorationSchedule,

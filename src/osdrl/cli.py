@@ -21,15 +21,14 @@ import numpy as np
 from .distributions import DistributionCollection, categorical_means, categorical_w1, dirac
 from .dp import (
     AtomBudgetExceeded,
-    IterationTrace,
     RangeConditionError,
+    _checked_fixed_point,
     categorical_start,
     detect_oscillation,
     iterate,
     projected_fixed_points,
     solve_q_star,
     trace_atoms_to_csv,
-    trace_distances_to_csv,
 )
 from .learning import (
     DEFAULT_EPS_RATE,
@@ -264,12 +263,9 @@ def cmd_instability(config: dict) -> int:
 
     start = categorical_start(mdp, grid).probs()
     os_stack = _prob_stack(categorical_os_opt(mdp, grid), start, config["one_step_iterations"])
-    os_trace = IterationTrace(
-        list(os_stack),
-        categorical_w1(os_stack[1:], os_stack[:-1], grid).max(axis=(1, 2)).tolist(),
-        categorical_w1(os_stack, eta_star, grid).max(axis=(1, 2)).tolist(),
-    )
-    os_residual = os_trace.ref_distances[-1]
+    os_steps = categorical_w1(os_stack[1:], os_stack[:-1], grid).max(axis=(1, 2)).tolist()
+    os_refs = categorical_w1(os_stack, eta_star, grid).max(axis=(1, 2)).tolist()
+    os_residual = os_refs[-1]
     os_converged = os_residual < 1e-8
 
     cdrl_stack = _prob_stack(categorical_full_opt(mdp, grid), start, config["steps"])
@@ -319,7 +315,11 @@ def cmd_instability(config: dict) -> int:
             _plot_stack(stack, grid, (x, a), path, f"{title} at (x{x + 1}, a{a + 1})")
     qs = {"onestep": categorical_means(os_stack, grid), "cdrl": categorical_means(cdrl_stack, grid)}
     _qfunc_csv(qs, out / "qfunc.csv")
-    trace_distances_to_csv(os_trace, out / "distances_onestep.csv")
+    with open(out / "distances_onestep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "dist_to_next", "dist_to_reference"])
+        for n, ref in enumerate(os_refs):
+            writer.writerow([n, repr(os_steps[n]) if n < len(os_steps) else "", repr(ref)])
     series = [("cdrl", qs["cdrl"]), ("one-step", qs["onestep"])]
     for x, a in ((0, 0), (0, 1)):
         line_chart(
@@ -331,6 +331,9 @@ def cmd_instability(config: dict) -> int:
         )
 
     oscillation_shown = bool(cdrl_report.oscillating or search["triggered"])
+    tail = cdrl_report.max_step_tail  # nan when too few iterates follow the burn-in
+    found = "oscillates" if cdrl_report.oscillating else "converged" if cdrl_report.converged else "aperiodic"
+    found = found if math.isfinite(tail) else "too few iterates to scan"
     report = {
         "one_step": {
             "converged": bool(os_converged),
@@ -341,7 +344,7 @@ def cmd_instability(config: dict) -> int:
             "oscillating": bool(cdrl_report.oscillating),
             "converged": bool(cdrl_report.converged),
             "period": cdrl_report.period,
-            "max_step_tail": float(cdrl_report.max_step_tail),
+            "max_step_tail": tail if math.isfinite(tail) else None,
         },
         "search": search,
         "conclusive": oscillation_shown,
@@ -349,8 +352,7 @@ def cmd_instability(config: dict) -> int:
     _write_json(out / "report.json", report)
     print(f"one-step branch: converged={os_converged} residual={os_residual:.3e}")
     print(
-        "cdrl branch: default "
-        + ("oscillates" if cdrl_report.oscillating else "converged")
+        f"cdrl branch: default {found}"
         + (
             f"; search triggered at candidate {search.get('candidate_index')} "
             f"(r_a={search.get('r_a'):.6f}, period={search.get('period')})"
@@ -434,7 +436,7 @@ def cmd_frozenlake(config: dict) -> int:
     out = _out_dir(config, "frozenlake")
     q_star = solve_q_star(env.mdp, tol=1e-10)
     try:
-        reference, reference_error = projected_fixed_points(env.mdp, grid, tol=1e-10), None
+        reference, reference_error = _checked_fixed_point(env.mdp, grid, q_star.max(axis=1), 1e-10), None
     except RangeConditionError as exc:
         # the grid does not cover the targets: the W1 column stays nan
         reference, reference_error = None, str(exc)
@@ -588,12 +590,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         overrides.pop("steps")
     try:
-        config = load_config(args.command, args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](config)
+        return COMMANDS[args.command](load_config(args.command, args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,16 +48,19 @@ def _solve(step_fn, start, distance, discount: float, tol: float):
     raise RuntimeError("iteration failed to converge (tolerance below float precision?)")
 
 
+def _solve_q(step_fn, mdp: TabularMdp, tol: float) -> np.ndarray:
+    start = np.zeros((mdp.n_states, mdp.n_actions))
+    return _solve(step_fn, start, lambda p, q: float(np.max(np.abs(p - q))), mdp.discount, tol)
+
+
 def solve_q_pi(mdp: TabularMdp, policy: Policy, tol: float = 1e-10) -> np.ndarray:
     """Q-function of a policy, within tol in sup norm."""
-    start = np.zeros((mdp.n_states, mdp.n_actions))
-    return _solve(lambda q: bellman_eval(q, mdp, policy), start, _distance, mdp.discount, tol)
+    return _solve_q(lambda q: bellman_eval(q, mdp, policy), mdp, tol)
 
 
 def solve_q_star(mdp: TabularMdp, tol: float = 1e-10) -> np.ndarray:
     """Optimal Q-function, within tol in sup norm."""
-    start = np.zeros((mdp.n_states, mdp.n_actions))
-    return _solve(lambda q: bellman_opt(q, mdp), start, _distance, mdp.discount, tol)
+    return _solve_q(lambda q: bellman_opt(q, mdp), mdp, tol)
 
 
 def _state_values(mdp: TabularMdp, tol: float, policy: Optional[Policy] = None) -> np.ndarray:
@@ -104,10 +107,9 @@ class AtomBudgetExceeded(RuntimeError):
 class IterationTrace:
     """Recorded operator iteration: all iterates plus distance diagnostics.
 
-    step_distances[n] is the distance from iterate n to iterate n+1;
-    ref_distances[n] (when a reference was supplied) is the distance from
-    iterate n to the reference. Collections are compared in sup-W1,
-    Q-functions in sup norm.
+    step_distances[n] is the sup-W1 distance from iterate n to iterate n+1;
+    ref_distances[n] (when a reference was supplied) is the sup-W1 distance
+    from iterate n to the reference.
     """
 
     iterates: list
@@ -125,37 +127,28 @@ class IterationTrace:
             raise ValueError("distances must be nonnegative")
 
 
-def _distance(a, b) -> float:
-    if isinstance(a, DistributionCollection):
-        return sup_wasserstein(a, b, 1.0)
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
 def iterate(op, mu0, n_steps: int, reference=None, atom_cap: int = 1_000_000) -> IterationTrace:
-    """Apply op n_steps times from mu0, recording iterates and distances.
-
-    Works on distribution collections and on Q-function arrays. Raises
-    AtomBudgetExceeded if a produced iterate holds more than atom_cap atoms
-    (guards unprojected full-operator iteration).
+    """Apply op n_steps times from the distribution collection mu0,
+    recording iterates and distances. Raises AtomBudgetExceeded if a
+    produced iterate holds more than atom_cap atoms (guards unprojected
+    full-operator iteration).
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    is_collection = isinstance(mu0, DistributionCollection)
     iterates = [mu0]
     steps = []
-    refs = [_distance(mu0, reference)] if reference is not None else None
-    atoms = [mu0.total_atoms()] if is_collection else None
+    refs = [sup_wasserstein(mu0, reference, 1.0)] if reference is not None else None
+    atoms = [mu0.total_atoms()]
     current = mu0
     for _ in range(n_steps):
         nxt = op(current)
-        if is_collection:
-            count = nxt.total_atoms()
-            if count > atom_cap:
-                raise AtomBudgetExceeded(count, atom_cap)
-            atoms.append(count)
-        steps.append(_distance(nxt, current))
+        count = nxt.total_atoms()
+        if count > atom_cap:
+            raise AtomBudgetExceeded(count, atom_cap)
+        atoms.append(count)
+        steps.append(sup_wasserstein(nxt, current, 1.0))
         if refs is not None:
-            refs.append(_distance(nxt, reference))
+            refs.append(sup_wasserstein(nxt, reference, 1.0))
         iterates.append(nxt)
         current = nxt
     return IterationTrace(iterates, steps, refs, atoms)
@@ -207,7 +200,12 @@ def projected_fixed_points(
     triplets). The closed form is cross-checked by iterating the array form
     of the projected operator from the all-delta(z_1) start to within tol.
     """
-    eta, residual = _projected_closed_form(mdp, grid, _state_values(mdp, tol, policy), tol, policy)
+    return _checked_fixed_point(mdp, grid, _state_values(mdp, tol, policy), tol, policy)
+
+
+def _checked_fixed_point(mdp: TabularMdp, grid, v: np.ndarray, tol: float, policy=None) -> DistributionCollection:
+    """projected_fixed_points from state values v the caller has solved."""
+    eta, residual = _projected_closed_form(mdp, grid, v, tol, policy)
     if residual > 10.0 * tol:
         raise RuntimeError(
             f"projected iteration disagrees with the closed-form fixed point "
@@ -282,18 +280,3 @@ def trace_atoms_to_csv(trace: IterationTrace, path) -> None:
                 points, weights = _entry_points(dist)
                 for z, w in zip(points, weights):
                     writer.writerow([n, f"x{x}_a{a}", repr(float(z)), repr(float(w))])
-
-
-def trace_distances_to_csv(trace: IterationTrace, path) -> None:
-    """One row per iteration: iteration, dist_to_next, dist_to_reference."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "dist_to_next", "dist_to_reference"])
-        for n in range(len(trace.iterates)):
-            step = repr(float(trace.step_distances[n])) if n < len(trace.step_distances) else ""
-            ref = (
-                repr(float(trace.ref_distances[n]))
-                if trace.ref_distances is not None
-                else ""
-            )
-            writer.writerow([n, step, ref])

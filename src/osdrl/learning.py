@@ -6,7 +6,9 @@ baseline categorical update projects the K shifted atoms of the next-state
 distribution. Both preserve normalization exactly up to rounding. Both read
 next-state means from a table kept beside the probabilities and write the
 row they update cell by cell in Python floats, so a step of the harness
-calls numpy only for the new row's mean (and the baseline's target).
+calls numpy only for the new row's mean (and the baseline's target). The
+baseline memoizes its targets per successor state: rows change only through
+the updates, which clear the memo of the state they write.
 """
 
 from __future__ import annotations
@@ -195,6 +197,11 @@ class _Tables:
     with and costs about half of row @ grid. An update recomputes the mean
     of the one row it changes. policy is None for the greedy bootstrap
     (control) or the Policy that mixes the next state's actions (eval).
+
+    targets[x] maps the reward (with the drawn action under the random
+    tie-break) to the baseline's target from successor x, as Python floats,
+    and its range flag. Both depend only on x's rows: an update that writes
+    one clears targets[x], and any other writer of probs[x] must too.
     """
 
     def __init__(self, probs, grid, gamma, policy=None, tie_break="lowest", rng=None):
@@ -212,6 +219,7 @@ class _Tables:
         self.tie_break = tie_break
         self.rng = rng
         self._target_maps = {}
+        self.targets = [{} for _ in self.rows]
 
     def target_map(self, r: float):
         """(M, off) for reward r. The projection is linear, so the baseline
@@ -251,32 +259,44 @@ def _os_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     return not points[0] <= u <= points[-1]
 
 
+def _greedy(q_row) -> list:
+    """The actions of maximal mean, in increasing order."""
+    best = max(q_row)
+    return [b for b, v in enumerate(q_row) if v == best]
+
+
 def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     """Baseline update: the target projects the K shifted atoms
     r + gamma * z_k of the next state's distribution at the greedy action
-    (ties broken by tie_break) or mixed under the policy."""
-    if t.policy is not None:
-        next_probs = t.policy.probs[x_next] @ t.probs[x_next]
-    else:
-        q_next = t.q[x_next]
-        best = max(q_next)
-        if t.tie_break == "lowest":
-            next_probs = t.rows[x_next][q_next.index(best)]
+    (ties broken by tie_break) or mixed under the policy. The target is
+    built on the first use of its key since x_next's rows last changed."""
+    memo, key = t.targets[x_next], r
+    if t.policy is None and t.tie_break == "random":
+        # drawn on every step, hit or miss, so the rng stream is unchanged
+        winners = _greedy(t.q[x_next])
+        key = (r, winners[t.rng.integers(len(winners))])
+    found = memo.get(key)
+    if found is None:
+        if t.policy is not None:
+            next_probs = t.policy.probs[x_next] @ t.probs[x_next]
+        elif t.tie_break == "random":
+            next_probs = t.rows[x_next][key[1]]
+        elif t.tie_break == "uniform":
+            next_probs = t.probs[x_next, _greedy(t.q[x_next])].mean(axis=0)
         else:
-            winners = [b for b, v in enumerate(q_next) if v == best]
-            if t.tie_break == "uniform":
-                next_probs = t.probs[x_next, winners].mean(axis=0)
-            else:
-                next_probs = t.rows[x_next][winners[t.rng.integers(len(winners))]]
-    matrix, off = t.target_map(r)
-    # next_probs may be row (x, a) itself: read it before the row changes
-    target = next_probs @ matrix
-    violated = off is not None and float(off.dot(next_probs)) > 0.0
+            q_next = t.q[x_next]
+            next_probs = t.rows[x_next][q_next.index(max(q_next))]
+        matrix, off = t.target_map(r)
+        # next_probs may be row (x, a) itself: read it before the row changes
+        violated = off is not None and float(off.dot(next_probs)) > 0.0
+        found = memo[key] = ((next_probs @ matrix).tolist(), violated)
+    target, violated = found
     row, cells, keep = t.rows[x][a], t.cells[x][a], 1.0 - alpha
     # the roundings of row *= keep; row += alpha * target, in their order
-    for i, v in enumerate(target.tolist()):
+    for i, v in enumerate(target):
         cells[i] = cells[i] * keep + alpha * v
     t.q[x][a] = float(t.dot(row))
+    t.targets[x].clear()
     return violated
 
 

@@ -493,6 +493,7 @@ def _expected_update(update, tables, mdp, x, a, alpha) -> np.ndarray:
         update(tables, x, a, float(mdp.reward[x, a, x_next]), int(x_next), alpha)
         expected += mdp.kernel[x, a, x_next] * tables.probs[x, a]
         tables.probs[x, a], tables.q[x][a] = row, mean
+        tables.targets[x].clear()
     return expected
 
 

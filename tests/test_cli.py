@@ -31,6 +31,23 @@ def read_bytes(path):
         return fh.read()
 
 
+def read_report(path):
+    """report.json parsed as strict JSON: NaN and Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.fixture(autouse=True)
+def reports_are_strict_json(tmp_path):
+    # every report.json a test's commands wrote must parse as strict JSON
+    yield
+    for path in tmp_path.rglob("report.json"):
+        read_report(path)
+
+
 class TestConfigHandling:
     def test_defaults_apply(self):
         config = load_config("histograms", None, {})
@@ -108,7 +125,7 @@ class TestHistogramsCommand:
         assert main(["histograms", "--out", str(out2)]) == EXIT_OK
         for name in ("atoms_full.csv", "atoms_onestep.csv", "histograms.csv", "atom_counts.csv"):
             assert read_bytes(out1 / "histograms" / name) == read_bytes(out2 / "histograms" / name)
-        report = json.loads((out1 / "histograms" / "report.json").read_text())
+        report = read_report(out1 / "histograms" / "report.json")
         assert report["max_atoms_per_entry"]["onestep"] == [1, 2, 2]
         assert report["max_atoms_per_entry"]["full"][1] > 2  # j = 2 exceeds 2 atoms
 
@@ -133,7 +150,7 @@ class TestInstabilityCommand:
         out = tmp_path / "o"
         code = main(["instability", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_INCONCLUSIVE
-        report = json.loads((out / "instability" / "report.json").read_text())
+        report = read_report(out / "instability" / "report.json")
         assert report["one_step"]["converged"] is True
         assert report["one_step"]["residual"] < 1e-8
         assert report["cdrl_default"]["oscillating"] is False
@@ -166,6 +183,29 @@ class TestInstabilityCommand:
             header = next(csv.reader(fh))
         assert header == ["iteration", "entry_id", "k", "z_k", "prob"]
 
+    def test_too_short_a_trace_is_reported_as_such(self, tmp_path, capsys):
+        # one iterate leaves the scan nothing to look at: no NaN in the
+        # report, and no claim that the iteration converged
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": 0, "search_candidates": 0}')
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_INCONCLUSIVE
+        report = read_report(out / "instability" / "report.json")["cdrl_default"]
+        assert report["max_step_tail"] is None
+        assert report["converged"] is False and report["oscillating"] is False
+        assert "cdrl branch: default too few iterates to scan;" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("steps, found", [(60, "converged"), (2, "aperiodic")])
+    def test_printed_scan_matches_the_report(self, tmp_path, capsys, steps, found):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": steps, "search_candidates": 0}))
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_INCONCLUSIVE
+        report = read_report(out / "instability" / "report.json")["cdrl_default"]
+        assert report["converged"] is (found == "converged")
+        assert report["max_step_tail"] >= 0.0
+        assert f"cdrl branch: default {found};" in capsys.readouterr().out
+
 
     def test_narrow_grid_exits_with_config_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -182,6 +222,8 @@ class TestInstabilityCommand:
         assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_INCONCLUSIVE
         with open(out / "instability" / "probs_onestep.csv") as fh:
             written = np.array([float(row["prob"]) for row in csv.DictReader(fh)]).reshape(61, 2, 2, 4)
+        with open(out / "instability" / "distances_onestep.csv") as fh:
+            assert next(csv.reader(fh)) == ["iteration", "dist_to_next", "dist_to_reference"]
         with open(out / "instability" / "distances_onestep.csv") as fh:
             distances = list(csv.DictReader(fh))
         assert len(distances) == 61
@@ -207,7 +249,7 @@ class TestInstabilityCommand:
         out = tmp_path / "o"
         code = main(["instability", "--seed", "9", "--out", str(out)])
         assert code == EXIT_OK
-        search = json.loads((out / "instability" / "report.json").read_text())["search"]
+        search = read_report(out / "instability" / "report.json")["search"]
         assert search["triggered"] is True
         assert (search["candidate_index"], search["period"]) == (27, 2)
         # the triggered candidate's array stack, as written, equals the
@@ -250,7 +292,7 @@ class TestFrozenlakeCommand:
         cfg.write_text(self.CFG)
         out = tmp_path / "o"
         assert main(["frozenlake", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        report = json.loads((out / "frozenlake" / "report.json").read_text())
+        report = read_report(out / "frozenlake" / "report.json")
         seconds, rate = report["learner_seconds"], report["learner_steps_per_s"]
         assert seconds > 0.0 and rate > 0.0
         # counted in seed-steps: 2 seeds x 400 steps
@@ -261,7 +303,7 @@ class TestFrozenlakeCommand:
         cfg.write_text('{"grid": [0, 1, 2], "seeds": 1, "steps": 200}')
         out = tmp_path / "o"
         assert main(["frozenlake", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        report = json.loads((out / "frozenlake" / "report.json").read_text())
+        report = read_report(out / "frozenlake" / "report.json")
         assert report["reference_available"] is False
         assert "outside grid range" in report["reference_error"]
         assert "W1 reference unavailable" in capsys.readouterr().err
@@ -284,7 +326,7 @@ class TestVerifyCommand:
         cfg.write_text('{"fast": true}')
         out = tmp_path / "o"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        report = json.loads((out / "verify" / "report.json").read_text())
+        report = read_report(out / "verify" / "report.json")
         assert report["passed"] is True
         assert len(report["properties"]) >= 15
         for entry in report["properties"]:

@@ -28,7 +28,6 @@ from osdrl import (
     solve_q_star,
     sup_wasserstein,
     trace_atoms_to_csv,
-    trace_distances_to_csv,
     wasserstein,
 )
 from osdrl.mdp import TabularMdp
@@ -291,11 +290,6 @@ class TestIterate:
         with pytest.raises(AtomBudgetExceeded):
             iterate(lambda m: distr_bellman_eval(m, mdp, pi), mu0, 10, atom_cap=20)
 
-    def test_q_function_iteration_supported(self):
-        mdp = make_toy_mdp()
-        trace = iterate(lambda q: bellman_opt(q, mdp), np.zeros((2, 2)), 40)
-        assert np.max(np.abs(trace.iterates[-1] - np.array([[2, 2], [0, 0]]))) < 1e-9
-
     def test_rejects_negative_steps(self):
         mu0 = DistributionCollection.constant(1, 1, dirac(0.0))
         with pytest.raises(ValueError):
@@ -349,16 +343,3 @@ class TestTraceCsv:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "entry_id", "atom_or_gridpoint", "weight"]
         assert rows[1][0] == "0" and rows[1][1] == "x0_a0"
-
-    def test_distances_csv_schema(self, tmp_path):
-        mdp = make_toy_mdp()
-        mu0 = DistributionCollection.constant(2, 2, dirac(0.0))
-        eta = one_step_fixed_point_opt(mdp)
-        trace = iterate(lambda m: os_distr_opt(m, mdp), mu0, 3, reference=eta)
-        path = tmp_path / "dist.csv"
-        trace_distances_to_csv(trace, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "dist_to_next", "dist_to_reference"]
-        assert len(rows) == 5  # header + 4 iterates
-        assert rows[-1][1] == ""  # last iterate has no successor distance

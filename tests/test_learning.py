@@ -1,6 +1,7 @@
 import csv
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -407,6 +408,105 @@ class TestUpdatesKeepTheirBits:
                 assert update(tables, x, a, r, x_next, alpha) == ref_update(x, a, r, x_next, alpha)
                 assert np.array_equal(tables.probs, ref.probs)
                 assert categorical_means(tables.probs, grid).tolist() == tables.q == ref.q
+
+
+def count_builds(tables):
+    """Record the reward of every baseline target the update builds: the
+    update asks target_map for its projection matrix only on a memo miss."""
+    builds = []
+    target_map = tables.target_map
+
+    def counted(r):
+        builds.append(r)
+        return target_map(r)
+
+    tables.target_map = counted
+    return builds
+
+
+# (x, a, reward index, x_next, whether the update builds the target anew)
+MEMO_SCRIPT = [
+    (0, 0, 0, 1, True),  # first use of (1, r0)
+    (0, 1, 0, 1, False),  # state 1 untouched: hit
+    (0, 0, 1, 1, True),  # a new reward
+    (0, 1, 1, 1, False),  # hit
+    (1, 0, 0, 1, False),  # x' == x, still the rows (1, r0) was built from
+    (1, 1, 0, 1, True),  # the update before changed state 1
+    (0, 0, 0, 1, True),  # state 1 changed in between
+    (1, 0, 1, 0, True),  # first use of (0, r1)
+    (1, 1, 1, 0, False),  # state 0 untouched: hit
+    (0, 1, 1, 0, False),  # x' == x hit
+    (0, 0, 1, 0, True),  # the update before changed state 0
+]
+
+
+class TestBaselineTargetMemo:
+    @pytest.mark.parametrize(
+        "mode, tie_break", [("control", "lowest"), ("control", "uniform"), ("control", "random"), ("eval", "lowest")]
+    )
+    def test_hits_and_misses_keep_the_reference_bits(self, mode, tie_break):
+        updates, built, seen = 0, 0, Counter()
+        for grid, gamma, probs, policy, _ in update_cases(seed=8, n_cases=12):
+            policy = policy if mode == "eval" else None
+            span = grid[-1] - grid[0]
+            rewards = (float(grid[0] - 0.5 * span), float(grid[1] * (1.0 - gamma)))
+            tables = _Tables(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
+            ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
+            builds = count_builds(tables)
+            for step, (x, a, i, x_next, miss) in enumerate(MEMO_SCRIPT):
+                alpha = 1.0 if step == 3 else 0.2 + 0.05 * step
+                before = len(builds)
+                flag = _cdrl_update(tables, x, a, rewards[i], x_next, alpha)
+                assert flag == ref.cdrl_update(x, a, rewards[i], x_next, alpha)
+                assert np.array_equal(tables.probs, ref.probs)
+                assert tables.q == ref.q
+                if tie_break != "random":  # there the key holds the drawn action too
+                    assert (len(builds) > before) == miss, step
+            # the random tie-break drew exactly what the reference drew
+            if tie_break == "random":
+                assert tables.rng.bit_generator.state == ref.rng.bit_generator.state
+            updates, built, seen = updates + len(MEMO_SCRIPT), built + len(builds), seen + ref.seen
+        assert built < updates
+        assert seen["off_grid_hit"] > 0 and (mode == "eval" or seen["tie"] > 0), seen
+
+    def test_random_tie_break_keys_on_the_drawn_action(self):
+        # successor 1's two rows differ but their means tie exactly, so the
+        # draw picks which target applies on every step
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        probs = np.array([[[1.0, 0.0, 0.0, 0.0]] * 2, [[0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]]])
+        tables = _Tables(probs.copy(), grid, 0.5, None, "random", np.random.default_rng(1))
+        ref = ReferenceLearner(probs.copy(), grid, 0.5, None, "random", np.random.default_rng(1))
+        builds = count_builds(tables)
+        for step in range(12):
+            assert _cdrl_update(tables, 0, step % 2, 0.5, 1, 0.3) == ref.cdrl_update(0, step % 2, 0.5, 1, 0.3)
+            assert np.array_equal(tables.probs, ref.probs)
+        assert ref.seen["tie"] == 12 and len(builds) == 2
+        assert tables.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_a_row_restored_through_probs_drops_its_memo(self):
+        # the mean-field property's pattern: update (x, a), put the row back
+        # through probs and clear targets[x]; a target built from the
+        # updated row in between must not outlive the restore
+        rebuilt = 0
+        for grid, gamma, probs, _, _ in update_cases(seed=9, n_cases=12):
+            r = float(grid[-1] * (1.0 - gamma))
+            tables = _Tables(probs.copy(), grid, gamma)
+            ref = ReferenceLearner(probs.copy(), grid, gamma, None, "lowest", None)
+            builds = count_builds(tables)
+            row, mean = probs[0, 0].copy(), ref.q[0][0]
+            for update in (partial(_cdrl_update, tables), ref.cdrl_update):
+                update(0, 0, r, 1, 0.5)
+                update(1, 0, r, 0, 0.5)  # a target for successor 0 from the updated row
+            for learner in (tables, ref):
+                learner.probs[0, 0], learner.q[0][0] = row, mean
+            assert tables.targets[0]
+            tables.targets[0].clear()
+            n_built = len(builds)
+            assert _cdrl_update(tables, 1, 1, r, 0, 0.5) == ref.cdrl_update(1, 1, r, 0, 0.5)
+            rebuilt += len(builds) - n_built
+            assert np.array_equal(tables.probs, ref.probs)
+            assert tables.q == ref.q
+        assert rebuilt == 12
 
 
 class TestCdrlStep:
