@@ -42,7 +42,6 @@ from .learning import (
     StepSizeSchedule,
     cdrl_step,
     os_cdrl_step,
-    project_dirac_sparse,
     run_learning,
     target_microbenchmark,
     write_learning_csv,
@@ -60,6 +59,7 @@ from .operators import (
     bellman_eval,
     bellman_opt,
     categorical_full_opt,
+    categorical_full_opt_batch,
     categorical_os_eval,
     categorical_os_opt,
     distr_bellman_eval,

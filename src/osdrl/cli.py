@@ -37,8 +37,9 @@ from .learning import (
     run_learning,
     write_learning_csv,
 )
-from .mdp import FROZEN_LAKE_MAP, Policy, TabularMdp, make_frozen_lake, make_toy_mdp
-from .operators import categorical_full_opt, categorical_os_opt, distr_bellman_eval, os_distr_eval
+from .mdp import FROZEN_LAKE_MAP, Policy, make_frozen_lake, make_toy_mdp
+from .operators import categorical_full_opt, categorical_full_opt_batch, categorical_os_opt
+from .operators import distr_bellman_eval, os_distr_eval
 from .svgplot import histogram_chart, line_chart
 from .verify import run_properties
 
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
+SEARCH_CHUNK = 32  # candidates the instability search draws and iterates in lockstep
 
 
 class ConfigError(ValueError):
@@ -198,10 +200,6 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _start_collection(mdp: TabularMdp) -> DistributionCollection:
-    return DistributionCollection.constant(mdp.n_states, mdp.n_actions, dirac(0.0))
-
-
 def _prob_stack(op, start: np.ndarray, n_steps: int) -> np.ndarray:
     """Iterate an array operator n_steps times from start and stack every
     iterate, as an array of shape (n_steps + 1, S, A, K)."""
@@ -249,6 +247,27 @@ def _qfunc_csv(qs: dict, path) -> None:
                     writer.writerow(row)
 
 
+def _tied_candidates(rng, grid, start: np.ndarray, n_candidates: int, n_steps: int):
+    """The search's perturbed toy MDPs in draw order, as (index, r_a, stack)
+    for each whose tie survives rounding: drawn, filtered and iterated
+    n_steps times from start SEARCH_CHUNK at a time, in lockstep."""
+    for first in range(0, n_candidates, SEARCH_CHUNK):
+        # proposals mix the full reward range with the near-gridpoint
+        # window where tied means dither under rounding
+        draws = [
+            float(rng.uniform(0.0, 3.0) if rng.random() < 0.5 else rng.uniform(grid[1] - 0.1, grid[-2] + 0.1))
+            for _ in range(min(SEARCH_CHUNK, n_candidates - first))
+        ]
+        candidates = [(index, r_a, make_toy_mdp(r_a)) for index, r_a in enumerate(draws, first)]
+        tied = [c for c in candidates if abs(np.subtract(*solve_q_star(c[2], tol=1e-12)[0])) <= 1e-9]
+        if tied:
+            op = categorical_full_opt_batch([mdp for _, _, mdp in tied], grid)
+            stacks = _prob_stack(op, np.broadcast_to(start, (len(tied),) + start.shape), n_steps)
+        for c, (index, r_a, _) in enumerate(tied):
+            # categorical_w1's matmul is only known to round alike on a contiguous stack
+            yield index, r_a, np.ascontiguousarray(stacks[:, c])
+
+
 def cmd_instability(config: dict) -> int:
     grid = np.asarray(config["grid"], dtype=float)
     mdp = make_toy_mdp()
@@ -274,21 +293,8 @@ def cmd_instability(config: dict) -> int:
     search = {"triggered": False, "candidates_tried": 0}
     perturbed_stack = None
     if not cdrl_report.oscillating and config["search_candidates"] > 0:
-        rng = np.random.default_rng(config["seed"])
-        search_steps = min(config["steps"], 140)
-        for index in range(config["search_candidates"]):
-            # proposals mix the full reward range with the near-gridpoint
-            # window where tied means dither under rounding
-            if rng.random() < 0.5:
-                r_a = float(rng.uniform(0.0, 3.0))
-            else:
-                r_a = float(rng.uniform(grid[1] - 0.1, grid[-2] + 0.1))
-            candidate = make_toy_mdp(r_a)
-            q_cand = solve_q_star(candidate, tol=1e-12)
-            search["candidates_tried"] = index + 1
-            if abs(q_cand[0, 0] - q_cand[0, 1]) > 1e-9:
-                continue  # tie broken by rounding; not a valid candidate
-            stack = _prob_stack(categorical_full_opt(candidate, grid), start, search_steps)
+        rng, total = np.random.default_rng(config["seed"]), config["search_candidates"]
+        for index, r_a, stack in _tied_candidates(rng, grid, start, total, min(config["steps"], 140)):
             scan = detect_oscillation(stack, grid)
             if scan.oscillating:
                 search.update(
@@ -301,6 +307,7 @@ def cmd_instability(config: dict) -> int:
                 )
                 perturbed_stack = stack
                 break
+        search["candidates_tried"] = search.get("candidate_index", total - 1) + 1
 
     panels = [
         ("onestep", os_stack, "projected one-step control"),
@@ -370,17 +377,18 @@ def cmd_histograms(config: dict) -> int:
     pi = Policy.uniform(2, 2)
     out = _out_dir(config, "histograms")
     n_steps = config["steps"]
+    start = DistributionCollection.constant(mdp.n_states, mdp.n_actions, dirac(0.0))
     try:
         full_trace = iterate(
             lambda m: distr_bellman_eval(m, mdp, pi),
-            _start_collection(mdp),
+            start,
             n_steps,
             atom_cap=config["atom_cap"],
         )
     except AtomBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    os_trace = iterate(lambda m: os_distr_eval(m, mdp, pi), _start_collection(mdp), n_steps)
+    os_trace = iterate(lambda m: os_distr_eval(m, mdp, pi), start, n_steps)
 
     trace_atoms_to_csv(full_trace, out / "atoms_full.csv")
     trace_atoms_to_csv(os_trace, out / "atoms_onestep.csv")

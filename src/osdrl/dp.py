@@ -115,16 +115,6 @@ class IterationTrace:
     iterates: list
     step_distances: list
     ref_distances: Optional[list] = None
-    atom_counts: Optional[list] = None
-
-    def __post_init__(self):
-        n = len(self.iterates)
-        if len(self.step_distances) != max(n - 1, 0):
-            raise ValueError("step_distances length must be len(iterates) - 1")
-        if self.ref_distances is not None and len(self.ref_distances) != n:
-            raise ValueError("ref_distances length must match iterates")
-        if any(d < 0 for d in self.step_distances):
-            raise ValueError("distances must be nonnegative")
 
 
 def iterate(op, mu0, n_steps: int, reference=None, atom_cap: int = 1_000_000) -> IterationTrace:
@@ -138,20 +128,16 @@ def iterate(op, mu0, n_steps: int, reference=None, atom_cap: int = 1_000_000) ->
     iterates = [mu0]
     steps = []
     refs = [sup_wasserstein(mu0, reference, 1.0)] if reference is not None else None
-    atoms = [mu0.total_atoms()]
-    current = mu0
     for _ in range(n_steps):
-        nxt = op(current)
+        nxt = op(iterates[-1])
         count = nxt.total_atoms()
         if count > atom_cap:
             raise AtomBudgetExceeded(count, atom_cap)
-        atoms.append(count)
-        steps.append(sup_wasserstein(nxt, current, 1.0))
+        steps.append(sup_wasserstein(nxt, iterates[-1], 1.0))
         if refs is not None:
             refs.append(sup_wasserstein(nxt, reference, 1.0))
         iterates.append(nxt)
-        current = nxt
-    return IterationTrace(iterates, steps, refs, atoms)
+    return IterationTrace(iterates, steps, refs)
 
 
 def categorical_start(mdp: TabularMdp, grid) -> DistributionCollection:
@@ -263,12 +249,6 @@ def detect_oscillation(stack: np.ndarray, grid) -> OscillationReport:
     return scan_oscillation(n, largest_gap)
 
 
-def _entry_points(dist):
-    if isinstance(dist, CategoricalDistribution):
-        return dist.grid, dist.probs
-    return dist.atoms, dist.weights
-
-
 def trace_atoms_to_csv(trace: IterationTrace, path) -> None:
     """One row per (iteration, entry, atom): iteration, entry_id,
     atom_or_gridpoint, weight."""
@@ -277,6 +257,7 @@ def trace_atoms_to_csv(trace: IterationTrace, path) -> None:
         writer.writerow(["iteration", "entry_id", "atom_or_gridpoint", "weight"])
         for n, mu in enumerate(trace.iterates):
             for (x, a), dist in mu:
-                points, weights = _entry_points(dist)
+                categorical = isinstance(dist, CategoricalDistribution)
+                points, weights = (dist.grid, dist.probs) if categorical else (dist.atoms, dist.weights)
                 for z, w in zip(points, weights):
                     writer.writerow([n, f"x{x}_a{a}", repr(float(z)), repr(float(w))])

@@ -167,16 +167,6 @@ def _add_dirac(row, points, u: float, alpha: float) -> None:
         row[i] += alpha * ((u - lo) / gap)
 
 
-def project_dirac_sparse(grid, u: float):
-    """Sparse categorical projection of a point mass: at most two
-    (index, weight) cells, as a tuple of indices and a tuple of weights."""
-    if len(grid) < 2:
-        raise ValueError("grid must hold at least 2 points")
-    cells = defaultdict(float)
-    _add_dirac(cells, grid, u, 1.0)
-    return tuple(cells), tuple(cells.values())
-
-
 def _check_mode(mode: str, policy) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -602,8 +592,9 @@ def target_microbenchmark(
         next_probs = rng.dirichlet(np.ones(k), size=n_inputs)
         scalar_targets = rewards + gamma * (next_probs @ grid)
         for u in scalar_targets:
-            idxs, _ = project_dirac_sparse(grid_list, u)
-            max_cells = max(max_cells, len(idxs))
+            cells = defaultdict(float)
+            _add_dirac(cells, grid_list, u, 1.0)
+            max_cells = max(max_cells, len(cells))
         scalar_list, sparse_row = scalar_targets.tolist(), memoryview(np.zeros(k))
         os_times, cdrl_times = [], []
         for _ in range(n_reps):

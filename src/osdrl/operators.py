@@ -240,33 +240,39 @@ def _successors(mdp: TabularMdp):
     return nxt, np.where(real, kernel[entry, nxt], 0.0), mdp.reward.reshape(-1, mdp.n_states)[entry, nxt]
 
 
-def categorical_full_opt(mdp: TabularMdp, grid):
-    """Array form of projected(lambda m: distr_bellman_opt(m, mdp, "lowest"), grid).
+def categorical_full_opt_batch(mdps, grid):
+    """categorical_full_opt of C MDPs that share kernel and discount: a
+    (C, S, A, K) probability array maps to one, slice c under mdps[c].
 
     Each entry's atoms r(x,a,x') + gamma * z_k, their stable sort order,
-    bracketing cells and whether any two can merge are laid out once; an
-    application gathers the greedy successors' weights P(x'|x,a) * p_k and
-    projects them.
+    bracketing cells and whether any two can merge are laid out once, a row
+    per entry of each MDP; an application gathers the greedy successors'
+    weights P(x'|x,a) * p_k and projects them. Rows never mix, so a slice
+    keeps its MDP's float operations and their order (_merge_sorted returns
+    a row with nothing to merge bit for bit, so it runs if any MDP needs it).
     """
+    head = mdps[0]
+    if any(not np.array_equal(m.kernel, head.kernel) or m.discount != head.discount for m in mdps):
+        raise ValueError("a batch of MDPs must share kernel and discount")
     grid = np.asarray(grid, dtype=float)
-    n_states, n_actions, k = mdp.n_states, mdp.n_actions, grid.size
-    gamma = mdp.discount
-    nxt, p, reward = _successors(mdp)
-    # component (e, j): the pushforward of the greedy action at successor j
-    atoms = reward[:, :, None] + gamma * grid
-    merge_components = gamma > 0.0 and bool(np.any(np.diff(atoms, axis=2) <= ATOM_MERGE_TOL))
-    order = np.argsort(atoms.reshape(len(p), -1), axis=1, kind="stable")
-    gather = order + np.arange(len(p))[:, None] * order.shape[1]
+    gamma, k = head.discount, grid.size
+    nxt, p, _ = _successors(head)
+    reward = np.stack([m.reward.reshape(len(p), -1) for m in mdps])[:, np.arange(len(p))[:, None], nxt]
+    # component (c, e, j): the pushforward of the greedy action at successor j
+    atoms = reward[..., None] + gamma * grid
+    merge_components = gamma > 0.0 and bool(np.any(np.diff(atoms, axis=-1) <= ATOM_MERGE_TOL))
+    order = np.argsort(atoms.reshape(len(mdps) * len(p), -1), axis=1, kind="stable")
+    gather = order + np.arange(len(order))[:, None] * order.shape[1]
     values = atoms.ravel()[gather]
-    real = np.repeat(p, k, axis=1).ravel()[gather] > 0.0
+    real = np.tile(np.repeat(p, k, axis=1), (len(mdps), 1)).ravel()[gather] > 0.0
     # a merge is possible when fewer runs than atoms survive with all present
     may_merge = np.count_nonzero(_merge_sorted(values, real * 1.0)) < np.count_nonzero(real)
     cells = _cells(values, grid, real)
-    states = np.arange(n_states)
+    batch, states = np.arange(len(mdps))[:, None], np.arange(head.n_states)
 
     def apply(probs: np.ndarray) -> np.ndarray:
-        greedy = categorical_means(probs, grid).argmax(axis=1)  # lowest-index ties
-        comp = probs[states, greedy][nxt]
+        greedy = categorical_means(probs, grid).argmax(axis=-1)  # lowest-index ties
+        comp = probs[batch, states, greedy][:, nxt]
         if gamma == 0.0:
             comp = np.zeros_like(comp)  # each pushforward is dirac(r), weight 1
             comp[..., 0] = 1.0
@@ -275,9 +281,15 @@ def categorical_full_opt(mdp: TabularMdp, grid):
         weights = (p[:, :, None] * comp).ravel()[gather]
         if may_merge:
             weights = _merge_sorted(values, weights)
-        return _project_rows(weights, cells).reshape(n_states, n_actions, k)
+        return _project_rows(weights, cells).reshape(probs.shape)
 
     return apply
+
+
+def categorical_full_opt(mdp: TabularMdp, grid):
+    """Array form of projected(lambda m: distr_bellman_opt(m, mdp, "lowest"), grid): the batch of one."""
+    apply = categorical_full_opt_batch([mdp], grid)
+    return lambda probs: apply(probs[None])[0]
 
 
 def _projected_one_step(mdp: TabularMdp, grid, next_value):

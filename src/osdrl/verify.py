@@ -44,6 +44,7 @@ from .operators import (
     bellman_eval,
     bellman_opt,
     categorical_full_opt,
+    categorical_full_opt_batch,
     categorical_os_eval,
     categorical_os_opt,
     distr_bellman_eval,
@@ -427,9 +428,11 @@ def check_categorical_operators(seed: int = 0, n_cases: int = 120) -> PropertyRe
     (x1, a2) pay the same reward, so their atoms coincide), random MDPs on
     narrow grids that clamp three or more atoms per entry, random MDPs whose
     successors' rewards lie within 1e-12 (merged by from_points), and random
-    MDPs with stochastic evaluation policies."""
+    MDPs with stochastic evaluation policies. The toy cases then go once more
+    through one categorical_full_opt_batch of all their MDPs."""
     rng = np.random.default_rng(seed)
     tracker = _Tracker("categorical_operators_match_object", 0.0)
+    compared, toy = [], []  # (operator, array result, object result, mdp, grid, probs, policy)
     for case_index in range(n_cases):
         family = (case_index - 1) % 6 if case_index else None
         if family is None:
@@ -467,19 +470,24 @@ def check_categorical_operators(seed: int = 0, n_cases: int = 120) -> PropertyRe
             ("one_step_eval", categorical_os_eval(mdp, pi, grid), lambda m: os_distr_eval(m, mdp, pi)),
         )
         for name, array_op, object_op in pairs[family is None :]:  # Frozen Lake: its reference's operators
-            got, want = array_op(probs), projected(object_op, grid)(mu).probs()
-            equal = np.array_equal(got, want)
-            diff = float(np.max(np.abs(got - want)))
-            tracker.record(
-                0.0 if equal else (diff if diff > 0.0 else math.inf),
-                lambda n=name, m=mdp, g=grid, p=probs, q=pi: {
-                    "operator": n,
-                    "mdp": m.to_json(),
-                    "grid": g.tolist(),
-                    "probs": p.tolist(),
-                    "policy": q.probs.tolist(),
-                },
-            )
+            compared.append((name, array_op(probs), projected(object_op, grid)(mu).probs(), mdp, grid, probs, pi))
+            if name == "full_opt" and family in (0, 1, 2):
+                toy.append(compared[-1])
+    if toy:  # the toy cases once more, through one batched application of their MDPs
+        batched = categorical_full_opt_batch([c[3] for c in toy], TOY_GRID)(np.stack([c[5] for c in toy]))
+        compared += [("full_opt_batch", got, *case[2:]) for got, case in zip(batched, toy)]
+    for name, got, want, mdp, grid, probs, pi in compared:
+        diff = float(np.max(np.abs(got - want)))
+        tracker.record(
+            0.0 if np.array_equal(got, want) else (diff if diff > 0.0 else math.inf),
+            lambda n=name, m=mdp, g=grid, p=probs, q=pi: {
+                "operator": n,
+                "mdp": m.to_json(),
+                "grid": g.tolist(),
+                "probs": p.tolist(),
+                "policy": q.probs.tolist(),
+            },
+        )
     return tracker.result()
 
 

@@ -20,6 +20,7 @@ from osdrl.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    SEARCH_CHUNK,
     ConfigError,
     load_config,
     main,
@@ -244,6 +245,29 @@ class TestInstabilityCommand:
             step = sup_wasserstein(mus[n + 1], mus[n], 1.0)
             assert abs(float(distances[n]["dist_to_next"]) - step) <= 1e-12
         assert distances[60]["dist_to_next"] == ""
+
+    def test_default_seed_triggers_at_candidate_374_with_period_two(self, tmp_path):
+        # candidate 374 lies mid-way through the twelfth chunk of SEARCH_CHUNK
+        assert 374 % SEARCH_CHUNK not in (0, SEARCH_CHUNK - 1)
+        out = tmp_path / "o"
+        assert main(["instability", "--out", str(out)]) == EXIT_OK
+        search = read_report(out / "instability" / "report.json")["search"]
+        assert search["triggered"] is True
+        assert (search["candidate_index"], search["period"], search["candidates_tried"]) == (374, 2, 375)
+
+    # seed 9 triggers at candidate 27: a search of 27 stops one short of it
+    @pytest.mark.parametrize("seed, candidates", [(0, 40), (9, 27)])
+    def test_search_that_runs_out_mid_chunk(self, tmp_path, capsys, seed, candidates):
+        assert candidates % SEARCH_CHUNK != 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "search_candidates": candidates}))
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(cfg), "--out", str(out)]) == EXIT_INCONCLUSIVE
+        report = read_report(out / "instability" / "report.json")
+        assert report["search"] == {"triggered": False, "candidates_tried": candidates}
+        assert report["conclusive"] is False
+        assert not (out / "instability" / "probs_cdrl_perturbed.csv").exists()
+        assert f"search tried {candidates} candidates" in capsys.readouterr().out
 
     def test_seed_nine_triggers_at_candidate_27_with_period_two(self, tmp_path):
         out = tmp_path / "o"

@@ -20,7 +20,6 @@ from osdrl import (
     cdrl_step,
     make_toy_mdp,
     os_cdrl_step,
-    project_dirac_sparse,
     project_points,
     projected_fixed_points,
     run_learning,
@@ -146,26 +145,6 @@ class TestLearnerState:
         assert mu[1, 1].probs.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
-class TestProjectDiracSparse:
-    def test_at_most_two_cells(self):
-        grid = np.linspace(-10, 10, 101).tolist()
-        rng = np.random.default_rng(0)
-        for u in rng.uniform(-15, 15, size=500):
-            idxs, ws = project_dirac_sparse(grid, u)
-            assert len(idxs) <= 2
-            assert abs(sum(ws) - 1.0) <= 1e-12
-
-    def test_clamps(self):
-        grid = [0.0, 1.0, 2.0]
-        assert project_dirac_sparse(grid, -3.0) == ((0,), (1.0,))
-        assert project_dirac_sparse(grid, 9.0) == ((2,), (1.0,))
-
-    def test_split_weights(self):
-        idxs, ws = project_dirac_sparse([0.0, 2.0], 0.5)
-        assert idxs == (0, 1)
-        assert ws == (0.75, 0.25)
-
-
 class TestOsCdrlStep:
     def test_full_replacement_on_grid_target(self):
         # alpha = 1 and an on-grid target replaces the row with a unit mass
@@ -265,7 +244,6 @@ class ReferenceLearner:
         u = r + self.gamma * v
         points = self.grid.tolist()
         cells, weights = reference_dirac(points, u)
-        assert project_dirac_sparse(points, u) == (cells, weights)
         self.seen["below" if u < points[0] else "above" if u > points[-1] else "inside"] += 1
         self.seen["on_grid"] += u in points
         row = self.probs[x, a]

@@ -8,6 +8,7 @@ from osdrl import (
     bellman_eval,
     bellman_opt,
     categorical_full_opt,
+    categorical_full_opt_batch,
     categorical_os_eval,
     categorical_os_opt,
     cramer_project,
@@ -404,3 +405,71 @@ class TestArrayOperators:
         result = check_categorical_operators(seed=1, n_cases=24)
         assert result.passed and result.max_violation == 0.0
         assert result.cases >= 24
+
+
+def lone_and_batched(mdps, grid, probs, n_steps):
+    """n_steps applications from probs[c] of each MDP's own operator, and of
+    one batched operator over all of them, as (n_steps + 1, C, S, A, K)."""
+    lone = []
+    for mdp, p in zip(mdps, probs):
+        op, stack = categorical_full_opt(mdp, grid), [p]
+        for _ in range(n_steps):
+            stack.append(op(stack[-1]))
+        lone.append(stack)
+    op, batched = categorical_full_opt_batch(mdps, grid), [probs]
+    for _ in range(n_steps):
+        batched.append(op(batched[-1]))
+    return np.array(lone).swapaxes(0, 1), np.array(batched)
+
+
+class TestFullOptBatch:
+    GRID = np.array([0.0, 1.9, 2.1, 10.0])
+
+    def test_each_candidate_keeps_its_lone_bits(self):
+        # r_a = 1.5 puts coincident atoms in (x1, a2), so the batch runs its
+        # merge step on every row; the others' rows have nothing to merge
+        rng = np.random.default_rng(12)
+        r_as = rng.uniform(1.8, 2.2, 24).tolist() + [1.5] + rng.uniform(0.0, 3.0, 24).tolist()
+        mdps = [make_toy_mdp(r_a) for r_a in r_as]
+        start = categorical_start(mdps[0], self.GRID).probs()
+        lone, batched = lone_and_batched(mdps, self.GRID, np.array([start] * len(mdps)), 140)
+        for c, r_a in enumerate(r_as):
+            assert lone[:, c].tobytes() == batched[:, c].tobytes(), f"candidate {c} (r_a={r_a!r})"
+
+    @pytest.mark.parametrize("grid, discount", [(None, None), ([0.0, 1e-13, 2e-13, 1.0], None), (None, 0.0)])
+    def test_random_rewards_on_one_kernel(self, grid, discount):
+        # successors 0 and 1 of some MDPs pay rewards within the merge
+        # tolerance; a grid of 1e-13 cells merges atoms inside each pushforward
+        rng = np.random.default_rng(13)
+        base = random_mdp(rng, 3, 2)
+        grid = random_grid(rng, max_points=5) if grid is None else np.array(grid)
+        mdps = []
+        for offset in (None, 0.0, 4e-13, 2e-12, None, 9e-13):
+            reward = rng.uniform(-1.0, 1.0, size=base.reward.shape)
+            if offset is not None:
+                reward[..., 1] = reward[..., 0] + offset
+            mdps.append(TabularMdp(kernel=base.kernel, reward=reward, discount=base.discount if discount is None else discount))
+        probs = np.array([random_probs(rng, 3, 2, grid.size) for _ in mdps])
+        lone, batched = lone_and_batched(mdps, grid, probs, 20)
+        assert lone.tobytes() == batched.tobytes()
+        for mdp, p, got in zip(mdps, probs, batched[1]):
+            assert_ops_match(mdp, grid, p)  # and the lone operator is the object-level one
+            assert np.array_equal(got, categorical_full_opt(mdp, grid)(p))
+
+    def test_batch_of_one_is_the_single_operator(self):
+        mdp = make_toy_mdp(1.9)
+        probs = random_probs(np.random.default_rng(14), 2, 2, self.GRID.size)
+        got = categorical_full_opt_batch([mdp], self.GRID)(probs[None])
+        assert got.shape == (1, 2, 2, 4)
+        assert got[0].tobytes() == categorical_full_opt(mdp, self.GRID)(probs).tobytes()
+
+    def test_mdps_must_share_kernel_and_discount(self):
+        mdp = make_toy_mdp()
+        other_kernel = mdp.kernel.copy()
+        other_kernel[0, 1] = [0.25, 0.75]
+        for other in (
+            TabularMdp(kernel=other_kernel, reward=mdp.reward, discount=mdp.discount),
+            TabularMdp(kernel=mdp.kernel, reward=mdp.reward, discount=0.9),
+        ):
+            with pytest.raises(ValueError, match="share kernel and discount"):
+                categorical_full_opt_batch([mdp, other], self.GRID)
