@@ -11,7 +11,6 @@ from .distributions import (
     dirac,
     distribution_from_json,
     dominance_excess,
-    kl_divergence,
     mixture,
     project_points,
     pushforward_affine,

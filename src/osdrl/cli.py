@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 property/runtime failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .learning import (
     run_learning,
     write_learning_csv,
 )
-from .mdp import FROZEN_LAKE_MAP, Policy, make_frozen_lake, make_toy_mdp
+from .mdp import FROZEN_LAKE_MAP, Policy, make_frozen_lake, make_toy_mdp, write_csv
 from .operators import categorical_full_opt, categorical_full_opt_batch, categorical_os_opt
 from .operators import distr_bellman_eval, os_distr_eval
 from .svgplot import histogram_chart, line_chart
@@ -210,12 +210,20 @@ def _prob_stack(op, start: np.ndarray, n_steps: int) -> np.ndarray:
     return stack
 
 
+def _entry_ids(n_states: int, n_actions: int) -> list:
+    return [f"x{x}_a{a}" for x, a in np.ndindex(n_states, n_actions)]
+
+
 def _stack_probs_csv(stack: np.ndarray, grid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "entry_id", "k", "z_k", "prob"])
-        for n, x, a, k in np.ndindex(stack.shape):
-            writer.writerow([n, f"x{x}_a{a}", k, repr(float(grid[k])), repr(float(stack[n, x, a, k]))])
+    cells = list(enumerate(grid.tolist()))
+    entries = _entry_ids(*stack.shape[1:3])
+    rows = (
+        (n, entry, k, z, p)
+        for n, iterate in enumerate(stack.reshape(len(stack), len(entries), -1).tolist())
+        for entry, row in zip(entries, iterate)
+        for (k, z), p in zip(cells, row)
+    )
+    write_csv(path, ["iteration", "entry_id", "k", "z_k", "prob"], rows)
 
 
 def _plot_stack(stack: np.ndarray, grid, entry, path, title) -> None:
@@ -231,20 +239,17 @@ def _plot_stack(stack: np.ndarray, grid, entry, path, title) -> None:
 
 
 def _qfunc_csv(qs: dict, path) -> None:
-    """qs maps a name to its list of Q-function iterates; shorter runs
-    repeat their last iterate."""
+    """qs maps a name to its (n, S, A) array of Q-function iterates; shorter
+    runs repeat their last iterate."""
     names = sorted(qs)
-    length = max(len(qs[n]) for n in names)
-    n_states, n_actions = qs[names[0]][0].shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "entry_id"] + [f"q_{n}" for n in names])
-        for it in range(length):
-            for x in range(n_states):
-                for a in range(n_actions):
-                    row = [it, f"x{x}_a{a}"]
-                    row += [repr(float(qs[n][min(it, len(qs[n]) - 1)][x, a])) for n in names]
-                    writer.writerow(row)
+    runs = [qs[name].reshape(len(qs[name]), -1).tolist() for name in names]
+    entries = _entry_ids(*qs[names[0]].shape[1:])
+    rows = (
+        [it, entry] + [run[min(it, len(run) - 1)][i] for run in runs]
+        for it in range(max(map(len, runs)))
+        for i, entry in enumerate(entries)
+    )
+    write_csv(path, ["iteration", "entry_id"] + [f"q_{name}" for name in names], rows)
 
 
 def _tied_candidates(rng, grid, start: np.ndarray, n_candidates: int, n_steps: int):
@@ -322,11 +327,9 @@ def cmd_instability(config: dict) -> int:
             _plot_stack(stack, grid, (x, a), path, f"{title} at (x{x + 1}, a{a + 1})")
     qs = {"onestep": categorical_means(os_stack, grid), "cdrl": categorical_means(cdrl_stack, grid)}
     _qfunc_csv(qs, out / "qfunc.csv")
-    with open(out / "distances_onestep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "dist_to_next", "dist_to_reference"])
-        for n, ref in enumerate(os_refs):
-            writer.writerow([n, repr(os_steps[n]) if n < len(os_steps) else "", repr(ref)])
+    # the last iterate has no successor: its dist_to_next is empty
+    rows = zip(count(), os_steps + [""], os_refs)
+    write_csv(out / "distances_onestep.csv", ["iteration", "dist_to_next", "dist_to_reference"], rows)
     series = [("cdrl", qs["cdrl"]), ("one-step", qs["onestep"])]
     for x, a in ((0, 0), (0, 1)):
         line_chart(
@@ -393,42 +396,45 @@ def cmd_histograms(config: dict) -> int:
     trace_atoms_to_csv(full_trace, out / "atoms_full.csv")
     trace_atoms_to_csv(os_trace, out / "atoms_onestep.csv")
 
-    with open(out / "atom_counts.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["operator", "iteration", "entry_id", "n_atoms"])
-        for name, trace in (("full", full_trace), ("onestep", os_trace)):
-            for n, mu in enumerate(trace.iterates):
-                for (x, a), dist in mu:
-                    writer.writerow([name, n, f"x{x}_a{a}", dist.atoms.size])
+    rows = (
+        (name, n, f"x{x}_a{a}", dist.atoms.size)
+        for name, trace in (("full", full_trace), ("onestep", os_trace))
+        for n, mu in enumerate(trace.iterates)
+        for (x, a), dist in mu
+    )
+    write_csv(out / "atom_counts.csv", ["operator", "iteration", "entry_id", "n_atoms"], rows)
 
     bins = config["bins"]
     snapshots = [j for j in (0, 2, 4) if j <= n_steps]
-    with open(out / "histograms.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["operator", "iteration", "entry_id", "bin_left", "bin_right", "mass"])
-        for j in snapshots:
-            for (x, a) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                full_d = full_trace.iterates[j][x, a]
-                os_d = os_trace.iterates[j][x, a]
-                lo = min(full_d.atoms[0], os_d.atoms[0])
-                hi = max(full_d.atoms[-1], os_d.atoms[-1])
-                if hi == lo:
-                    hi = lo + 1.0
-                edges = np.linspace(lo, hi, bins + 1)
-                series = []
-                for name, dist in (("full", full_d), ("onestep", os_d)):
-                    masses, _ = np.histogram(dist.atoms, bins=edges, weights=dist.weights)
-                    for left, right, mass in zip(edges[:-1], edges[1:], masses):
-                        writer.writerow(
-                            [name, j, f"x{x}_a{a}", repr(float(left)), repr(float(right)), repr(float(mass))]
-                        )
-                    series.append((name, edges, masses))
-                histogram_chart(
-                    series,
-                    out / f"hist_x{x}_a{a}_iter{j}.svg",
-                    title=f"return distribution at (x{x + 1}, a{a + 1}), iteration {j}",
-                    x_label="return",
-                )
+    hists = []  # (iteration, entry, [(operator, bin edges, masses)])
+    for j in snapshots:
+        for (x, a) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            full_d = full_trace.iterates[j][x, a]
+            os_d = os_trace.iterates[j][x, a]
+            lo = min(full_d.atoms[0], os_d.atoms[0])
+            hi = max(full_d.atoms[-1], os_d.atoms[-1])
+            if hi == lo:
+                hi = lo + 1.0
+            edges = np.linspace(lo, hi, bins + 1)
+            series = [
+                (name, edges, np.histogram(dist.atoms, bins=edges, weights=dist.weights)[0])
+                for name, dist in (("full", full_d), ("onestep", os_d))
+            ]
+            hists.append((j, (x, a), series))
+    rows = (
+        (name, j, f"x{x}_a{a}", left, right, mass)
+        for j, (x, a), series in hists
+        for name, edges, masses in series
+        for left, right, mass in zip(edges[:-1].tolist(), edges[1:].tolist(), masses.tolist())
+    )
+    write_csv(out / "histograms.csv", ["operator", "iteration", "entry_id", "bin_left", "bin_right", "mass"], rows)
+    for j, (x, a), series in hists:
+        histogram_chart(
+            series,
+            out / f"hist_x{x}_a{a}_iter{j}.svg",
+            title=f"return distribution at (x{x + 1}, a{a + 1}), iteration {j}",
+            x_label="return",
+        )
     counts = {
         name: [trace.iterates[j].max_atoms_per_entry() for j in snapshots]
         for name, trace in (("full", full_trace), ("onestep", os_trace))
@@ -479,18 +485,16 @@ def cmd_frozenlake(config: dict) -> int:
     write_learning_csv(records, out / "learning.csv")
 
     steps = records[0].steps
+    cells = list(enumerate(grid.tolist()))
     for x, a in track:
-        rows = np.stack([rec.tracked[(x, a)] for rec in records])  # (seeds, records, K)
-        averaged = rows.mean(axis=0)
-        with open(out / f"probs_x{x}_a{a}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "seed", "k", "z_k", "prob"])
-            for rec in records:
-                for i, step in enumerate(steps):
-                    for k, z in enumerate(grid):
-                        writer.writerow(
-                            [int(step), rec.seed, k, repr(float(z)), repr(float(rec.tracked[(x, a)][i, k]))]
-                        )
+        averaged = np.mean([rec.tracked[(x, a)] for rec in records], axis=0)  # (records, K)
+        rows = (
+            (step, rec.seed, k, z, p)
+            for rec in records
+            for step, row in zip(steps.tolist(), rec.tracked[(x, a)].tolist())
+            for (k, z), p in zip(cells, row)
+        )
+        write_csv(out / f"probs_x{x}_a{a}.csv", ["step", "seed", "k", "z_k", "prob"], rows)
         line_chart(
             [(f"p(z={z:g})", steps.tolist(), averaged[:, k].tolist()) for k, z in enumerate(grid)],
             out / f"probs_x{x}_a{a}.svg",
@@ -503,11 +507,8 @@ def cmd_frozenlake(config: dict) -> int:
     q_mean = np.mean([rec.q_means for rec in records], axis=0)  # (records, S, A)
     err_sq = np.sum((q_mean - q_star[None]) ** 2, axis=(1, 2))
     mean_err_sq = np.mean([rec.q_error_sq for rec in records], axis=0)
-    with open(out / "q_error.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "q_error_sq_of_mean", "mean_q_error_sq"])
-        for i, step in enumerate(steps):
-            writer.writerow([int(step), repr(float(err_sq[i])), repr(float(mean_err_sq[i]))])
+    rows = zip(steps.tolist(), err_sq.tolist(), mean_err_sq.tolist())
+    write_csv(out / "q_error.csv", ["step", "q_error_sq_of_mean", "mean_q_error_sq"], rows)
     line_chart(
         [("||Q_avg - Q*||^2", steps.tolist(), err_sq.tolist())],
         out / "q_error.svg",

@@ -1,9 +1,9 @@
 """Exact arithmetic on finitely supported probability measures.
 
 Atomic measures carry sorted atoms with positive weights; categorical
-measures share a fixed strictly increasing support. Distances, projections,
-dominance checks, and divergences are computed from the piecewise-constant
-CDF / quantile representation, with no sampling anywhere.
+measures share a fixed strictly increasing support. Distances, projections
+and dominance checks are computed from the piecewise-constant CDF /
+quantile representation, with no sampling anywhere.
 """
 
 from __future__ import annotations
@@ -119,6 +119,15 @@ class AtomicDistribution:
         return cls(atoms=doc["atoms"], weights=doc["weights"])
 
 
+def _check_grid(grid: np.ndarray) -> None:
+    """Raise ValueError unless grid is 1-D with at least 2 finite, strictly
+    increasing points."""
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be 1-D with at least 2 points")
+    if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
+        raise ValueError("grid must be finite and strictly increasing")
+
+
 @dataclass(frozen=True)
 class CategoricalDistribution:
     """Probability vector over a fixed strictly increasing support grid (K >= 2)."""
@@ -129,12 +138,9 @@ class CategoricalDistribution:
     def __post_init__(self):
         grid = _frozen_array(self.grid)
         probs = _frozen_array(self.probs)
-        if grid.ndim != 1 or grid.shape != probs.shape:
+        _check_grid(grid)
+        if probs.shape != grid.shape:
             raise ValueError("grid and probs must be equal-length 1-D arrays")
-        if grid.size < 2:
-            raise ValueError("categorical support needs at least 2 grid points")
-        if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
-            raise ValueError("grid must be finite and strictly increasing")
         if _any(probs < 0.0) or not _all(np.isfinite(probs)):
             raise ValueError("probs must be nonnegative and finite")
         total = float(_sum(probs))
@@ -330,10 +336,7 @@ def cramer_project(nu, grid) -> CategoricalDistribution:
     """Project a finitely supported measure onto a categorical grid
     (see project_points)."""
     grid = _frozen_array(grid)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be 1-D with at least 2 points")
-    if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
-        raise ValueError("grid must be finite and strictly increasing")
+    _check_grid(grid)
     nu = _as_atomic(nu)
     return CategoricalDistribution._trusted(grid, project_points(nu.atoms, nu.weights, grid))
 
@@ -375,21 +378,6 @@ def stochastically_dominates(nu1, nu2, tol: float = 1e-12) -> bool:
     """True iff nu1 stochastically dominates nu2: F1(z) <= F2(z) at every
     merged breakpoint, up to tol."""
     return dominance_excess(nu1, nu2) <= tol
-
-
-def kl_divergence(target: CategoricalDistribution, model: CategoricalDistribution) -> float:
-    """KL(target || model) for categorical distributions on the same grid.
-
-    Uses the convention 0 * ln 0 = 0 and raises when the target puts mass
-    where the model has none (absolute continuity violation).
-    """
-    if not np.array_equal(target.grid, model.grid):
-        raise ValueError("target and model must share the same grid")
-    support = target.probs > 0.0
-    if np.any(model.probs[support] == 0.0):
-        raise ValueError("target support is not contained in model support")
-    t = target.probs[support]
-    return float(np.sum(t * np.log(t / model.probs[support])))
 
 
 class DistributionCollection:

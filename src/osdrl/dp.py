@@ -4,7 +4,6 @@ and the oscillation scan used by the instability experiment."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,7 +18,7 @@ from .distributions import (
     dirac,
     sup_wasserstein,
 )
-from .mdp import Policy, TabularMdp
+from .mdp import Policy, TabularMdp, write_csv
 from .operators import (
     _one_step_collection,
     bellman_eval,
@@ -252,12 +251,13 @@ def detect_oscillation(stack: np.ndarray, grid) -> OscillationReport:
 def trace_atoms_to_csv(trace: IterationTrace, path) -> None:
     """One row per (iteration, entry, atom): iteration, entry_id,
     atom_or_gridpoint, weight."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "entry_id", "atom_or_gridpoint", "weight"])
+
+    def rows():
         for n, mu in enumerate(trace.iterates):
             for (x, a), dist in mu:
                 categorical = isinstance(dist, CategoricalDistribution)
                 points, weights = (dist.grid, dist.probs) if categorical else (dist.atoms, dist.weights)
-                for z, w in zip(points, weights):
-                    writer.writerow([n, f"x{x}_a{a}", repr(float(z)), repr(float(w))])
+                for z, w in zip(points.tolist(), weights.tolist()):
+                    yield n, f"x{x}_a{a}", z, w
+
+    write_csv(path, ["iteration", "entry_id", "atom_or_gridpoint", "weight"], rows())

@@ -13,12 +13,12 @@ the updates, which clear the memo of the state they write.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from operator import mul
 from statistics import median
 from typing import Optional
@@ -28,11 +28,12 @@ import numpy as np
 from .distributions import (
     CategoricalDistribution,
     DistributionCollection,
+    _check_grid,
     categorical_means,
     categorical_w1,
     project_points,
 )
-from .mdp import EpisodicEnv, Policy, Transition
+from .mdp import EpisodicEnv, Policy, Transition, write_csv
 from .operators import TIE_BREAKS
 
 # Default epsilon decay: reaches 0.26 at step 5e4 when decaying 1 -> 0.25.
@@ -44,24 +45,22 @@ ALGOS = ("os", "cdrl")
 
 @dataclass(frozen=True)
 class StepSizeSchedule:
-    """Step sizes indexed by per-(x,a) visit counts.
+    """Step sizes c / (1 + visits)^omega, indexed by per-(x,a) visit counts.
 
-    constant(alpha) uses a fixed alpha in (0, 1]; polynomial(c, omega) uses
-    c / (1 + visits)^omega with c > 0 and omega in (0.5, 1], which satisfies
-    the divergent-sum / convergent-squared-sum conditions whenever every
-    pair is visited infinitely often.
+    constant(alpha) is c = alpha in (0, 1] with omega = 0, since
+    (1 + visits)^0 is exactly 1; polynomial(c, omega) takes c > 0 and omega
+    in (0.5, 1], which satisfies the divergent-sum / convergent-squared-sum
+    conditions whenever every pair is visited infinitely often.
     """
 
-    kind: str
-    alpha: float = 0.0
-    c: float = 0.0
-    omega: float = 0.0
+    c: float
+    omega: float
 
     @classmethod
     def constant(cls, alpha: float) -> "StepSizeSchedule":
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"constant step size must lie in (0, 1], got {alpha}")
-        return cls(kind="constant", alpha=float(alpha))
+        return cls(c=float(alpha), omega=0.0)
 
     @classmethod
     def polynomial(cls, c: float = 1.0, omega: float = 0.7) -> "StepSizeSchedule":
@@ -69,16 +68,12 @@ class StepSizeSchedule:
             raise ValueError(f"c must be positive, got {c}")
         if not 0.5 < omega <= 1.0:
             raise ValueError(f"omega must lie in (0.5, 1], got {omega}")
-        return cls(kind="polynomial", c=float(c), omega=float(omega))
+        return cls(c=float(c), omega=float(omega))
 
     def step_size(self, visits: int) -> float:
-        if self.kind == "constant":
-            return self.alpha
         return self.c / (1.0 + visits) ** self.omega
 
     def step_sizes(self, visits: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(np.shape(visits), self.alpha)
         return self.c / (1.0 + np.asarray(visits, dtype=float)) ** self.omega
 
 
@@ -129,8 +124,7 @@ class LearnerState:
         """All mass at z_1 for every pair (the same start the projected
         dynamic-programming iteration uses)."""
         grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be 1-D, strictly increasing, with K >= 2")
+        _check_grid(grid)
         if not 0.0 <= discount < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {discount}")
         probs = np.zeros((n_states, n_actions, grid.size))
@@ -361,19 +355,24 @@ def write_learning_csv(records, path) -> None:
     w1_to_reference, q_error_sup, range_violations, epsilon, mean_alpha.
     Missing metrics print as nan."""
 
-    def col(arr, i):
-        return repr(float(arr[i])) if arr is not None else "nan"
+    def col(arr):
+        return arr.tolist() if arr is not None else repeat(math.nan)
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "seed", "w1_to_reference", "q_error_sup", "range_violations", "epsilon", "mean_alpha"]
+    rows = (
+        row
+        for rec in records
+        for row in zip(
+            rec.steps.tolist(),
+            repeat(rec.seed),
+            col(rec.w1_to_reference),
+            col(rec.q_error_sup),
+            rec.range_violations.tolist(),
+            rec.epsilon.tolist(),
+            rec.mean_alpha.tolist(),
         )
-        for rec in records:
-            for i, step in enumerate(rec.steps):
-                row = [int(step), rec.seed, col(rec.w1_to_reference, i), col(rec.q_error_sup, i)]
-                row += [int(rec.range_violations[i]), col(rec.epsilon, i), col(rec.mean_alpha, i)]
-                writer.writerow(row)
+    )
+    header = ["step", "seed", "w1_to_reference", "q_error_sup", "range_violations", "epsilon", "mean_alpha"]
+    write_csv(path, header, rows)
 
 
 def _reference_probs(reference, grid: np.ndarray) -> np.ndarray:
@@ -453,10 +452,7 @@ def run_learning(
     tables = _Tables(probs, grid, gamma, policy if eval_mode else None)
     q = tables.q
     update = _os_update if algo == "os" else _cdrl_update
-    if schedule.kind == "constant":
-        c, omega = schedule.alpha, 0.0
-    else:
-        c, omega = schedule.c, schedule.omega
+    c, omega = schedule.c, schedule.omega
 
     cum_kernel = _cumulative(mdp.kernel)
     rewards = mdp.reward.tolist()

@@ -1,7 +1,9 @@
-"""Finite MDPs, policies, environment simulation, and the built-in benchmark MDPs."""
+"""Finite MDPs, policies, environment simulation, the built-in benchmark MDPs,
+and the one writer of every canonical CSV."""
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,6 +96,16 @@ class TabularMdp:
     def load(cls, path) -> "TabularMdp":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one canonical CSV: the header, then each row. Rows hold Python
+    values, read in bulk with tolist(); csv prints a Python float as its
+    repr, the shortest text that round-trips, and nan as nan."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)

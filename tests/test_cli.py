@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -360,3 +361,36 @@ class TestVerifyCommand:
         assert len(names) == len(set(names)) >= 15
         assert all(name.startswith("check_") for name in names)
         assert all(suite["seconds"] >= 0.0 for suite in report["suites"])
+
+
+# an integer, an entry id, an operator name, or the empty dist_to_next of the last iterate
+NON_FLOAT_FIELD = re.compile(r"-?\d+|x\d+_a\d+|full|onestep|")
+
+
+def canonical_field(text):
+    if NON_FLOAT_FIELD.fullmatch(text):
+        return True
+    try:
+        return repr(float(text)) == text  # the shortest text that round-trips
+    except ValueError:
+        return False
+
+
+class TestCsvText:
+    def test_every_field_of_every_csv_is_canonical(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # a grid that leaves the W1 reference missing, so learning.csv holds nan
+        cfg.write_text('{"grid": [0, 1, 2], "seeds": 2, "steps": 400, "record_every": 100}')
+        out = tmp_path / "o"
+        assert main(["instability", "--seed", "9", "--out", str(out)]) == EXIT_OK
+        assert main(["histograms", "--out", str(out)]) == EXIT_OK
+        assert main(["frozenlake", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        paths = sorted(out.rglob("*.csv"))
+        # instability 5 (3 probs panels, qfunc, distances), histograms 4, frozenlake 4
+        assert len(paths) == 13
+        for path in paths:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), path.name
+            bad = [field for row in rows for field in row if not canonical_field(field)]
+            assert not bad, f"{path.name}: {bad[:5]}"

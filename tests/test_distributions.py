@@ -17,7 +17,6 @@ from osdrl import (
     distribution_from_json,
     dominance_excess,
     greedy_policy,
-    kl_divergence,
     mixture,
     project_points,
     pushforward_affine,
@@ -363,37 +362,6 @@ class TestStochasticDominance:
         nu = AtomicDistribution.from_points([0.0, 3.0], [0.5, 0.5])
         assert not stochastically_dominates(nu, dirac(1.0))
         assert not stochastically_dominates(dirac(1.0), nu)
-
-
-class TestKlDivergence:
-    def test_zero_on_equal(self):
-        d = CategoricalDistribution(grid=[0.0, 1.0, 2.0], probs=[0.2, 0.3, 0.5])
-        assert kl_divergence(d, d) == 0.0
-
-    def test_single_term(self):
-        t = CategoricalDistribution(grid=[0.0, 1.0], probs=[1.0, 0.0])
-        m = CategoricalDistribution(grid=[0.0, 1.0], probs=[0.5, 0.5])
-        assert abs(kl_divergence(t, m) - math.log(2.0)) <= 1e-15
-
-    def test_support_violation(self):
-        t = CategoricalDistribution(grid=[0.0, 1.0], probs=[0.5, 0.5])
-        m = CategoricalDistribution(grid=[0.0, 1.0], probs=[1.0, 0.0])
-        with pytest.raises(ValueError, match="support"):
-            kl_divergence(t, m)
-
-    def test_rejects_different_grids(self):
-        t = CategoricalDistribution(grid=[0.0, 1.0], probs=[0.5, 0.5])
-        m = CategoricalDistribution(grid=[0.0, 2.0], probs=[0.5, 0.5])
-        with pytest.raises(ValueError, match="grid"):
-            kl_divergence(t, m)
-
-    def test_nonnegative_random(self):
-        rng = np.random.default_rng(4)
-        grid = [0.0, 1.0, 2.0, 3.0]
-        for _ in range(200):
-            t = CategoricalDistribution(grid=grid, probs=rng.dirichlet(np.ones(4)))
-            m = CategoricalDistribution(grid=grid, probs=rng.dirichlet(np.ones(4)))
-            assert kl_divergence(t, m) >= -1e-12
 
 
 class TestCategoricalDistribution:

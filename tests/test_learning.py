@@ -1,4 +1,5 @@
 import csv
+import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import partial
@@ -65,7 +66,9 @@ class FixedAlpha:
 
 class TestStepSizeSchedule:
     def test_constant_bounds(self):
-        assert StepSizeSchedule.constant(0.6).step_size(99) == 0.6
+        sched = StepSizeSchedule.constant(0.6)
+        assert sched.step_size(99) == 0.6
+        assert np.all(sched.step_sizes(np.arange(1000)) == 0.6)
         with pytest.raises(ValueError):
             StepSizeSchedule.constant(0.0)
         with pytest.raises(ValueError):
@@ -118,8 +121,15 @@ class TestLearnerState:
         assert np.all(state.probs.sum(axis=2) == 1.0)
 
     def test_rejects_single_point_grid(self):
-        with pytest.raises(ValueError):
-            LearnerState.initial(2, 2, [0.0], 0.5)
+        # and grids holding nan or inf, on which the learner would run to nan means
+        for grid in ([0.0], [0.0, math.nan, 2.0], [0.0, math.inf], [-math.inf, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="grid"):
+                LearnerState.initial(2, 2, grid, 0.5)
+        with pytest.raises(ValueError, match="grid"):
+            run_learning(
+                toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), [0.0, math.nan, 10.0],
+                "control", 100, seed=0,
+            )
 
     def test_q_values(self):
         state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
