@@ -39,8 +39,6 @@ from .learning import (
     LearnerState,
     LearningRecord,
     StepSizeSchedule,
-    cdrl_step,
-    os_cdrl_step,
     run_learning,
     target_microbenchmark,
     write_learning_csv,

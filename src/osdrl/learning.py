@@ -17,7 +17,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import mul
 from statistics import median
@@ -33,8 +33,7 @@ from .distributions import (
     categorical_w1,
     project_points,
 )
-from .mdp import EpisodicEnv, Policy, Transition, write_csv
-from .operators import TIE_BREAKS
+from .mdp import EpisodicEnv, Policy, write_csv
 
 # Default epsilon decay: reaches 0.26 at step 5e4 when decaying 1 -> 0.25.
 DEFAULT_EPS_RATE = math.log(75.0) / 5e4
@@ -100,8 +99,7 @@ class LearnerState:
     """Categorical distributions over a fixed grid plus visit counters.
 
     probs has shape (n_states, n_actions, K); every row is a probability
-    vector (sums stay within 1e-9 of 1 along any trajectory). The rng is
-    only consulted by the "random" greedy tie-break of the baseline update.
+    vector (sums stay within 1e-9 of 1 along any trajectory).
     """
 
     grid: np.ndarray
@@ -110,7 +108,6 @@ class LearnerState:
     discount: float
     t: int = 0
     range_violations: int = 0
-    rng: Optional[np.random.Generator] = None
 
     @classmethod
     def initial(
@@ -119,7 +116,6 @@ class LearnerState:
         n_actions: int,
         grid,
         discount: float,
-        rng: Optional[np.random.Generator] = None,
     ) -> "LearnerState":
         """All mass at z_1 for every pair (the same start the projected
         dynamic-programming iteration uses)."""
@@ -130,17 +126,10 @@ class LearnerState:
         probs = np.zeros((n_states, n_actions, grid.size))
         probs[:, :, 0] = 1.0
         visits = np.zeros((n_states, n_actions), dtype=np.int64)
-        return cls(grid=grid, probs=probs, visits=visits, discount=float(discount), rng=rng)
+        return cls(grid=grid, probs=probs, visits=visits, discount=float(discount))
 
     def q_values(self) -> np.ndarray:
         return categorical_means(self.probs, self.grid)
-
-    def as_collection(self) -> DistributionCollection:
-        return DistributionCollection.build(
-            self.probs.shape[0],
-            self.probs.shape[1],
-            lambda x, a: CategoricalDistribution(self.grid, self.probs[x, a]),
-        )
 
 
 def _add_dirac(row, points, u: float, alpha: float) -> None:
@@ -161,13 +150,6 @@ def _add_dirac(row, points, u: float, alpha: float) -> None:
         row[i] += alpha * ((u - lo) / gap)
 
 
-def _check_mode(mode: str, policy) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "eval" and policy is None:
-        raise ValueError("eval mode requires a policy")
-
-
 class _Tables:
     """What one learner update reads and writes, held in the forms a per-step
     Python loop reads fastest.
@@ -182,13 +164,13 @@ class _Tables:
     of the one row it changes. policy is None for the greedy bootstrap
     (control) or the Policy that mixes the next state's actions (eval).
 
-    targets[x] maps the reward (with the drawn action under the random
-    tie-break) to the baseline's target from successor x, as Python floats,
-    and its range flag. Both depend only on x's rows: an update that writes
-    one clears targets[x], and any other writer of probs[x] must too.
+    targets[x] maps the reward to the baseline's target from successor x, as
+    Python floats, and its range flag. Both depend only on x's rows: an
+    update that writes one clears targets[x], and any other writer of
+    probs[x] must too.
     """
 
-    def __init__(self, probs, grid, gamma, policy=None, tie_break="lowest", rng=None):
+    def __init__(self, probs, grid, gamma, policy=None):
         self.probs = probs
         self.grid = grid
         self.points = grid.tolist()
@@ -200,8 +182,6 @@ class _Tables:
         self.q = categorical_means(probs, grid).tolist()
         self.policy = policy
         self.policy_rows = None if policy is None else policy.probs.tolist()
-        self.tie_break = tie_break
-        self.rng = rng
         self._target_maps = {}
         self.targets = [{} for _ in self.rows]
 
@@ -243,37 +223,23 @@ def _os_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     return not points[0] <= u <= points[-1]
 
 
-def _greedy(q_row) -> list:
-    """The actions of maximal mean, in increasing order."""
-    best = max(q_row)
-    return [b for b, v in enumerate(q_row) if v == best]
-
-
 def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     """Baseline update: the target projects the K shifted atoms
     r + gamma * z_k of the next state's distribution at the greedy action
-    (ties broken by tie_break) or mixed under the policy. The target is
-    built on the first use of its key since x_next's rows last changed."""
-    memo, key = t.targets[x_next], r
-    if t.policy is None and t.tie_break == "random":
-        # drawn on every step, hit or miss, so the rng stream is unchanged
-        winners = _greedy(t.q[x_next])
-        key = (r, winners[t.rng.integers(len(winners))])
-    found = memo.get(key)
+    (the lowest of tied actions) or mixed under the policy. The target is
+    built on the first use of r since x_next's rows last changed."""
+    memo = t.targets[x_next]
+    found = memo.get(r)
     if found is None:
         if t.policy is not None:
             next_probs = t.policy.probs[x_next] @ t.probs[x_next]
-        elif t.tie_break == "random":
-            next_probs = t.rows[x_next][key[1]]
-        elif t.tie_break == "uniform":
-            next_probs = t.probs[x_next, _greedy(t.q[x_next])].mean(axis=0)
         else:
             q_next = t.q[x_next]
             next_probs = t.rows[x_next][q_next.index(max(q_next))]
         matrix, off = t.target_map(r)
         # next_probs may be row (x, a) itself: read it before the row changes
         violated = off is not None and float(off.dot(next_probs)) > 0.0
-        found = memo[key] = ((next_probs @ matrix).tolist(), violated)
+        found = memo[r] = ((next_probs @ matrix).tolist(), violated)
     target, violated = found
     row, cells, keep = t.rows[x][a], t.cells[x][a], 1.0 - alpha
     # the roundings of row *= keep; row += alpha * target, in their order
@@ -282,55 +248,6 @@ def _cdrl_update(t: _Tables, x, a, r, x_next, alpha) -> bool:
     t.q[x][a] = float(t.dot(row))
     t.targets[x].clear()
     return violated
-
-
-def _step(update, state, tr, schedule, mode, policy, **kwargs) -> LearnerState:
-    """Apply update to a copy of state for one transition."""
-    _check_mode(mode, policy)
-    probs, visits = state.probs.copy(), state.visits.copy()
-    x, a = tr.state, tr.action
-    tables = _Tables(probs, state.grid, state.discount, policy if mode == "eval" else None, **kwargs)
-    # a numpy scalar step size would make every cell operation a numpy call
-    alpha = float(schedule.step_size(visits[x, a]))
-    violated = update(tables, x, a, tr.reward, tr.next_state, alpha)
-    visits[x, a] += 1
-    violations = state.range_violations + int(violated)
-    return replace(state, probs=probs, visits=visits, t=state.t + 1, range_violations=violations)
-
-
-def os_cdrl_step(
-    state: LearnerState,
-    tr: Transition,
-    schedule: StepSizeSchedule,
-    mode: str = "control",
-    policy: Optional[Policy] = None,
-) -> LearnerState:
-    """One-step categorical update from a single transition.
-
-    The target is the projection of a single Dirac at
-    reward + discount * V(next state), with V the policy-mixed (eval) or
-    maximal (control) mean of the next-state distributions. Targets outside
-    [z_1, z_K] are clamped by the projection and counted.
-    """
-    return _step(_os_update, state, tr, schedule, mode, policy)
-
-
-def cdrl_step(
-    state: LearnerState,
-    tr: Transition,
-    schedule: StepSizeSchedule,
-    mode: str = "control",
-    policy: Optional[Policy] = None,
-    tie_break: str = "lowest",
-) -> LearnerState:
-    """Baseline categorical update: the target projects the K shifted atoms
-    of the next-state distribution at the greedy (control) or policy-mixed
-    (eval) action."""
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    if tie_break == "random" and state.rng is None:
-        raise ValueError("tie_break='random' requires a LearnerState rng")
-    return _step(_cdrl_update, state, tr, schedule, mode, policy, tie_break=tie_break, rng=state.rng)
 
 
 @dataclass
@@ -430,7 +347,10 @@ def run_learning(
     state draws the state with u2, and the successor with u2 rescaled to
     that state's cell. So a run's first n steps do not depend on n_steps.
     """
-    _check_mode(mode, policy)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "eval" and policy is None:
+        raise ValueError("eval mode requires a policy")
     if mode == "control" and exploration is None:
         raise ValueError("control mode requires an exploration schedule")
     if algo not in ALGOS:

@@ -20,6 +20,7 @@ from .distributions import (
     AtomicDistribution,
     CategoricalDistribution,
     DistributionCollection,
+    categorical_means,
     categorical_w1,
     cramer_project,
     dirac,
@@ -36,7 +37,6 @@ from .learning import (
     _cdrl_update,
     _os_update,
     _Tables,
-    os_cdrl_step,
     target_microbenchmark,
 )
 from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
@@ -623,16 +623,17 @@ def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
     pi = Policy.uniform(2, 2)
     tracker = _Tracker("mean_tracking_vs_scalar_learner", 1e-9)
     for mode in ("control", "eval"):
-        state = LearnerState.initial(2, 2, grid, mdp.discount)
+        probs = LearnerState.initial(2, 2, grid, mdp.discount).probs
+        tables = _Tables(probs, grid, mdp.discount, pi if mode == "eval" else None)
         q = np.zeros((2, 2))
         visits = np.zeros((2, 2), dtype=int)
         x = env.reset(rng)
-        for _ in range(n_steps):
+        for t in range(1, n_steps + 1):
             if env.is_terminal(x):
                 x = env.reset(rng)
             a = int(rng.integers(2))
             tr = sample_step(env, x, a, rng)
-            state = os_cdrl_step(state, tr, schedule, mode=mode, policy=pi)
+            _os_update(tables, x, a, tr.reward, tr.next_state, float(schedule.step_size(visits[x, a])))
             # scalar update, written independently of the learner module
             alpha = 1.0 / (1.0 + visits[tr.state, tr.action]) ** 0.7
             if mode == "control":
@@ -645,8 +646,8 @@ def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
             visits[tr.state, tr.action] += 1
             x = tr.next_state
             tracker.record(
-                float(np.max(np.abs(state.q_values() - q))),
-                lambda t=state.t, m=mode: {"step": t, "mode": m},
+                float(np.max(np.abs(categorical_means(probs, grid) - q))),
+                lambda t=t, m=mode: {"step": t, "mode": m},
             )
     return tracker.result()
 

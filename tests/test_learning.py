@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 from bisect import bisect_left
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import osdrl.learning
+import osdrl.verify
 from osdrl import (
     EpisodicEnv,
     ExplorationSchedule,
@@ -16,22 +18,19 @@ from osdrl import (
     Policy,
     StepSizeSchedule,
     TabularMdp,
-    Transition,
     categorical_means,
-    cdrl_step,
+    greedy_policy,
     make_toy_mdp,
-    os_cdrl_step,
     project_points,
     projected_fixed_points,
     run_learning,
-    sample_step,
     solve_q_star,
     target_microbenchmark,
     write_learning_csv,
 )
 from osdrl.learning import ALGOS, _add_dirac, _cdrl_update, _os_update, _Tables
 from osdrl.operators import random_mdp
-from osdrl.verify import check_mean_field
+from osdrl.verify import check_mean_field, check_mean_tracking
 
 TOY_GRID = np.array([0.0, 1.9, 2.1, 10.0])
 
@@ -51,17 +50,16 @@ def random_start_env():
     return EpisodicEnv(mdp=mdp, terminal_states=frozenset({4}), initial_state=[0.5, 0.3, 0.2, 0.0, 0.0])
 
 
-class FixedAlpha:
-    """Stub schedule with a constant, possibly zero, step size."""
+def initial_probs(grid):
+    """Two states by two actions, all mass at z_1, as a learner starts."""
+    return LearnerState.initial(2, 2, grid, 0.5).probs
 
-    def __init__(self, alpha):
-        self.alpha = alpha
 
-    def step_size(self, visits):
-        return self.alpha
-
-    def step_sizes(self, visits):
-        return np.full(np.shape(visits), self.alpha)
+def updated(update, probs, grid, transition, alpha, policy=None):
+    """(tables, flag) after one update, at discount 0.5, of a _Tables over
+    a copy of probs by transition (x, a, r, x_next)."""
+    tables = _Tables(probs.copy(), np.asarray(grid), 0.5, policy)
+    return tables, update(tables, *transition, alpha)
 
 
 class TestStepSizeSchedule:
@@ -149,71 +147,56 @@ class TestLearnerState:
         )
         assert np.array_equal(rec.q_means[-1], categorical_means(rec.final_state.probs, TOY_GRID))
 
-    def test_as_collection_round_trip(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        mu = state.as_collection()
-        assert mu[1, 1].probs.tolist() == [1.0, 0.0, 0.0, 0.0]
-
 
 class TestOsCdrlStep:
+    """The one-step update, _os_update, on one transition."""
+
     def test_full_replacement_on_grid_target(self):
-        # alpha = 1 and an on-grid target replaces the row with a unit mass
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        tr = Transition(0, 0, 2.1, 1)  # next-state value is 0, target = 2.1 = z_3
-        out = os_cdrl_step(state, tr, FixedAlpha(1.0), mode="control")
-        assert out.probs[0, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
+        # alpha = 1 and an on-grid target replaces the row with a unit mass:
+        # the next-state value is 0, so the target is 2.1 = z_3
+        tables, _ = updated(_os_update, initial_probs(TOY_GRID), TOY_GRID, (0, 0, 2.1, 1), 1.0)
+        assert tables.probs[0, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_zero_alpha_keeps_distribution(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        tr = Transition(0, 0, 2.0, 1)
-        out = os_cdrl_step(state, tr, FixedAlpha(0.0), mode="control")
-        assert np.array_equal(out.probs, state.probs)
-        assert out.visits[0, 0] == 1 and out.t == 1
+        probs = initial_probs(TOY_GRID)
+        tables, _ = updated(_os_update, probs, TOY_GRID, (0, 0, 2.0, 1), 0.0)
+        assert np.array_equal(tables.probs, probs)
 
     def test_mean_follows_q_learning_update(self):
         rng = np.random.default_rng(5)
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        state.probs[:] = rng.dirichlet(np.ones(4), size=(2, 2))
-        tr = Transition(0, 1, 3.0, 0)
+        probs = rng.dirichlet(np.ones(4), size=(2, 2))
         alpha = 0.3
-        q_before = state.q_values()
+        q_before = categorical_means(probs, TOY_GRID)
         target = 3.0 + 0.5 * q_before[0].max()
-        out = os_cdrl_step(state, tr, FixedAlpha(alpha), mode="control")
+        tables, _ = updated(_os_update, probs, TOY_GRID, (0, 1, 3.0, 0), alpha)
         expected = (1 - alpha) * q_before[0, 1] + alpha * target
-        assert abs(out.q_values()[0, 1] - expected) <= 1e-12
+        assert abs(categorical_means(tables.probs, TOY_GRID)[0, 1] - expected) <= 1e-12
 
     def test_range_violation_counted_and_clamped(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        tr = Transition(0, 0, 50.0, 1)  # target 50 > z_K
-        out = os_cdrl_step(state, tr, FixedAlpha(0.5), mode="control")
-        assert out.range_violations == 1
-        assert out.probs[0, 0, -1] == 0.5  # clamped mass went to z_K
-
-    def test_eval_mode_requires_policy(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        with pytest.raises(ValueError, match="policy"):
-            os_cdrl_step(state, Transition(0, 0, 0.0, 1), FixedAlpha(0.5), mode="eval")
+        # target 50 > z_K
+        tables, violated = updated(_os_update, initial_probs(TOY_GRID), TOY_GRID, (0, 0, 50.0, 1), 0.5)
+        assert violated is True
+        assert tables.probs[0, 0, -1] == 0.5  # clamped mass went to z_K
 
     def test_other_entries_untouched(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        out = os_cdrl_step(state, Transition(0, 0, 2.0, 1), FixedAlpha(0.5))
-        assert np.array_equal(out.probs[0, 1], state.probs[0, 1])
-        assert np.array_equal(out.probs[1], state.probs[1])
+        probs = initial_probs(TOY_GRID)
+        tables, _ = updated(_os_update, probs, TOY_GRID, (0, 0, 2.0, 1), 0.5)
+        assert np.array_equal(tables.probs[0, 1], probs[0, 1])
+        assert np.array_equal(tables.probs[1], probs[1])
 
     def test_target_invariant_to_argmax_ties(self):
         # two next-state actions with exactly equal means but different
         # shapes: the one-step target only uses the max of the means, so any
         # argmax selection (here simulated by relabeling) gives the same update
         grid = np.array([0.0, 2.0, 4.0, 6.0])
-        state = LearnerState.initial(2, 2, grid, 0.5)
-        state.probs[1, 0] = [0.5, 0.0, 0.0, 0.5]  # mean 3
-        state.probs[1, 1] = [0.0, 0.5, 0.5, 0.0]  # mean 3
-        q = state.probs[1] @ grid
+        probs = initial_probs(grid)
+        probs[1, 0] = [0.5, 0.0, 0.0, 0.5]  # mean 3
+        probs[1, 1] = [0.0, 0.5, 0.5, 0.0]  # mean 3
+        q = probs[1] @ grid
         assert q[0] == q[1] == 3.0
-        tr = Transition(0, 0, 1.0, 1)
-        out_a = os_cdrl_step(state, tr, FixedAlpha(0.5), mode="control")
-        state.probs[1] = state.probs[1, ::-1]
-        out_b = os_cdrl_step(state, tr, FixedAlpha(0.5), mode="control")
+        out_a, _ = updated(_os_update, probs, grid, (0, 0, 1.0, 1), 0.5)
+        probs[1] = probs[1, ::-1]
+        out_b, _ = updated(_os_update, probs, grid, (0, 0, 1.0, 1), 0.5)
         assert np.array_equal(out_a.probs[0, 0], out_b.probs[0, 0])
 
 
@@ -235,12 +218,14 @@ def reference_dirac(points, u):
 
 
 class ReferenceLearner:
-    """probs and their kept means, moved by the reference arithmetic. seen
-    tallies the situations the updates met, for the coverage checks."""
+    """probs and their kept means, moved by the reference arithmetic. The
+    baseline's greedy next-state row follows the object-level tie_break rule
+    of greedy_policy; the learner has "lowest" only. seen tallies the
+    situations the updates met, for the coverage checks."""
 
-    def __init__(self, probs, grid, gamma, policy, tie_break, rng):
+    def __init__(self, probs, grid, gamma, policy=None, tie_break="lowest"):
         self.probs, self.grid, self.gamma, self.policy = probs, grid, gamma, policy
-        self.tie_break, self.rng = tie_break, rng
+        self.tie_break = tie_break
         self.q = [[float(row @ grid) for row in rows] for rows in probs]
         self.seen = Counter()
 
@@ -268,14 +253,8 @@ class ReferenceLearner:
             next_probs = self.policy.probs[x_next] @ self.probs[x_next]
         else:
             q_next = self.q[x_next]
-            winners = [b for b, v in enumerate(q_next) if v == max(q_next)]
-            self.seen["tie"] += len(winners) > 1
-            if self.tie_break == "lowest":
-                next_probs = self.probs[x_next, winners[0]]
-            elif self.tie_break == "uniform":
-                next_probs = self.probs[x_next, winners].mean(axis=0)
-            else:
-                next_probs = self.probs[x_next, winners[self.rng.integers(len(winners))]]
+            self.seen["tie"] += q_next.count(max(q_next)) > 1
+            next_probs = greedy_policy(np.array([q_next]), self.tie_break).probs[0] @ self.probs[x_next]
         grid = self.grid
         atoms = r + self.gamma * grid
         matrix = np.array([project_points(atoms[k : k + 1], np.ones(1), grid) for k in range(atoms.size)])
@@ -332,13 +311,14 @@ def update_cases(seed, n_cases=60, n_updates=12, k=None):
 def replay(algo, mode, tie_break, cases) -> Counter:
     """Run each case's transitions through the learner's update and the
     reference side by side, asserting the same rows, means and flags after
-    every update; return the situations the reference met."""
+    every update; return the situations the reference met. tie_break is the
+    reference's greedy rule."""
     update = _os_update if algo == "os" else _cdrl_update
     seen = Counter()
     for grid, gamma, probs, policy, transitions in cases:
         policy = policy if mode == "eval" else None
-        tables = _Tables(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
-        ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
+        tables = _Tables(probs.copy(), grid, gamma, policy)
+        ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break)
         ref_update = ref.os_update if algo == "os" else ref.cdrl_update
         assert tables.q == ref.q
         for x, a, r, x_next, alpha in transitions:
@@ -355,8 +335,6 @@ UPDATE_KINDS = [
     ("os", "control", "lowest"),
     ("os", "eval", "lowest"),
     ("cdrl", "control", "lowest"),
-    ("cdrl", "control", "uniform"),
-    ("cdrl", "control", "random"),
     ("cdrl", "eval", "lowest"),
 ]
 
@@ -387,7 +365,7 @@ class TestUpdatesKeepTheirBits:
         update = _os_update if algo == "os" else _cdrl_update
         for grid, gamma, probs, _, transitions in update_cases(seed=7, n_cases=12):
             tables = _Tables(probs.copy(), grid, gamma)
-            ref = ReferenceLearner(probs.copy(), grid, gamma, None, "lowest", None)
+            ref = ReferenceLearner(probs.copy(), grid, gamma)
             ref_update = ref.os_update if algo == "os" else ref.cdrl_update
             for x, a, r, x_next, alpha in transitions:
                 row, mean = tables.probs[x, a].copy(), tables.q[x][a]
@@ -429,17 +407,15 @@ MEMO_SCRIPT = [
 
 
 class TestBaselineTargetMemo:
-    @pytest.mark.parametrize(
-        "mode, tie_break", [("control", "lowest"), ("control", "uniform"), ("control", "random"), ("eval", "lowest")]
-    )
+    @pytest.mark.parametrize("mode, tie_break", [("control", "lowest"), ("eval", "lowest")])
     def test_hits_and_misses_keep_the_reference_bits(self, mode, tie_break):
         updates, built, seen = 0, 0, Counter()
         for grid, gamma, probs, policy, _ in update_cases(seed=8, n_cases=12):
             policy = policy if mode == "eval" else None
             span = grid[-1] - grid[0]
             rewards = (float(grid[0] - 0.5 * span), float(grid[1] * (1.0 - gamma)))
-            tables = _Tables(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
-            ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break, np.random.default_rng(1))
+            tables = _Tables(probs.copy(), grid, gamma, policy)
+            ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break)
             builds = count_builds(tables)
             for step, (x, a, i, x_next, miss) in enumerate(MEMO_SCRIPT):
                 alpha = 1.0 if step == 3 else 0.2 + 0.05 * step
@@ -448,28 +424,10 @@ class TestBaselineTargetMemo:
                 assert flag == ref.cdrl_update(x, a, rewards[i], x_next, alpha)
                 assert np.array_equal(tables.probs, ref.probs)
                 assert tables.q == ref.q
-                if tie_break != "random":  # there the key holds the drawn action too
-                    assert (len(builds) > before) == miss, step
-            # the random tie-break drew exactly what the reference drew
-            if tie_break == "random":
-                assert tables.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert (len(builds) > before) == miss, step
             updates, built, seen = updates + len(MEMO_SCRIPT), built + len(builds), seen + ref.seen
         assert built < updates
         assert seen["off_grid_hit"] > 0 and (mode == "eval" or seen["tie"] > 0), seen
-
-    def test_random_tie_break_keys_on_the_drawn_action(self):
-        # successor 1's two rows differ but their means tie exactly, so the
-        # draw picks which target applies on every step
-        grid = np.array([0.0, 1.0, 2.0, 3.0])
-        probs = np.array([[[1.0, 0.0, 0.0, 0.0]] * 2, [[0.5, 0.0, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]]])
-        tables = _Tables(probs.copy(), grid, 0.5, None, "random", np.random.default_rng(1))
-        ref = ReferenceLearner(probs.copy(), grid, 0.5, None, "random", np.random.default_rng(1))
-        builds = count_builds(tables)
-        for step in range(12):
-            assert _cdrl_update(tables, 0, step % 2, 0.5, 1, 0.3) == ref.cdrl_update(0, step % 2, 0.5, 1, 0.3)
-            assert np.array_equal(tables.probs, ref.probs)
-        assert ref.seen["tie"] == 12 and len(builds) == 2
-        assert tables.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_a_row_restored_through_probs_drops_its_memo(self):
         # the mean-field property's pattern: update (x, a), put the row back
@@ -479,7 +437,7 @@ class TestBaselineTargetMemo:
         for grid, gamma, probs, _, _ in update_cases(seed=9, n_cases=12):
             r = float(grid[-1] * (1.0 - gamma))
             tables = _Tables(probs.copy(), grid, gamma)
-            ref = ReferenceLearner(probs.copy(), grid, gamma, None, "lowest", None)
+            ref = ReferenceLearner(probs.copy(), grid, gamma)
             builds = count_builds(tables)
             row, mean = probs[0, 0].copy(), ref.q[0][0]
             for update in (partial(_cdrl_update, tables), ref.cdrl_update):
@@ -498,15 +456,16 @@ class TestBaselineTargetMemo:
 
 
 class TestCdrlStep:
+    """The baseline update, _cdrl_update, on one transition."""
+
     def test_on_grid_dirac_next_state_matches_os_target(self):
         # when the next-state distribution is a unit mass on a grid point
         # the two targets coincide
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        state.probs[1, 0] = [0.0, 0.0, 1.0, 0.0]
-        state.probs[1, 1] = [0.0, 0.0, 1.0, 0.0]
-        tr = Transition(0, 0, 1.0, 1)
-        out_cdrl = cdrl_step(state, tr, FixedAlpha(0.5), mode="control")
-        out_os = os_cdrl_step(state, tr, FixedAlpha(0.5), mode="control")
+        probs = initial_probs(TOY_GRID)
+        probs[1, 0] = [0.0, 0.0, 1.0, 0.0]
+        probs[1, 1] = [0.0, 0.0, 1.0, 0.0]
+        out_cdrl, _ = updated(_cdrl_update, probs, TOY_GRID, (0, 0, 1.0, 1), 0.5)
+        out_os, _ = updated(_os_update, probs, TOY_GRID, (0, 0, 1.0, 1), 0.5)
         assert np.allclose(out_cdrl.probs, out_os.probs, atol=1e-14)
 
     def test_target_means_agree_in_range(self):
@@ -514,71 +473,36 @@ class TestCdrlStep:
         rng = np.random.default_rng(9)
         grid = np.linspace(0.0, 10.0, 6)
         for _ in range(100):
-            state = LearnerState.initial(2, 2, grid, 0.5)
-            state.probs[:] = rng.dirichlet(np.ones(6), size=(2, 2))
-            tr = Transition(0, 0, float(rng.uniform(0.0, 5.0)), 1)
-            out_cdrl = cdrl_step(state, tr, FixedAlpha(1.0), mode="control")
-            out_os = os_cdrl_step(state, tr, FixedAlpha(1.0), mode="control")
-            assert out_cdrl.q_values()[0, 0] == pytest.approx(
-                out_os.q_values()[0, 0], abs=1e-10
+            probs = rng.dirichlet(np.ones(6), size=(2, 2))
+            tr = (0, 0, float(rng.uniform(0.0, 5.0)), 1)
+            out_cdrl, _ = updated(_cdrl_update, probs, grid, tr, 1.0)
+            out_os, _ = updated(_os_update, probs, grid, tr, 1.0)
+            assert categorical_means(out_cdrl.probs, grid)[0, 0] == pytest.approx(
+                categorical_means(out_os.probs, grid)[0, 0], abs=1e-10
             )
 
     def test_eval_mode_mixes_policy(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        state.probs[1, 0] = [1.0, 0.0, 0.0, 0.0]
-        state.probs[1, 1] = [0.0, 0.0, 0.0, 1.0]
-        pi = Policy.uniform(2, 2)
-        tr = Transition(0, 0, 0.0, 1)
-        out = cdrl_step(state, tr, FixedAlpha(1.0), mode="eval", policy=pi)
+        probs = initial_probs(TOY_GRID)
+        probs[1, 0] = [1.0, 0.0, 0.0, 0.0]
+        probs[1, 1] = [0.0, 0.0, 0.0, 1.0]
+        out, _ = updated(_cdrl_update, probs, TOY_GRID, (0, 0, 0.0, 1), 1.0, policy=Policy.uniform(2, 2))
         # mixed next-state distribution: half at 0, half at 10, shifted by gamma
-        assert out.q_values()[0, 0] == pytest.approx(0.5 * (0.0 + 0.5 * 10.0), abs=1e-12)
+        assert categorical_means(out.probs, TOY_GRID)[0, 0] == pytest.approx(0.5 * (0.0 + 0.5 * 10.0), abs=1e-12)
 
     def test_tie_break_affects_cdrl_but_not_os(self):
+        # tied means, different shapes: the baseline projects the row of the
+        # lowest tied action, so relabeling the rows changes its update; the
+        # one-step update reads only the tied mean
         grid = np.array([0.0, 2.0, 4.0, 6.0])
-        state = LearnerState.initial(2, 2, grid, 0.5)
-        state.probs[1, 0] = [0.5, 0.0, 0.0, 0.5]  # tied means, different shapes
-        state.probs[1, 1] = [0.0, 0.5, 0.5, 0.0]
-        tr = Transition(0, 0, 1.0, 1)
-        out_low = cdrl_step(state, tr, FixedAlpha(1.0), tie_break="lowest")
-        out_mix = cdrl_step(state, tr, FixedAlpha(1.0), tie_break="uniform")
-        assert not np.allclose(out_low.probs[0, 0], out_mix.probs[0, 0])
-
-
-def scalar_q_learning(discount, transitions, step_size_fn, n_states, n_actions):
-    """Independent scalar oracle fed the same transition stream."""
-    q = np.zeros((n_states, n_actions))
-    visits = np.zeros((n_states, n_actions), dtype=int)
-    trajectory = []
-    for x, a, r, xn in transitions:
-        alpha = step_size_fn(visits[x, a])
-        q[x, a] = (1 - alpha) * q[x, a] + alpha * (r + discount * q[xn].max())
-        visits[x, a] += 1
-        trajectory.append(q.copy())
-    return trajectory
-
-
-class TestMeanTracking:
-    def test_means_match_scalar_learner_exactly(self):
-        env = toy_env()
-        mdp = env.mdp
-        rng = np.random.default_rng(77)
-        transitions = []
-        x = env.reset(rng)
-        for _ in range(2000):
-            if env.is_terminal(x):
-                x = env.reset(rng)
-            a = int(rng.integers(2))
-            tr = sample_step(env, x, a, rng)
-            transitions.append(tr)
-            x = tr.next_state
-        sched = StepSizeSchedule.polynomial(c=1.0, omega=0.7)
-        state = LearnerState.initial(2, 2, TOY_GRID, mdp.discount)
-        scalar = scalar_q_learning(
-            mdp.discount, transitions, sched.step_size, 2, 2
-        )
-        for tr, q_expected in zip(transitions, scalar):
-            state = os_cdrl_step(state, tr, sched, mode="control")
-            assert np.max(np.abs(state.q_values() - q_expected)) <= 1e-9
+        probs = initial_probs(grid)
+        probs[1, 0] = [0.5, 0.0, 0.0, 0.5]
+        probs[1, 1] = [0.0, 0.5, 0.5, 0.0]
+        swapped = probs.copy()
+        swapped[1] = probs[1, ::-1]
+        cdrl = [updated(_cdrl_update, p, grid, (0, 0, 1.0, 1), 1.0)[0].probs[0, 0] for p in (probs, swapped)]
+        one_step = [updated(_os_update, p, grid, (0, 0, 1.0, 1), 1.0)[0].probs[0, 0] for p in (probs, swapped)]
+        assert not np.allclose(cdrl[0], cdrl[1])
+        assert np.array_equal(one_step[0], one_step[1])
 
 
 class TestRunLearning:
@@ -684,8 +608,8 @@ class TestRunLearning:
             lines += (tmp_path / f"{i}.csv").read_text().splitlines()[0 if i == 0 else 1 :]
         assert (tmp_path / "both.csv").read_text().splitlines() == lines
 
-    @pytest.mark.parametrize("algo, step", [("os", os_cdrl_step), ("cdrl", cdrl_step)])
-    def test_step_functions_replay_the_harness_bit_for_bit(self, algo, step):
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_step_functions_replay_the_harness_bit_for_bit(self, algo):
         env, pi = toy_env(), Policy.uniform(2, 2)
         schedule = StepSizeSchedule.polynomial()
         rec = run_learning(env, schedule, None, TOY_GRID, "eval", 2000, seed=4, policy=pi, algo=algo)
@@ -694,19 +618,23 @@ class TestRunLearning:
         # eval mode, the third draws the successor
         uniforms = np.random.default_rng(4).random((2000, 3))
         mdp = env.mdp
-        state = LearnerState.initial(2, 2, TOY_GRID, mdp.discount)
+        update = _os_update if algo == "os" else _cdrl_update
+        tables = _Tables(initial_probs(TOY_GRID), TOY_GRID, mdp.discount, pi)
+        visits = np.zeros((2, 2), dtype=np.int64)
+        violations = 0
         x = env.initial_state
         for u_action, _, u_next in uniforms:
             if env.is_terminal(x):
                 x = env.initial_state
             a = int(np.searchsorted(np.cumsum(pi.probs[x]), u_action, side="right"))
             x_next = int(np.searchsorted(np.cumsum(mdp.kernel[x, a]), u_next, side="right"))
-            tr = Transition(x, a, float(mdp.reward[x, a, x_next]), x_next)
-            state = step(state, tr, schedule, mode="eval", policy=pi)
+            alpha = float(schedule.step_size(visits[x, a]))
+            violations += update(tables, x, a, float(mdp.reward[x, a, x_next]), x_next, alpha)
+            visits[x, a] += 1
             x = x_next
-        assert np.array_equal(state.probs, rec.final_state.probs)
-        assert np.array_equal(state.visits, rec.final_state.visits)
-        assert state.range_violations == rec.final_state.range_violations
+        assert np.array_equal(tables.probs, rec.final_state.probs)
+        assert np.array_equal(visits, rec.final_state.visits)
+        assert violations == rec.final_state.range_violations
 
     def test_rejects_bad_arguments(self):
         env = toy_env()
@@ -728,6 +656,8 @@ class TestRunLearning:
                     env, StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID,
                     "control", 100, 0, record_every=record_every,
                 )
+        with pytest.raises(ValueError, match="policy"):
+            run_learning(env, StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0)
         for pi in (Policy.uniform(3, 2), Policy.uniform(2, 3)):
             with pytest.raises(ValueError, match="policy shape"):
                 run_learning(env, StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0, policy=pi)
@@ -840,3 +770,17 @@ class TestMeanField:
         result = check_mean_field(seed=1, n_cases=12)
         assert not result.passed
         assert result.failing_case["algo"] == "os"
+
+
+class TestMeanTrackingProperty:
+    def test_a_broken_update_fails(self, monkeypatch):
+        # the bootstrap discounted twice, r + gamma^2 V(x'), moves the means
+        # off the scalar learner's iterates
+        def gamma_twice(tables, x, a, r, x_next, alpha):
+            mutant = copy.copy(tables)  # shares the rows and means it writes
+            mutant.gamma = tables.gamma**2
+            return _os_update(mutant, x, a, r, x_next, alpha)
+
+        assert check_mean_tracking(seed=0, n_steps=300).passed
+        monkeypatch.setattr(osdrl.verify, "_os_update", gamma_twice)
+        assert check_mean_tracking(seed=0, n_steps=300).passed is False

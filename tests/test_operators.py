@@ -305,7 +305,7 @@ class TestProjectedOperators:
         assert again[0, 0].probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def as_collection(probs, grid):
+def categorical_collection(probs, grid):
     return DistributionCollection.build(
         probs.shape[0], probs.shape[1], lambda x, a: CategoricalDistribution(grid, probs[x, a])
     )
@@ -314,7 +314,7 @@ def as_collection(probs, grid):
 def assert_ops_match(mdp, grid, probs, policy=None):
     """Every array operator equals its object-level composition bit for bit."""
     policy = policy or Policy.uniform(mdp.n_states, mdp.n_actions)
-    mu = as_collection(probs, grid)
+    mu = categorical_collection(probs, grid)
     pairs = (
         (categorical_full_opt(mdp, grid), lambda m: distr_bellman_opt(m, mdp, tie_break="lowest")),
         (categorical_os_opt(mdp, grid), lambda m: os_distr_opt(m, mdp)),
