@@ -178,6 +178,12 @@ class TestOsCdrlStep:
         assert violated is True
         assert tables.probs[0, 0, -1] == 0.5  # clamped mass went to z_K
 
+    def test_eval_mode_requires_policy(self):
+        # eval mode reads _os_update's next-state value from a policy; with
+        # none the run is refused before any update
+        with pytest.raises(ValueError, match="policy"):
+            run_learning(toy_env(), StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0, algo="os")
+
     def test_other_entries_untouched(self):
         probs = initial_probs(TOY_GRID)
         tables, _ = updated(_os_update, probs, TOY_GRID, (0, 0, 2.0, 1), 0.5)
@@ -656,8 +662,6 @@ class TestRunLearning:
                     env, StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID,
                     "control", 100, 0, record_every=record_every,
                 )
-        with pytest.raises(ValueError, match="policy"):
-            run_learning(env, StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0)
         for pi in (Policy.uniform(3, 2), Policy.uniform(2, 3)):
             with pytest.raises(ValueError, match="policy shape"):
                 run_learning(env, StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0, policy=pi)
