@@ -9,7 +9,6 @@ from .distributions import (
     categorical_w1,
     cramer_project,
     dirac,
-    distribution_from_json,
     dominance_excess,
     mixture,
     project_points,
@@ -20,7 +19,6 @@ from .distributions import (
 )
 from .dp import (
     AtomBudgetExceeded,
-    IterationTrace,
     OscillationReport,
     RangeConditionError,
     categorical_start,
@@ -29,7 +27,6 @@ from .dp import (
     one_step_fixed_point_eval,
     one_step_fixed_point_opt,
     projected_fixed_points,
-    scan_oscillation,
     solve_q_pi,
     solve_q_star,
     trace_atoms_to_csv,

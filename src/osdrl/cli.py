@@ -382,7 +382,7 @@ def cmd_histograms(config: dict) -> int:
     n_steps = config["steps"]
     start = DistributionCollection.constant(mdp.n_states, mdp.n_actions, dirac(0.0))
     try:
-        full_trace = iterate(
+        full = iterate(
             lambda m: distr_bellman_eval(m, mdp, pi),
             start,
             n_steps,
@@ -391,15 +391,15 @@ def cmd_histograms(config: dict) -> int:
     except AtomBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    os_trace = iterate(lambda m: os_distr_eval(m, mdp, pi), start, n_steps)
+    one_step = iterate(lambda m: os_distr_eval(m, mdp, pi), start, n_steps)
 
-    trace_atoms_to_csv(full_trace, out / "atoms_full.csv")
-    trace_atoms_to_csv(os_trace, out / "atoms_onestep.csv")
+    trace_atoms_to_csv(full, out / "atoms_full.csv")
+    trace_atoms_to_csv(one_step, out / "atoms_onestep.csv")
 
     rows = (
         (name, n, f"x{x}_a{a}", dist.atoms.size)
-        for name, trace in (("full", full_trace), ("onestep", os_trace))
-        for n, mu in enumerate(trace.iterates)
+        for name, iterates in (("full", full), ("onestep", one_step))
+        for n, mu in enumerate(iterates)
         for (x, a), dist in mu
     )
     write_csv(out / "atom_counts.csv", ["operator", "iteration", "entry_id", "n_atoms"], rows)
@@ -409,8 +409,8 @@ def cmd_histograms(config: dict) -> int:
     hists = []  # (iteration, entry, [(operator, bin edges, masses)])
     for j in snapshots:
         for (x, a) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            full_d = full_trace.iterates[j][x, a]
-            os_d = os_trace.iterates[j][x, a]
+            full_d = full[j][x, a]
+            os_d = one_step[j][x, a]
             lo = min(full_d.atoms[0], os_d.atoms[0])
             hi = max(full_d.atoms[-1], os_d.atoms[-1])
             if hi == lo:
@@ -436,8 +436,8 @@ def cmd_histograms(config: dict) -> int:
             x_label="return",
         )
     counts = {
-        name: [trace.iterates[j].max_atoms_per_entry() for j in snapshots]
-        for name, trace in (("full", full_trace), ("onestep", os_trace))
+        name: [iterates[j].max_atoms_per_entry() for j in snapshots]
+        for name, iterates in (("full", full), ("onestep", one_step))
     }
     _write_json(out / "report.json", {"snapshots": snapshots, "max_atoms_per_entry": counts})
     print(f"atom counts per entry (max) at iterations {snapshots}: {counts}")
@@ -596,8 +596,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed, "steps": args.steps, "out": args.out}
-    if args.command == "verify":
-        overrides.pop("steps")
     try:
         return COMMANDS[args.command](load_config(args.command, args.config, overrides))
     except ConfigError as exc:

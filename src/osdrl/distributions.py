@@ -178,14 +178,6 @@ class CategoricalDistribution:
         return cls(grid=doc["grid"], probs=doc["probs"])
 
 
-def distribution_from_json(doc: dict):
-    if "atoms" in doc:
-        return AtomicDistribution.from_json(doc)
-    if "grid" in doc:
-        return CategoricalDistribution.from_json(doc)
-    raise ValueError("unrecognized distribution document")
-
-
 def _as_atomic(dist) -> AtomicDistribution:
     if isinstance(dist, AtomicDistribution):
         return dist

@@ -1,11 +1,11 @@
 """Exact dynamic programming: scalar fixed points, closed-form one-step
-distributional fixed points, operator iteration with trajectory recording,
-and the oscillation scan used by the instability experiment."""
+distributional fixed points, operator iteration, and the oscillation scan
+used by the instability experiment."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,6 @@ from .distributions import (
     categorical_w1,
     cramer_project,
     dirac,
-    sup_wasserstein,
 )
 from .mdp import Policy, TabularMdp, write_csv
 from .operators import (
@@ -102,41 +101,21 @@ class AtomBudgetExceeded(RuntimeError):
         super().__init__(f"iterate holds {count} atoms, exceeding the cap of {cap}")
 
 
-@dataclass
-class IterationTrace:
-    """Recorded operator iteration: all iterates plus distance diagnostics.
-
-    step_distances[n] is the sup-W1 distance from iterate n to iterate n+1;
-    ref_distances[n] (when a reference was supplied) is the sup-W1 distance
-    from iterate n to the reference.
-    """
-
-    iterates: list
-    step_distances: list
-    ref_distances: Optional[list] = None
-
-
-def iterate(op, mu0, n_steps: int, reference=None, atom_cap: int = 1_000_000) -> IterationTrace:
-    """Apply op n_steps times from the distribution collection mu0,
-    recording iterates and distances. Raises AtomBudgetExceeded if a
-    produced iterate holds more than atom_cap atoms (guards unprojected
-    full-operator iteration).
+def iterate(op, mu0, n_steps: int, atom_cap: int = 1_000_000) -> list:
+    """The n_steps + 1 iterates of op from the distribution collection mu0.
+    Raises AtomBudgetExceeded if a produced iterate holds more than atom_cap
+    atoms (guards unprojected full-operator iteration).
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     iterates = [mu0]
-    steps = []
-    refs = [sup_wasserstein(mu0, reference, 1.0)] if reference is not None else None
     for _ in range(n_steps):
         nxt = op(iterates[-1])
         count = nxt.total_atoms()
         if count > atom_cap:
             raise AtomBudgetExceeded(count, atom_cap)
-        steps.append(sup_wasserstein(nxt, iterates[-1], 1.0))
-        if refs is not None:
-            refs.append(sup_wasserstein(nxt, reference, 1.0))
         iterates.append(nxt)
-    return IterationTrace(iterates, steps, refs)
+    return iterates
 
 
 def categorical_start(mdp: TabularMdp, grid) -> DistributionCollection:
@@ -208,27 +187,28 @@ class OscillationReport:
     period: Optional[int]
     aperiodic: bool
     max_step_tail: float
-    recurrence: dict = field(default_factory=dict)
+    recurrence: dict
 
 
-def scan_oscillation(
-    n: int, largest_gap, tol: float = 1e-6, max_period: int = 4, burn_in: Optional[int] = None
-) -> OscillationReport:
-    """Periodicity scan over the tail of n iterates.
+def detect_oscillation(stack: np.ndarray, grid) -> OscillationReport:
+    """Periodicity scan over the second half of an (n, S, A, K) stack of
+    iterates on one grid: the instability signature is successive iterates
+    that stay apart in sup-W1 while some period-q recurrence comes close.
 
-    largest_gap(q, start) returns the largest distance between iterates i and
-    i + q over start <= i < n - q. The scan starts at burn_in (default: the
-    second half). converged means the period-1 recurrence is already below
-    tol; a tail that neither converges nor recurs within max_period is
-    reported as aperiodic.
+    recurrence[q], for q <= 4, is the largest sup-W1 between iterates q apart
+    in that half (nan when it holds no such pair). converged means the
+    period-1 recurrence is already below 1e-6; a tail that neither converges
+    nor recurs within period 4 is reported as aperiodic.
     """
-    if burn_in is None:
-        burn_in = n // 2
+    n = len(stack)
+    tol, max_period, burn_in = 1e-6, 4, n // 2
     recurrence = {
-        q: largest_gap(q, burn_in) if n - q > burn_in else math.nan
+        q: float(categorical_w1(stack[burn_in : n - q], stack[burn_in + q :], grid).max())
+        if n - q > burn_in
+        else math.nan
         for q in range(1, max_period + 1)
     }
-    max_step_tail = recurrence.get(1, math.nan)
+    max_step_tail = recurrence[1]
     converged = bool(max_step_tail < tol)  # nan compares False
     recurs = [q for q in range(2, max_period + 1) if recurrence[q] < tol]
     period = None if converged or not recurs else recurs[0]
@@ -236,24 +216,12 @@ def scan_oscillation(
     return OscillationReport(converged, period is not None, period, aperiodic, max_step_tail, recurrence)
 
 
-def detect_oscillation(stack: np.ndarray, grid) -> OscillationReport:
-    """Flag the instability signature in an (n, S, A, K) stack of iterates on
-    one grid: successive iterates stay apart in sup-W1 while some period-q
-    recurrence (q <= 4) comes within 1e-6; see scan_oscillation."""
-    n = len(stack)
-
-    def largest_gap(q, start):
-        return float(categorical_w1(stack[start : n - q], stack[start + q :], grid).max())
-
-    return scan_oscillation(n, largest_gap)
-
-
-def trace_atoms_to_csv(trace: IterationTrace, path) -> None:
-    """One row per (iteration, entry, atom): iteration, entry_id,
-    atom_or_gridpoint, weight."""
+def trace_atoms_to_csv(iterates: list, path) -> None:
+    """One row per (iteration, entry, atom) of the iterates: iteration,
+    entry_id, atom_or_gridpoint, weight."""
 
     def rows():
-        for n, mu in enumerate(trace.iterates):
+        for n, mu in enumerate(iterates):
             for (x, a), dist in mu:
                 categorical = isinstance(dist, CategoricalDistribution)
                 points, weights = (dist.grid, dist.probs) if categorical else (dist.atoms, dist.weights)

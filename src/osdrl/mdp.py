@@ -4,7 +4,6 @@ and the one writer of every canonical CSV."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,15 +86,6 @@ class TabularMdp:
         if kernel.shape != expected:
             raise ValueError(f"kernel shape {kernel.shape} inconsistent with header {expected}")
         return cls(kernel=kernel, reward=reward, discount=doc["discount"])
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "TabularMdp":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def write_csv(path, header, rows) -> None:

@@ -10,10 +10,6 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 44
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _ranges(series):
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy if math.isfinite(y)]
@@ -43,10 +39,10 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
     parts.append(
         f'<path d="M {x0} {y1} L {x0} {y0} L {x1} {y0}" stroke="black" fill="none"/>'
     )
-    parts.append(f'<text x="{x0}" y="{y0 + 16}" text-anchor="middle">{_fmt(x_lo)}</text>')
-    parts.append(f'<text x="{x1}" y="{y0 + 16}" text-anchor="middle">{_fmt(x_hi)}</text>')
-    parts.append(f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end">{_fmt(y_lo)}</text>')
-    parts.append(f'<text x="{x0 - 6}" y="{y1 + 4}" text-anchor="end">{_fmt(y_hi)}</text>')
+    parts.append(f'<text x="{x0}" y="{y0 + 16}" text-anchor="middle">{x_lo:.6g}</text>')
+    parts.append(f'<text x="{x1}" y="{y0 + 16}" text-anchor="middle">{x_hi:.6g}</text>')
+    parts.append(f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end">{y_lo:.6g}</text>')
+    parts.append(f'<text x="{x0 - 6}" y="{y1 + 4}" text-anchor="end">{y_hi:.6g}</text>')
     if x_label:
         parts.append(
             f'<text x="{(x0 + x1) / 2}" y="{_H - 10}" text-anchor="middle">{x_label}</text>'
@@ -74,7 +70,7 @@ def line_chart(series, path, title="", x_label="", y_label="") -> None:
     _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label)
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        points = " ".join(f"{px(x):.6g},{py(y):.6g}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -113,9 +109,9 @@ def histogram_chart(series, path, title="", x_label="", y_label="mass") -> None:
             if mass <= 0:
                 continue
             parts.append(
-                f'<rect x="{_fmt(px(left))}" y="{_fmt(py(mass))}" '
-                f'width="{_fmt(px(right) - px(left))}" '
-                f'height="{_fmt(py(0.0) - py(mass))}" fill="{color}" fill-opacity="0.45"/>'
+                f'<rect x="{px(left):.6g}" y="{py(mass):.6g}" '
+                f'width="{px(right) - px(left):.6g}" '
+                f'height="{py(0.0) - py(mass):.6g}" fill="{color}" fill-opacity="0.45"/>'
             )
         parts.append(
             f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * i}" text-anchor="end" '

@@ -605,8 +605,8 @@ def check_banach_residual(seed: int = 0, n_cases: int = 50) -> PropertyResult:
         ]
         case = lambda m=mdp: {"mdp": m.to_json()}
         for op in ops:
-            trace = iterate(op, mu0, 8)
-            steps = trace.step_distances
+            iterates = iterate(op, mu0, 8)
+            steps = [sup_wasserstein(nxt, cur, 1.0) for cur, nxt in zip(iterates, iterates[1:])]
             for n in range(1, len(steps)):
                 tracker.record(steps[n] - mdp.discount * steps[n - 1], case)
     return tracker.result()

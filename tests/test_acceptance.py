@@ -211,8 +211,8 @@ def test_criterion_8_atom_growth():
     mu0 = DistributionCollection.constant(2, 2, dirac(0.0))
     full = iterate(lambda m: distr_bellman_eval(m, mdp, pi), mu0, 4)
     one_step = iterate(lambda m: os_distr_eval(m, mdp, pi), mu0, 4)
-    os_max = max(mu.max_atoms_per_entry() for mu in one_step.iterates)
-    full_at_2 = full.iterates[2].max_atoms_per_entry()
+    os_max = max(mu.max_atoms_per_entry() for mu in one_step)
+    full_at_2 = full[2].max_atoms_per_entry()
     ok = os_max <= 2 and full_at_2 > 2
     report(8, ok, f"one-step max atoms/entry {os_max} (<=2); full at j=2: {full_at_2} (>2)")
     assert os_max <= 2

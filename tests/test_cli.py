@@ -114,6 +114,11 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_option_that_does_not_apply_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "--steps", "5", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "steps" in capsys.readouterr().err
+        assert not (tmp_path / "verify").exists()
+
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")

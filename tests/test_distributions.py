@@ -14,7 +14,6 @@ from osdrl import (
     dirac,
     distr_bellman_eval,
     distr_bellman_opt,
-    distribution_from_json,
     dominance_excess,
     greedy_policy,
     mixture,
@@ -92,7 +91,7 @@ class TestAtomicDistribution:
 
     def test_json_round_trip(self):
         d = AtomicDistribution.from_points([0.0, 4.0], [0.5, 0.5])
-        back = distribution_from_json(json.loads(json.dumps(d.to_json())))
+        back = AtomicDistribution.from_json(json.loads(json.dumps(d.to_json())))
         assert np.array_equal(back.atoms, d.atoms)
         assert np.array_equal(back.weights, d.weights)
 
@@ -371,7 +370,7 @@ class TestCategoricalDistribution:
 
     def test_json_round_trip(self):
         d = CategoricalDistribution(grid=[0.0, 10.0, 20.0], probs=[0.5, 0.25, 0.25])
-        back = distribution_from_json(json.loads(json.dumps(d.to_json())))
+        back = CategoricalDistribution.from_json(json.loads(json.dumps(d.to_json())))
         assert np.array_equal(back.grid, d.grid)
         assert np.array_equal(back.probs, d.probs)
 

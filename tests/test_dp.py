@@ -23,7 +23,6 @@ from osdrl import (
     os_distr_opt,
     projected,
     projected_fixed_points,
-    scan_oscillation,
     solve_q_pi,
     solve_q_star,
     sup_wasserstein,
@@ -248,8 +247,7 @@ class TestProjectedFixedPoints:
 class TestIterate:
     def test_zero_steps_keeps_initial_only(self):
         mu0 = DistributionCollection.constant(2, 2, dirac(0.0))
-        trace = iterate(lambda m: m, mu0, 0)
-        assert len(trace.iterates) == 1 and trace.step_distances == []
+        assert iterate(lambda m: m, mu0, 0) == [mu0]
 
     def test_projected_one_step_distances_decay_geometrically(self):
         mdp = make_toy_mdp()
@@ -258,8 +256,7 @@ class TestIterate:
         mu0 = DistributionCollection.constant(2, 2, dirac(0.0)).map(
             lambda d: d
         )
-        trace = iterate(op, mu0, 30, reference=eta)
-        refs = trace.ref_distances
+        refs = [sup_wasserstein(mu, eta, 1.0) for mu in iterate(op, mu0, 30)]
         for n in range(len(refs) - 1):
             if refs[n] > 1e-12:
                 assert refs[n + 1] <= mdp.discount * refs[n] + 1e-10
@@ -270,8 +267,8 @@ class TestIterate:
             mdp = random_mdp(rng)
             pi = random_policy(rng, mdp.n_states, mdp.n_actions)
             mu0 = DistributionCollection.constant(mdp.n_states, mdp.n_actions, dirac(0.0))
-            trace = iterate(lambda m: os_distr_eval(m, mdp, pi), mu0, 10)
-            steps = trace.step_distances
+            iterates = iterate(lambda m: os_distr_eval(m, mdp, pi), mu0, 10)
+            steps = [sup_wasserstein(nxt, cur, 1.0) for cur, nxt in zip(iterates, iterates[1:])]
             for n in range(1, len(steps)):
                 assert steps[n] <= mdp.discount * steps[n - 1] + 1e-10
 
@@ -279,8 +276,7 @@ class TestIterate:
         mdp = make_toy_mdp()
         pi = Policy.uniform(2, 2)
         mu0 = DistributionCollection.constant(2, 2, dirac(0.0))
-        trace = iterate(lambda m: distr_bellman_eval(m, mdp, pi), mu0, 4)
-        for j, mu in enumerate(trace.iterates):
+        for j, mu in enumerate(iterate(lambda m: distr_bellman_eval(m, mdp, pi), mu0, 4)):
             assert mu.max_atoms_per_entry() <= (2 * 2) ** j
 
     def test_atom_cap_aborts(self):
@@ -317,28 +313,27 @@ class TestOscillationDetector:
         report = detect_oscillation(self._stack(rng.uniform(0.05, 0.95, size=40)), self.GRID)
         assert report.aperiodic and not report.converged and not report.oscillating
 
-    def test_scan_takes_gaps_from_callback(self):
-        calls = []
+    def test_flags_period_three_cycle(self):
+        report = detect_oscillation(self._stack([0.1, 0.5, 0.9] * 10), self.GRID)
+        assert report.oscillating and report.period == 3 and not report.converged
+        assert report.recurrence[1] > 1e-6 and report.recurrence[2] > 1e-6
+        assert report.max_step_tail == report.recurrence[1]
 
-        def largest_gap(q, start):
-            calls.append((q, start))
-            return 0.0 if q == 3 else 1.0
-
-        report = scan_oscillation(10, largest_gap)
-        assert report.oscillating and report.period == 3 and report.max_step_tail == 1.0
-        assert calls == [(1, 5), (2, 5), (3, 5), (4, 5)]
-        # lags that leave no pair after burn-in read as nan and are never called
-        report = scan_oscillation(10, largest_gap, burn_in=7)
-        assert math.isnan(report.recurrence[3]) and report.aperiodic
+    def test_lags_without_a_pair_after_burn_in_are_nan(self):
+        # of five iterates the scan reads 2, 3 and 4 (burn-in n // 2): lag 2
+        # still finds a pair, lags 3 and 4 find none
+        report = detect_oscillation(self._stack([0.1, 0.5, 0.9, 0.3, 0.7]), self.GRID)
+        assert not math.isnan(report.recurrence[2])
+        assert math.isnan(report.recurrence[3]) and math.isnan(report.recurrence[4])
+        assert report.aperiodic and not report.converged and not report.oscillating
 
 
 class TestTraceCsv:
     def test_atoms_csv_schema(self, tmp_path):
         mdp = make_toy_mdp()
         mu0 = DistributionCollection.constant(2, 2, dirac(0.0))
-        trace = iterate(lambda m: os_distr_opt(m, mdp), mu0, 2)
         path = tmp_path / "atoms.csv"
-        trace_atoms_to_csv(trace, path)
+        trace_atoms_to_csv(iterate(lambda m: os_distr_opt(m, mdp), mu0, 2), path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "entry_id", "atom_or_gridpoint", "weight"]

@@ -79,13 +79,6 @@ class TestTabularMdp:
         assert np.array_equal(back.reward, mdp.reward)
         assert back.discount == mdp.discount
 
-    def test_save_load(self, tmp_path):
-        mdp = make_frozen_lake().mdp
-        path = tmp_path / "lake.json"
-        mdp.save(path)
-        back = TabularMdp.load(path)
-        assert np.array_equal(back.kernel, mdp.kernel)
-
 
 class TestPolicy:
     def test_uniform_rows(self):
