@@ -37,7 +37,6 @@ from .learning import (
     LearningRecord,
     StepSizeSchedule,
     run_learning,
-    target_microbenchmark,
     write_learning_csv,
 )
 from .mdp import (

@@ -41,7 +41,6 @@ from .mdp import FROZEN_LAKE_MAP, Policy, make_frozen_lake, make_toy_mdp, write_
 from .operators import categorical_full_opt, categorical_full_opt_batch, categorical_os_opt
 from .operators import distr_bellman_eval, os_distr_eval
 from .svgplot import histogram_chart, line_chart
-from .verify import run_properties
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -547,6 +546,8 @@ def cmd_frozenlake(config: dict) -> int:
 
 
 def cmd_verify(config: dict) -> int:
+    from .verify import run_properties  # here, so the other commands never compile the suites
+
     out = _out_dir(config, "verify")
     results, bench, suites = run_properties(seed=config["seed"], fast=config["fast"])
     passed = all(r.passed for r in results)
@@ -580,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
         cmd.add_argument("--seed", type=int, default=None, help="base random seed")
-        cmd.add_argument("--steps", type=int, default=None, help="iterations / learning steps")
+        if "steps" in DEFAULTS[name]:
+            cmd.add_argument("--steps", type=int, default=None, help="iterations / learning steps")
         cmd.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 
@@ -595,7 +597,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "steps": args.steps, "out": args.out}
+    overrides = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     try:
         return COMMANDS[args.command](load_config(args.command, args.config, overrides))
     except ConfigError as exc:

@@ -14,13 +14,10 @@ the updates, which clear the memo of the state they write.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mul
-from statistics import median
 from typing import Optional
 
 import numpy as np
@@ -463,77 +460,3 @@ def run_learning(
         final_state=state,
     )
 
-
-@dataclass
-class MicrobenchmarkResult:
-    """Median per-call target-construction times and their ratios per K."""
-
-    rows: list
-    ratio_increasing: bool
-    max_cells: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def target_microbenchmark(
-    k_values=(8, 64, 512, 4096),
-    n_reps: int = 64,
-    seed: int = 0,
-    n_inputs: int = 32,
-) -> MicrobenchmarkResult:
-    """Wall-time comparison of the two categorical target constructions.
-
-    For each grid size K, times the dense K-atom projected target against the
-    sparse single-Dirac target on identical random inputs (medians over
-    n_reps). The sparse side times _add_dirac, the kernel the one-step
-    learner runs, adding into one row through a memoryview. Also verifies
-    the sparse target writes at most 2 cells for every K. The scalar
-    bootstrap values are precomputed outside the timed region so only
-    target construction is measured.
-    """
-    k_values = tuple(int(k) for k in k_values)
-    if any(k < 2 for k in k_values):
-        raise ValueError("every K must be >= 2")
-    if sorted(k_values) != list(k_values) or len(set(k_values)) != len(k_values):
-        raise ValueError("k_values must be strictly increasing")
-    rng = np.random.default_rng(seed)
-    gamma = 0.95
-    rows = []
-    max_cells = 0
-    for k in k_values:
-        grid = np.linspace(-10.0, 10.0, k)
-        grid_list = grid.tolist()
-        rewards = rng.uniform(-1.0, 1.0, size=n_inputs)
-        next_probs = rng.dirichlet(np.ones(k), size=n_inputs)
-        scalar_targets = rewards + gamma * (next_probs @ grid)
-        for u in scalar_targets:
-            cells = defaultdict(float)
-            _add_dirac(cells, grid_list, u, 1.0)
-            max_cells = max(max_cells, len(cells))
-        scalar_list, sparse_row = scalar_targets.tolist(), memoryview(np.zeros(k))
-        os_times, cdrl_times = [], []
-        for _ in range(n_reps):
-            t0 = time.perf_counter()
-            for u in scalar_list:
-                _add_dirac(sparse_row, grid_list, u, 1.0)
-            t1 = time.perf_counter()
-            for r, row in zip(rewards, next_probs):
-                project_points(r + gamma * grid, row, grid)
-            t2 = time.perf_counter()
-            os_times.append((t1 - t0) / n_inputs)
-            cdrl_times.append((t2 - t1) / n_inputs)
-        os_med, cdrl_med = median(os_times), median(cdrl_times)
-        rows.append(
-            {
-                "k": k,
-                "os_seconds": os_med,
-                "cdrl_seconds": cdrl_med,
-                "ratio": cdrl_med / os_med,
-            }
-        )
-    return MicrobenchmarkResult(
-        rows=rows,
-        ratio_increasing=rows[-1]["ratio"] > rows[0]["ratio"],
-        max_cells=max_cells,
-    )

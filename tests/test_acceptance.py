@@ -28,7 +28,6 @@ from osdrl import (
     run_learning,
     sample_step,
     solve_q_star,
-    target_microbenchmark,
 )
 from osdrl.cli import EXIT_INCONCLUSIVE, EXIT_OK, cmd_instability, load_config
 from osdrl.learning import _os_update, _Tables
@@ -38,6 +37,7 @@ from osdrl.verify import (
     check_fixed_points,
     check_mean_preservation,
     check_projection_lemma,
+    target_microbenchmark,
 )
 
 TOY_GRID = np.array([0.0, 1.9, 2.1, 10.0])

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import osdrl
 from osdrl import (
     categorical_start,
     distr_bellman_opt,
@@ -115,9 +120,18 @@ class TestConfigHandling:
         assert "not_a_key" in capsys.readouterr().err
 
     def test_option_that_does_not_apply_is_config_error(self, tmp_path, capsys):
-        assert main(["verify", "--steps", "5", "--out", str(tmp_path)]) == EXIT_CONFIG
+        # verify has no steps key, so its parser has no --steps flag
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--steps", "5", "--out", str(tmp_path)])
+        assert exit_info.value.code == EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
         assert not (tmp_path / "verify").exists()
+
+    def test_steps_flag_only_where_the_defaults_have_steps(self, capsys):
+        for command, defaults in DEFAULTS.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert ("--steps" in capsys.readouterr().out) == ("steps" in defaults)
 
     def test_malformed_json_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -366,6 +380,24 @@ class TestVerifyCommand:
         assert len(names) == len(set(names)) >= 15
         assert all(name.startswith("check_") for name in names)
         assert all(suite["seconds"] >= 0.0 for suite in report["suites"])
+
+
+class TestStartup:
+    def test_cli_import_leaves_the_verify_suites_unloaded(self):
+        # a fresh interpreter, so no earlier test has imported osdrl.verify
+        src = str(Path(osdrl.__file__).resolve().parents[1])
+        code = "import sys, osdrl, osdrl.cli; print(sorted(m for m in sys.modules if m.startswith('osdrl')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        loaded = proc.stdout.strip()
+        assert "'osdrl.cli'" in loaded
+        assert "'osdrl.verify'" not in loaded, loaded
 
 
 # an integer, an entry id, an operator name, or the empty dist_to_next of the last iterate

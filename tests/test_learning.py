@@ -25,12 +25,11 @@ from osdrl import (
     projected_fixed_points,
     run_learning,
     solve_q_star,
-    target_microbenchmark,
     write_learning_csv,
 )
 from osdrl.learning import ALGOS, _add_dirac, _cdrl_update, _os_update, _Tables
 from osdrl.operators import random_mdp
-from osdrl.verify import check_mean_field, check_mean_tracking
+from osdrl.verify import check_mean_field, check_mean_tracking, target_microbenchmark
 
 TOY_GRID = np.array([0.0, 1.9, 2.1, 10.0])
 
