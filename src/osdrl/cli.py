@@ -213,26 +213,21 @@ def _entry_ids(n_states: int, n_actions: int) -> list:
     return [f"x{x}_a{a}" for x, a in np.ndindex(n_states, n_actions)]
 
 
-def _stack_probs_csv(stack: np.ndarray, grid, path) -> None:
+def _probs_csv(path, labels: list, labelled_rows, grid) -> None:
+    """labelled_rows yields (values of the label columns, probability row):
+    one CSV row per grid cell of each, labels then k, z_k and prob."""
     cells = list(enumerate(grid.tolist()))
-    entries = _entry_ids(*stack.shape[1:3])
-    rows = (
-        (n, entry, k, z, p)
-        for n, iterate in enumerate(stack.reshape(len(stack), len(entries), -1).tolist())
-        for entry, row in zip(entries, iterate)
-        for (k, z), p in zip(cells, row)
-    )
-    write_csv(path, ["iteration", "entry_id", "k", "z_k", "prob"], rows)
+    rows = ((*values, k, z, p) for values, row in labelled_rows for (k, z), p in zip(cells, row))
+    write_csv(path, labels + ["k", "z_k", "prob"], rows)
 
 
-def _plot_stack(stack: np.ndarray, grid, entry, path, title) -> None:
-    x, a = entry
-    xs = list(range(stack.shape[0]))
+def _probs_chart(xs, rows: np.ndarray, grid, path, title, x_label) -> None:
+    """One line per grid cell k: rows[:, k] against xs."""
     line_chart(
-        [(f"p(z={z:g})", xs, stack[:, x, a, k].tolist()) for k, z in enumerate(grid)],
+        [(f"p(z={z:g})", xs, rows[:, k].tolist()) for k, z in enumerate(grid)],
         path,
         title=title,
-        x_label="iteration",
+        x_label=x_label,
         y_label="probability",
     )
 
@@ -319,11 +314,15 @@ def cmd_instability(config: dict) -> int:
     ]
     if perturbed_stack is not None:
         panels.append(("cdrl_perturbed", perturbed_stack, "perturbed instance"))
+    entries = _entry_ids(mdp.n_states, mdp.n_actions)
     for name, stack, title in panels:
-        _stack_probs_csv(stack, grid, out / f"probs_{name}.csv")
+        iterates = stack.reshape(len(stack), len(entries), -1).tolist()
+        labelled = (((n, entry), row) for n, it in enumerate(iterates) for entry, row in zip(entries, it))
+        _probs_csv(out / f"probs_{name}.csv", ["iteration", "entry_id"], labelled, grid)
         for x, a in ((0, 0), (0, 1)):
             path = out / f"{name}_probs_x{x}_a{a}.svg"
-            _plot_stack(stack, grid, (x, a), path, f"{title} at (x{x + 1}, a{a + 1})")
+            entry_title = f"{title} at (x{x + 1}, a{a + 1})"
+            _probs_chart(range(len(stack)), stack[:, x, a], grid, path, entry_title, "iteration")
     qs = {"onestep": categorical_means(os_stack, grid), "cdrl": categorical_means(cdrl_stack, grid)}
     _qfunc_csv(qs, out / "qfunc.csv")
     # the last iterate has no successor: its dist_to_next is empty
@@ -484,23 +483,16 @@ def cmd_frozenlake(config: dict) -> int:
     write_learning_csv(records, out / "learning.csv")
 
     steps = records[0].steps
-    cells = list(enumerate(grid.tolist()))
     for x, a in track:
-        averaged = np.mean([rec.tracked[(x, a)] for rec in records], axis=0)  # (records, K)
-        rows = (
-            (step, rec.seed, k, z, p)
+        labelled = (
+            ((step, rec.seed), row)
             for rec in records
             for step, row in zip(steps.tolist(), rec.tracked[(x, a)].tolist())
-            for (k, z), p in zip(cells, row)
         )
-        write_csv(out / f"probs_x{x}_a{a}.csv", ["step", "seed", "k", "z_k", "prob"], rows)
-        line_chart(
-            [(f"p(z={z:g})", steps.tolist(), averaged[:, k].tolist()) for k, z in enumerate(grid)],
-            out / f"probs_x{x}_a{a}.svg",
-            title=f"seed-averaged probabilities at (x{x + 1}, a{a + 1})",
-            x_label="step",
-            y_label="probability",
-        )
+        _probs_csv(out / f"probs_x{x}_a{a}.csv", ["step", "seed"], labelled, grid)
+        averaged = np.mean([rec.tracked[(x, a)] for rec in records], axis=0)  # (records, K)
+        title = f"seed-averaged probabilities at (x{x + 1}, a{a + 1})"
+        _probs_chart(steps.tolist(), averaged, grid, out / f"probs_x{x}_a{a}.svg", title, "step")
 
     # Q-error of the seed-averaged Q-function (one curve per run set)
     q_mean = np.mean([rec.q_means for rec in records], axis=0)  # (records, S, A)
@@ -516,12 +508,11 @@ def cmd_frozenlake(config: dict) -> int:
         y_label="error",
     )
 
-    nonzero = steps > 0
-    first_idx = int(np.argmax(nonzero))
+    # steps[0] is 0, and steps[1] the first record after a step
     report = {
         "seeds": len(seeds),
         "steps": config["steps"],
-        "q_error_sq_of_mean_first": float(err_sq[first_idx]),
+        "q_error_sq_of_mean_first": float(err_sq[1]),
         "q_error_sq_of_mean_last": float(err_sq[-1]),
         "reference_available": reference is not None,
         "reference_error": reference_error,
@@ -540,7 +531,7 @@ def cmd_frozenlake(config: dict) -> int:
     _write_json(out / "report.json", report)
     print(
         f"frozenlake: {len(seeds)} seeds x {config['steps']} steps; "
-        f"||Q_avg - Q*||^2 {err_sq[first_idx]:.3f} -> {err_sq[-1]:.3f}"
+        f"||Q_avg - Q*||^2 {err_sq[1]:.3f} -> {err_sq[-1]:.3f}"
     )
     return EXIT_OK
 

@@ -28,7 +28,6 @@ from .distributions import (
     _check_grid,
     categorical_means,
     categorical_w1,
-    project_points,
 )
 from .mdp import EpisodicEnv, Policy, write_csv
 
@@ -93,40 +92,16 @@ class ExplorationSchedule:
 
 @dataclass
 class LearnerState:
-    """Categorical distributions over a fixed grid plus visit counters.
+    """A learner's categorical distributions over its grid and its visit
+    counters, as a run leaves them.
 
     probs has shape (n_states, n_actions, K); every row is a probability
-    vector (sums stay within 1e-9 of 1 along any trajectory).
+    vector (sums stay within 1e-9 of 1 along any trajectory). visits has
+    shape (n_states, n_actions).
     """
 
-    grid: np.ndarray
     probs: np.ndarray
     visits: np.ndarray
-    discount: float
-    t: int = 0
-    range_violations: int = 0
-
-    @classmethod
-    def initial(
-        cls,
-        n_states: int,
-        n_actions: int,
-        grid,
-        discount: float,
-    ) -> "LearnerState":
-        """All mass at z_1 for every pair (the same start the projected
-        dynamic-programming iteration uses)."""
-        grid = np.asarray(grid, dtype=float)
-        _check_grid(grid)
-        if not 0.0 <= discount < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {discount}")
-        probs = np.zeros((n_states, n_actions, grid.size))
-        probs[:, :, 0] = 1.0
-        visits = np.zeros((n_states, n_actions), dtype=np.int64)
-        return cls(grid=grid, probs=probs, visits=visits, discount=float(discount))
-
-    def q_values(self) -> np.ndarray:
-        return categorical_means(self.probs, self.grid)
 
 
 def _add_dirac(row, points, u: float, alpha: float) -> None:
@@ -185,15 +160,16 @@ class _Tables:
     def target_map(self, r: float):
         """(M, off) for reward r. The projection is linear, so the baseline
         target of next-state probabilities p is p @ M, where row k of M is
-        project_points of a unit atom at r + gamma * z_k. off is 1.0 at the
-        atoms off the grid and 0.0 elsewhere, None when there are none: p
-        is nonnegative, so the target leaves the grid exactly when
+        the projected Dirac at r + gamma * z_k. off is 1.0 at the atoms off
+        the grid and 0.0 elsewhere, None when there are none: p is
+        nonnegative, so the target leaves the grid exactly when
         off.dot(p) > 0. Built on first use of r."""
         found = self._target_maps.get(r)
         if found is None:
             atoms = r + self.gamma * self.grid
-            unit = np.ones(1)
-            matrix = np.array([project_points(atoms[k : k + 1], unit, self.grid) for k in range(atoms.size)])
+            matrix = np.zeros((atoms.size, self.grid.size))
+            for row, u in zip(matrix, atoms.tolist()):
+                _add_dirac(row, self.points, u, 1.0)
             off = (atoms < self.grid[0]) | (atoms > self.grid[-1])
             found = self._target_maps[r] = (matrix, off.astype(float) if off.any() else None)
         return found
@@ -363,8 +339,10 @@ def run_learning(
         raise ValueError(f"policy shape {policy.probs.shape} does not match the MDP's {(n_states, n_actions)}")
     gamma = mdp.discount
     grid = np.asarray(grid, dtype=float)
-    state = LearnerState.initial(n_states, n_actions, grid, gamma)
-    probs = state.probs
+    _check_grid(grid)
+    # all mass at z_1, where projected dynamic programming starts too
+    probs = np.zeros((n_states, n_actions, grid.size))
+    probs[:, :, 0] = 1.0
     eval_mode = mode == "eval"
     tables = _Tables(probs, grid, gamma, policy if eval_mode else None)
     q = tables.q
@@ -443,9 +421,6 @@ def run_learning(
                 record(t + 1, epsilon(t))
                 record_at = min(t + record_every, n_steps - 1)
 
-    state.visits[:] = visits
-    state.t = n_steps
-    state.range_violations = violations
     return LearningRecord(
         seed=seed,
         steps=np.asarray(rec_steps),
@@ -457,6 +432,6 @@ def run_learning(
         q_error_sq=np.asarray(rec_qsq) if ref_q is not None else None,
         q_means=np.asarray(rec_q) if record_q else None,
         tracked={pair: np.asarray(rows) for pair, rows in tracked.items()},
-        final_state=state,
+        final_state=LearnerState(probs, np.array(visits, dtype=np.int64)),
     )
 

@@ -54,6 +54,20 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
         )
 
 
+def _legend(parts, i, color, label):
+    parts.append(
+        f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * i}" text-anchor="end" '
+        f'fill="{color}">{label}</text>'
+    )
+
+
+def _write_svg(parts, path):
+    """Close the document and write it, one element a line."""
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def line_chart(series, path, title="", x_label="", y_label="") -> None:
     """series: iterable of (label, xs, ys) triples drawn as polylines."""
     series = [(label, list(xs), list(ys)) for label, xs, ys in series]
@@ -74,13 +88,8 @@ def line_chart(series, path, title="", x_label="", y_label="") -> None:
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
-            f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * i}" text-anchor="end" '
-            f'fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        _legend(parts, i, color, label)
+    _write_svg(parts, path)
 
 
 def histogram_chart(series, path, title="", x_label="", y_label="mass") -> None:
@@ -113,10 +122,5 @@ def histogram_chart(series, path, title="", x_label="", y_label="mass") -> None:
                 f'width="{px(right) - px(left):.6g}" '
                 f'height="{py(0.0) - py(mass):.6g}" fill="{color}" fill-opacity="0.45"/>'
             )
-        parts.append(
-            f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * i}" text-anchor="end" '
-            f'fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        _legend(parts, i, color, label)
+    _write_svg(parts, path)

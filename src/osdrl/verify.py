@@ -34,7 +34,7 @@ from .distributions import (
     wasserstein_ps,
 )
 from .dp import _projected_closed_form, _state_values, categorical_start, iterate, solve_q_star
-from .learning import LearnerState, StepSizeSchedule, _add_dirac, _cdrl_update, _os_update, _Tables
+from .learning import StepSizeSchedule, _add_dirac, _cdrl_update, _os_update, _Tables
 from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
 from .operators import (
     bellman_eval,
@@ -619,7 +619,7 @@ def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
     pi = Policy.uniform(2, 2)
     tracker = _Tracker("mean_tracking_vs_scalar_learner", 1e-9)
     for mode in ("control", "eval"):
-        probs = LearnerState.initial(2, 2, grid, mdp.discount).probs
+        probs = categorical_start(mdp, grid).probs()
         tables = _Tables(probs, grid, mdp.discount, pi if mode == "eval" else None)
         q = np.zeros((2, 2))
         visits = np.zeros((2, 2), dtype=int)

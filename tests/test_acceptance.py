@@ -15,10 +15,10 @@ from osdrl import (
     DistributionCollection,
     EpisodicEnv,
     ExplorationSchedule,
-    LearnerState,
     Policy,
     StepSizeSchedule,
     categorical_means,
+    categorical_start,
     dirac,
     iterate,
     make_frozen_lake,
@@ -99,7 +99,7 @@ def test_criterion_5_mean_tracking():
     mdp = env.mdp
     rng = np.random.default_rng(11)
     schedule = StepSizeSchedule.polynomial(c=1.0, omega=0.7)
-    probs = LearnerState.initial(2, 2, TOY_GRID, mdp.discount).probs
+    probs = categorical_start(mdp, TOY_GRID).probs()
     tables = _Tables(probs, TOY_GRID, mdp.discount)
     q = np.zeros((2, 2))
     visits = np.zeros((2, 2), dtype=int)
@@ -157,7 +157,7 @@ def test_criterion_6_theorem_one_convergence():
         )
         early.append(float(rec.w1_to_reference[rec.steps == 10_000][0]))
         finals.append(float(rec.w1_to_reference[-1]))
-        q_err = abs(rec.final_state.q_values()[0, 1] - q_star[0, 1])
+        q_err = abs(categorical_means(rec.final_state.probs, TOY_GRID)[0, 1] - q_star[0, 1])
         mean_gaps.append(finals[-1] - q_err)
         visits.append(int(rec.final_state.visits[0, 1]))
     elapsed = time.monotonic() - start

@@ -14,11 +14,11 @@ import osdrl.verify
 from osdrl import (
     EpisodicEnv,
     ExplorationSchedule,
-    LearnerState,
     Policy,
     StepSizeSchedule,
     TabularMdp,
     categorical_means,
+    categorical_start,
     greedy_policy,
     make_toy_mdp,
     project_points,
@@ -51,7 +51,7 @@ def random_start_env():
 
 def initial_probs(grid):
     """Two states by two actions, all mass at z_1, as a learner starts."""
-    return LearnerState.initial(2, 2, grid, 0.5).probs
+    return categorical_start(make_toy_mdp(), np.asarray(grid)).probs()
 
 
 def updated(update, probs, grid, transition, alpha, policy=None):
@@ -112,34 +112,37 @@ class TestExplorationSchedule:
 
 
 class TestLearnerState:
+    """The learner's start and the state a run leaves behind."""
+
+    PAIRS = [(x, a) for x in range(2) for a in range(2)]
+
     def test_initial_mass_at_lowest_atom(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        assert np.all(state.probs[:, :, 0] == 1.0)
-        assert np.all(state.probs.sum(axis=2) == 1.0)
+        rec = run_learning(
+            toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), TOY_GRID, "control", 100, seed=0,
+            track=self.PAIRS,
+        )
+        assert rec.steps[0] == 0
+        for pair in self.PAIRS:
+            assert rec.tracked[pair][0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_rejects_single_point_grid(self):
         # and grids holding nan or inf, on which the learner would run to nan means
-        for grid in ([0.0], [0.0, math.nan, 2.0], [0.0, math.inf], [-math.inf, 0.0, 1.0]):
+        for grid in ([0.0], [0.0, math.nan, 2.0], [0.0, math.inf], [-math.inf, 0.0, 1.0], [0.0, math.nan, 10.0]):
             with pytest.raises(ValueError, match="grid"):
-                LearnerState.initial(2, 2, grid, 0.5)
-        with pytest.raises(ValueError, match="grid"):
-            run_learning(
-                toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), [0.0, math.nan, 10.0],
-                "control", 100, seed=0,
-            )
+                run_learning(
+                    toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), grid, "control", 100, seed=0,
+                )
 
     def test_q_values(self):
-        state = LearnerState.initial(2, 2, TOY_GRID, 0.5)
-        assert np.all(state.q_values() == 0.0)
+        rec = run_learning(
+            toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), TOY_GRID, "control", 100, seed=0,
+            record_q=True,
+        )
+        assert np.all(rec.q_means[0] == 0.0)
 
     def test_q_values_round_like_categorical_means(self):
-        # the greedy step compares means with ==: q_values, the learner's
-        # kept table and categorical_means must agree to the last bit
-        rng = np.random.default_rng(3)
-        grid = np.sort(rng.uniform(-5.0, 5.0, size=11))
-        state = LearnerState.initial(3, 2, grid, 0.5)
-        state.probs[:] = rng.dirichlet(np.ones(11), size=(3, 2))
-        assert np.array_equal(state.q_values(), categorical_means(state.probs, grid))
+        # the greedy step compares means with ==: the learner's kept table
+        # and categorical_means must agree to the last bit
         rec = run_learning(
             toy_env(), StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID,
             "control", 3000, seed=5, algo="cdrl", record_q=True,
@@ -639,7 +642,7 @@ class TestRunLearning:
             x = x_next
         assert np.array_equal(tables.probs, rec.final_state.probs)
         assert np.array_equal(visits, rec.final_state.visits)
-        assert violations == rec.final_state.range_violations
+        assert violations == rec.range_violations[-1]
 
     def test_rejects_bad_arguments(self):
         env = toy_env()
@@ -708,7 +711,8 @@ class TestRunLearning:
         visits = rec.final_state.visits
         assert visits.sum() == 20_000 and visits[3:].sum() == 0
         assert np.allclose(visits[:3].sum(axis=1) / 20_000, [0.5, 0.3, 0.2], atol=0.02)
-        assert np.max(np.abs(rec.final_state.q_values()[:3] - 0.5)) < 0.1
+        q = categorical_means(rec.final_state.probs, np.array([0.0, 1.0]))
+        assert np.max(np.abs(q[:3] - 0.5)) < 0.1
 
     def test_theorem_one_on_random_mdp(self):
         # convergence property on a seeded 5-state MDP with persistent
