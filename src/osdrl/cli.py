@@ -37,7 +37,7 @@ from .learning import (
     run_learning,
     write_learning_csv,
 )
-from .mdp import FROZEN_LAKE_MAP, Policy, make_frozen_lake, make_toy_mdp, write_csv
+from .mdp import FROZEN_LAKE_MAP, Policy, _entry_ids, make_frozen_lake, make_toy_mdp, write_csv
 from .operators import categorical_full_opt, categorical_full_opt_batch, categorical_os_opt
 from .operators import distr_bellman_eval, os_distr_eval
 from .svgplot import histogram_chart, line_chart
@@ -127,7 +127,8 @@ def _number(v) -> bool:
 
 def _grid(v) -> bool:
     ok = isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_number, v))
-    return ok and all(lo < hi for lo, hi in zip(v, v[1:]))
+    # a finite span z_K - z_1 keeps every gap finite, which the projection divides by
+    return ok and all(lo < hi for lo, hi in zip(v, v[1:])) and math.isfinite(v[-1] - v[0])
 
 
 _LAKE_STATES, _LAKE_ACTIONS = len("".join(FROZEN_LAKE_MAP)), 4
@@ -147,7 +148,7 @@ CONFIG_SCHEMA = {
     "steps": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
     "one_step_iterations": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "search_candidates": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
-    "grid": (_grid, "a strictly increasing list of at least 2 finite numbers"),
+    "grid": (_grid, "a strictly increasing list of at least 2 finite numbers with a finite span"),
     "out": (lambda v: isinstance(v, str), "a path string"),
     "bins": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "atom_cap": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
@@ -185,17 +186,9 @@ def _out_dir(config: dict, experiment: str) -> Path:
     return path
 
 
-def _json_default(obj):
-    if hasattr(obj, "item"):
-        return obj.item()
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -207,10 +200,6 @@ def _prob_stack(op, start: np.ndarray, n_steps: int) -> np.ndarray:
     for n in range(n_steps):
         stack[n + 1] = op(stack[n])
     return stack
-
-
-def _entry_ids(n_states: int, n_actions: int) -> list:
-    return [f"x{x}_a{a}" for x, a in np.ndindex(n_states, n_actions)]
 
 
 def _probs_csv(path, labels: list, labelled_rows, grid) -> None:
@@ -394,19 +383,20 @@ def cmd_histograms(config: dict) -> int:
     trace_atoms_to_csv(full, out / "atoms_full.csv")
     trace_atoms_to_csv(one_step, out / "atoms_onestep.csv")
 
+    entries = _entry_ids(mdp.n_states, mdp.n_actions)
     rows = (
-        (name, n, f"x{x}_a{a}", dist.atoms.size)
+        (name, n, entry, dist.atoms.size)
         for name, iterates in (("full", full), ("onestep", one_step))
         for n, mu in enumerate(iterates)
-        for (x, a), dist in mu
+        for entry, (_, dist) in zip(entries, mu)
     )
     write_csv(out / "atom_counts.csv", ["operator", "iteration", "entry_id", "n_atoms"], rows)
 
     bins = config["bins"]
     snapshots = [j for j in (0, 2, 4) if j <= n_steps]
-    hists = []  # (iteration, entry, [(operator, bin edges, masses)])
+    hists = []  # (iteration, (x, a), entry id, [(operator, bin edges, masses)])
     for j in snapshots:
-        for (x, a) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for (x, a), entry in zip(np.ndindex(mdp.n_states, mdp.n_actions), entries):
             full_d = full[j][x, a]
             os_d = one_step[j][x, a]
             lo = min(full_d.atoms[0], os_d.atoms[0])
@@ -418,15 +408,15 @@ def cmd_histograms(config: dict) -> int:
                 (name, edges, np.histogram(dist.atoms, bins=edges, weights=dist.weights)[0])
                 for name, dist in (("full", full_d), ("onestep", os_d))
             ]
-            hists.append((j, (x, a), series))
+            hists.append((j, (x, a), entry, series))
     rows = (
-        (name, j, f"x{x}_a{a}", left, right, mass)
-        for j, (x, a), series in hists
+        (name, j, entry, left, right, mass)
+        for j, _, entry, series in hists
         for name, edges, masses in series
         for left, right, mass in zip(edges[:-1].tolist(), edges[1:].tolist(), masses.tolist())
     )
     write_csv(out / "histograms.csv", ["operator", "iteration", "entry_id", "bin_left", "bin_right", "mass"], rows)
-    for j, (x, a), series in hists:
+    for j, (x, a), _, series in hists:
         histogram_chart(
             series,
             out / f"hist_x{x}_a{a}_iter{j}.svg",

@@ -121,11 +121,14 @@ class AtomicDistribution:
 
 def _check_grid(grid: np.ndarray) -> None:
     """Raise ValueError unless grid is 1-D with at least 2 finite, strictly
-    increasing points."""
+    increasing points and a finite span z_K - z_1, which keeps every gap,
+    and so every projected weight, finite."""
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be 1-D with at least 2 points")
     if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
         raise ValueError("grid must be finite and strictly increasing")
+    if not math.isfinite(float(grid[-1]) - float(grid[0])):
+        raise ValueError(f"grid span {float(grid[0])!r} .. {float(grid[-1])!r} overflows")
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,12 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (
-    CategoricalDistribution,
     DistributionCollection,
     categorical_w1,
     cramer_project,
     dirac,
 )
-from .mdp import Policy, TabularMdp, write_csv
+from .mdp import Policy, TabularMdp, _entry_ids, write_csv
 from .operators import (
     _one_step_collection,
     bellman_eval,
@@ -217,15 +216,13 @@ def detect_oscillation(stack: np.ndarray, grid) -> OscillationReport:
 
 
 def trace_atoms_to_csv(iterates: list, path) -> None:
-    """One row per (iteration, entry, atom) of the iterates: iteration,
+    """One row per (iteration, entry, atom) of atomic iterates: iteration,
     entry_id, atom_or_gridpoint, weight."""
 
     def rows():
         for n, mu in enumerate(iterates):
-            for (x, a), dist in mu:
-                categorical = isinstance(dist, CategoricalDistribution)
-                points, weights = (dist.grid, dist.probs) if categorical else (dist.atoms, dist.weights)
-                for z, w in zip(points.tolist(), weights.tolist()):
-                    yield n, f"x{x}_a{a}", z, w
+            for entry, (_, dist) in zip(_entry_ids(mu.n_states, mu.n_actions), mu):
+                for z, w in zip(dist.atoms.tolist(), dist.weights.tolist()):
+                    yield n, entry, z, w
 
     write_csv(path, ["iteration", "entry_id", "atom_or_gridpoint", "weight"], rows())

@@ -287,7 +287,6 @@ def _cumulative(probs) -> list:
 
 # Uniforms drawn per rng call in run_learning: rows of 3, one row per step.
 _BLOCK = 1024
-_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def run_learning(
@@ -316,9 +315,8 @@ def run_learning(
     Step t reads the t-th row (u0, u1, u2) of uniforms from
     default_rng(seed), drawn in blocks of rows: u0 decides whether to
     explore (control) or draws the policy's action (eval), u1 the
-    exploratory action, u2 the successor. A restart at a random initial
-    state draws the state with u2, and the successor with u2 rescaled to
-    that state's cell. So a run's first n steps do not depend on n_steps.
+    exploratory action, u2 the successor. So a run's first n steps do not
+    depend on n_steps.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -326,6 +324,8 @@ def run_learning(
         raise ValueError("eval mode requires a policy")
     if mode == "control" and exploration is None:
         raise ValueError("control mode requires an exploration schedule")
+    if mode == "eval" and exploration is not None:
+        raise ValueError("eval mode acts by the policy: exploration must be None")
     if algo not in ALGOS:
         raise ValueError(f"algo must be one of {ALGOS}, got {algo!r}")
     if n_steps < 1:
@@ -354,7 +354,6 @@ def run_learning(
     terminals = env.terminal_states
     policy_cum = _cumulative(policy.probs) if eval_mode else None
     initial = env.initial_state
-    initial_cum = _cumulative(initial) if np.ndim(initial) else None
     ref_probs = _reference_probs(reference, grid) if reference is not None else None
     ref_q = np.asarray(reference_q, dtype=float) if reference_q is not None else None
     track = [tuple(pair) for pair in track]
@@ -393,17 +392,12 @@ def run_learning(
         eps_end, exp, minus_rate = exploration.eps_end, math.exp, -exploration.rate
         eps_span = exploration.eps_start - eps_end
     record_at = min(record_every, n_steps) - 1
-    x = None if initial_cum is not None else initial
+    x = initial
     for start in range(0, n_steps, _BLOCK):
         block = rng.random((min(_BLOCK, n_steps - start), 3)).tolist()
         for t, (u0, u1, u2) in enumerate(block, start):
-            if x is None or x in terminals:
-                if initial_cum is None:
-                    x = initial
-                else:
-                    x = bisect_right(initial_cum, u2)
-                    lo = initial_cum[x - 1] if x else 0.0
-                    u2 = min((u2 - lo) / (initial_cum[x] - lo), _BELOW_ONE)
+            if x in terminals:
+                x = initial
             if eval_mode:
                 a = bisect_right(policy_cum[x], u0)
             elif u0 < eps_end + eps_span * exp(minus_rate * t):

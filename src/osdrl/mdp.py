@@ -98,6 +98,11 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _entry_ids(n_states: int, n_actions: int) -> list:
+    """The CSV id of each (x, a) entry, x-major: x{x}_a{a}."""
+    return [f"x{x}_a{a}" for x, a in np.ndindex(n_states, n_actions)]
+
+
 @dataclass(frozen=True)
 class Policy:
     """Stochastic policy; probs[x, a] is the probability of action a in state x."""
@@ -115,14 +120,6 @@ class Policy:
             raise ValueError(f"policy rows must sum to 1 (max deviation {row_err:.3e})")
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.probs.shape[1]
-
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "Policy":
         return cls(np.full((n_states, n_actions), 1.0 / n_actions))
@@ -135,49 +132,39 @@ class Policy:
         return cls(probs)
 
 
+def _state_id(v, n: int, what: str) -> int:
+    """v as a state id: an integer (not a bool) in [0, n), else ValueError."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise ValueError(f"{what} must be an integer state id, got {v!r}")
+    if not 0 <= v < n:
+        raise ValueError(f"{what} {v} out of range")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class EpisodicEnv:
     """Episodic wrapper around a TabularMdp.
 
     Terminal states must be absorbing with zero reward in the wrapped MDP so
-    the same operator code serves episodic and continuing settings. The
-    initial state is either a fixed id or a distribution over states.
+    the same operator code serves episodic and continuing settings. Every
+    episode starts at the one state id initial_state.
     """
 
     mdp: TabularMdp
     terminal_states: frozenset
-    initial_state: object = 0
+    initial_state: int = 0
 
     def __post_init__(self):
-        terminals = frozenset(int(t) for t in self.terminal_states)
         n = self.mdp.n_states
+        terminals = frozenset(_state_id(t, n, "terminal state") for t in self.terminal_states)
         for t in terminals:
-            if not 0 <= t < n:
-                raise ValueError(f"terminal state {t} out of range")
             for a in range(self.mdp.n_actions):
                 if abs(self.mdp.kernel[t, a, t] - 1.0) > ROW_SUM_TOL:
                     raise ValueError(f"terminal state {t} is not absorbing under action {a}")
                 if self.mdp.reward[t, a, t] != 0.0:
                     raise ValueError(f"terminal state {t} has nonzero self-loop reward")
-        init = self.initial_state
-        if np.ndim(init) == 0:
-            init = int(init)
-            if not 0 <= init < n:
-                raise ValueError(f"initial state {init} out of range")
-        else:
-            init = _frozen_array(init)
-            if init.shape != (n,) or np.any(init < 0) or abs(init.sum() - 1.0) > ROW_SUM_TOL:
-                raise ValueError("initial distribution must be a probability vector over states")
         object.__setattr__(self, "terminal_states", terminals)
-        object.__setattr__(self, "initial_state", init)
-
-    def is_terminal(self, state: int) -> bool:
-        return state in self.terminal_states
-
-    def reset(self, rng: np.random.Generator) -> int:
-        if np.ndim(self.initial_state) == 0:
-            return int(self.initial_state)
-        return int(rng.choice(self.mdp.n_states, p=self.initial_state))
+        object.__setattr__(self, "initial_state", _state_id(self.initial_state, n, "initial state"))
 
 
 def sample_step(env, state: int, action: int, rng: np.random.Generator) -> Transition:

@@ -24,7 +24,7 @@ from .distributions import (
 )
 from .mdp import Policy, TabularMdp
 
-TIE_BREAKS = ("lowest", "uniform", "random")
+TIE_BREAKS = ("lowest", "uniform")
 
 
 def _check_q(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
@@ -50,11 +50,11 @@ def bellman_opt(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     return (mdp.kernel * (mdp.reward + mdp.discount * v[None, None, :])).sum(axis=2)
 
 
-def greedy_policy(q: np.ndarray, tie_break: str = "lowest", rng=None) -> Policy:
+def greedy_policy(q: np.ndarray, tie_break: str = "lowest") -> Policy:
     """Greedy policy w.r.t. Q with an explicit tie-breaking rule.
 
     "lowest" picks the smallest-index maximizer, "uniform" mixes equally over
-    all maximizers, "random" samples one maximizer per state from rng.
+    all maximizers.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
@@ -64,12 +64,8 @@ def greedy_policy(q: np.ndarray, tie_break: str = "lowest", rng=None) -> Policy:
         winners = np.flatnonzero(q[x] == q[x].max())
         if tie_break == "lowest":
             probs[x, winners[0]] = 1.0
-        elif tie_break == "uniform":
-            probs[x, winners] = 1.0 / winners.size
         else:
-            if rng is None:
-                raise ValueError("tie_break='random' requires an rng")
-            probs[x, rng.integers(winners.size)] = 1.0
+            probs[x, winners] = 1.0 / winners.size
     return Policy(probs)
 
 
@@ -108,11 +104,11 @@ def distr_bellman_eval(
 
 
 def distr_bellman_opt(
-    mu: DistributionCollection, mdp: TabularMdp, tie_break: str = "lowest", rng=None
+    mu: DistributionCollection, mdp: TabularMdp, tie_break: str = "lowest"
 ) -> DistributionCollection:
     """Full distributional optimality operator: greedy policy from the
     entrywise means, then the evaluation operator under that policy."""
-    pi_greedy = greedy_policy(mu.means(), tie_break=tie_break, rng=rng)
+    pi_greedy = greedy_policy(mu.means(), tie_break=tie_break)
     return distr_bellman_eval(mu, mdp, pi_greedy)
 
 

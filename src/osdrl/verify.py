@@ -623,10 +623,10 @@ def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
         tables = _Tables(probs, grid, mdp.discount, pi if mode == "eval" else None)
         q = np.zeros((2, 2))
         visits = np.zeros((2, 2), dtype=int)
-        x = env.reset(rng)
+        x = env.initial_state
         for t in range(1, n_steps + 1):
-            if env.is_terminal(x):
-                x = env.reset(rng)
+            if x in env.terminal_states:
+                x = env.initial_state
             a = int(rng.integers(2))
             tr = sample_step(env, x, a, rng)
             _os_update(tables, x, a, tr.reward, tr.next_state, float(schedule.step_size(visits[x, a])))

@@ -104,10 +104,10 @@ def test_criterion_5_mean_tracking():
     q = np.zeros((2, 2))
     visits = np.zeros((2, 2), dtype=int)
     worst = 0.0
-    x = env.reset(rng)
+    x = env.initial_state
     for _ in range(10_000):
-        if env.is_terminal(x):
-            x = env.reset(rng)
+        if x in env.terminal_states:
+            x = env.initial_state
         a = int(rng.integers(2))
         tr = sample_step(env, x, a, rng)
         _os_update(tables, x, a, tr.reward, tr.next_state, float(schedule.step_size(visits[x, a])))

@@ -112,6 +112,15 @@ class TestConfigHandling:
         assert "track" in capsys.readouterr().err
         assert not (tmp_path / "frozenlake").exists()
 
+    @pytest.mark.parametrize("command", ["frozenlake", "instability"])
+    def test_overflowing_grid_span_exits_with_config_code(self, tmp_path, capsys, command):
+        # finite points, but z_K - z_1 overflows: every interior gap is inf
+        path = tmp_path / "cfg.json"
+        path.write_text('{"grid": [-1e308, 0.0, 1e308]}')
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "grid" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"not_a_key": 1}')

@@ -522,7 +522,11 @@ class TestTrustedConstruction:
             pushforward_affine(AtomicDistribution.from_points([0.0, 1e308], [0.5, 0.5]), 1e308, 0.9)
         with pytest.raises(ValueError, match="sum to 1"):
             AtomicDistribution.from_points([0.0, 1.0], [0.5, 0.4])
-        with pytest.raises(ValueError, match="sum to 1"), np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="sum to 1"):
+            CategoricalDistribution._trusted(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
+        # a grid whose span overflows (every interior gap inf, every
+        # projected weight 0) is refused before any weight is formed
+        with pytest.raises(ValueError, match="grid"):
             cramer_project(AtomicDistribution.from_points([0.0], [1.0]), [-1e308, 1e308])
 
 

@@ -38,15 +38,15 @@ def toy_env():
     return EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({1}), initial_state=0)
 
 
-def random_start_env():
+def five_state_env():
     """A seeded 5-state MDP whose last state is terminal, with episodes
-    starting at states 0..2 with probabilities 0.5, 0.3, 0.2."""
+    starting at state 2: restarts land on a state other than 0."""
     mdp = random_mdp(np.random.default_rng(31), n_states=5, n_actions=2, discounts=(0.9,))
     kernel, reward = mdp.kernel.copy(), mdp.reward.copy()
     kernel[4], reward[4] = 0.0, 0.0
     kernel[4, :, 4] = 1.0
     mdp = TabularMdp(kernel=kernel, reward=reward, discount=mdp.discount)
-    return EpisodicEnv(mdp=mdp, terminal_states=frozenset({4}), initial_state=[0.5, 0.3, 0.2, 0.0, 0.0])
+    return EpisodicEnv(mdp=mdp, terminal_states=frozenset({4}), initial_state=2)
 
 
 def initial_probs(grid):
@@ -132,6 +132,15 @@ class TestLearnerState:
                 run_learning(
                     toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), grid, "control", 100, seed=0,
                 )
+
+    def test_rejects_overflowing_grid_span(self):
+        # finite points whose span z_K - z_1 overflows to inf: every interior
+        # gap is inf and the projected weights would be 0
+        with pytest.raises(ValueError, match="grid"):
+            run_learning(
+                toy_env(), StepSizeSchedule.constant(0.6), ExplorationSchedule(), [-1e308, 0.0, 1e308],
+                "control", 100, seed=0,
+            )
 
     def test_q_values(self):
         rec = run_learning(
@@ -632,7 +641,7 @@ class TestRunLearning:
         violations = 0
         x = env.initial_state
         for u_action, _, u_next in uniforms:
-            if env.is_terminal(x):
+            if x in env.terminal_states:
                 x = env.initial_state
             a = int(np.searchsorted(np.cumsum(pi.probs[x]), u_action, side="right"))
             x_next = int(np.searchsorted(np.cumsum(mdp.kernel[x, a]), u_next, side="right"))
@@ -668,7 +677,7 @@ class TestRunLearning:
             with pytest.raises(ValueError, match="policy shape"):
                 run_learning(env, StepSizeSchedule.polynomial(), None, TOY_GRID, "eval", 100, 0, policy=pi)
 
-    @pytest.mark.parametrize("make_env", [toy_env, random_start_env])
+    @pytest.mark.parametrize("make_env", [toy_env, five_state_env])
     @pytest.mark.parametrize("algo", ["os", "cdrl"])
     def test_first_steps_do_not_depend_on_the_horizon(self, make_env, algo):
         # 5000 and 10000 steps split their uniforms into different blocks;
@@ -692,27 +701,14 @@ class TestRunLearning:
         halfway = np.array([long.tracked[pair][n - 1] for pair in pairs])
         assert np.array_equal(short.final_state.probs.reshape(halfway.shape), halfway)
 
-    def test_random_restart_is_independent_of_the_successor(self):
-        # every episode is one step from a start state drawn from
-        # (0.5, 0.3, 0.2) to terminal 3 (reward 1) or 4 (reward 0) with
-        # probability 1/2 each: the start states' visit shares follow the
-        # initial distribution and every mean approaches 1/2, which fails if
-        # the draw of the start state leaks into the draw of the successor
-        kernel, reward = np.zeros((5, 2, 5)), np.zeros((5, 2, 5))
-        kernel[:3, :, 3:] = 0.5
-        reward[:3, :, 3] = 1.0
-        kernel[3:, :, 3:] = np.eye(2)[:, None, :]
-        mdp = TabularMdp(kernel=kernel, reward=reward, discount=0.5)
-        env = EpisodicEnv(mdp=mdp, terminal_states=frozenset({3, 4}), initial_state=[0.5, 0.3, 0.2, 0.0, 0.0])
-        pi = Policy.uniform(5, 2)
-        rec = run_learning(
-            env, StepSizeSchedule.polynomial(), None, [0.0, 1.0], "eval", 20_000, seed=0, policy=pi,
-        )
-        visits = rec.final_state.visits
-        assert visits.sum() == 20_000 and visits[3:].sum() == 0
-        assert np.allclose(visits[:3].sum(axis=1) / 20_000, [0.5, 0.3, 0.2], atol=0.02)
-        q = categorical_means(rec.final_state.probs, np.array([0.0, 1.0]))
-        assert np.max(np.abs(q[:3] - 0.5)) < 0.1
+    def test_eval_mode_rejects_an_exploration_schedule(self):
+        # eval acts by the policy alone; a schedule would only be written
+        # into the record's epsilon column
+        with pytest.raises(ValueError, match="exploration"):
+            run_learning(
+                toy_env(), StepSizeSchedule.polynomial(), ExplorationSchedule(), TOY_GRID, "eval", 100, 0,
+                policy=Policy.uniform(2, 2),
+            )
 
     def test_theorem_one_on_random_mdp(self):
         # convergence property on a seeded 5-state MDP with persistent

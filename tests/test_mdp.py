@@ -187,16 +187,20 @@ class TestEpisodicEnv:
             EpisodicEnv(mdp=mdp, terminal_states=frozenset({0}), initial_state=0)
 
     def test_reset_fixed_initial(self):
-        env = EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({1}), initial_state=0)
-        assert env.reset(np.random.default_rng(0)) == 0
+        env = EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({1}), initial_state=np.int64(1))
+        assert env.initial_state == 1 and type(env.initial_state) is int
 
-    def test_reset_distribution(self):
-        env = EpisodicEnv(
-            mdp=make_toy_mdp(), terminal_states=frozenset({1}), initial_state=[0.5, 0.5]
-        )
-        rng = np.random.default_rng(5)
-        starts = {env.reset(rng) for _ in range(50)}
-        assert starts == {0, 1}
+    def test_initial_state_must_be_an_integer_id(self):
+        for bad in (0.7, 1.0, True, [0.5, 0.5], 2, -1):
+            with pytest.raises(ValueError, match="initial state"):
+                EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({1}), initial_state=bad)
+
+    def test_terminal_states_must_be_integer_ids(self):
+        for bad in (1.9, 1.0, True, np.float64(1.0), 2):
+            with pytest.raises(ValueError, match="terminal state"):
+                EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({bad}), initial_state=0)
+        env = EpisodicEnv(mdp=make_toy_mdp(), terminal_states=frozenset({np.int64(1)}), initial_state=0)
+        assert env.terminal_states == {1} and all(type(t) is int for t in env.terminal_states)
 
     def test_sample_step_rejects_bad_ids(self):
         env = make_frozen_lake()

@@ -106,13 +106,11 @@ class TestGreedyPolicy:
         pi = greedy_policy(np.array([[1.0, 1.0]]), "uniform")
         assert pi.probs.tolist() == [[0.5, 0.5]]
 
-    def test_random_needs_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            greedy_policy(np.array([[1.0, 1.0]]), "random")
-
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
             greedy_policy(np.zeros((1, 2)), "first")
+        with pytest.raises(ValueError, match="tie_break"):
+            greedy_policy(np.zeros((1, 2)), "random")
 
 
 class TestFullDistributionalOperators:
