@@ -121,14 +121,29 @@ def _int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _float(v):
+    """v as the float the commands compute with, or None if v is not a
+    number or that float is not finite (an int beyond float range included)."""
+    if not (_int(v) or isinstance(v, float)):
+        return None
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
+
+
 def _number(v) -> bool:
-    return (_int(v) or isinstance(v, float)) and math.isfinite(v)
+    return _float(v) is not None
 
 
 def _grid(v) -> bool:
-    ok = isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_number, v))
-    # a finite span z_K - z_1 keeps every gap finite, which the projection divides by
-    return ok and all(lo < hi for lo, hi in zip(v, v[1:])) and math.isfinite(v[-1] - v[0])
+    if not (isinstance(v, (list, tuple)) and len(v) >= 2):
+        return False
+    z = list(map(_float, v))
+    # checked as floats, so that ints stay apart once converted; a finite span
+    # z_K - z_1 keeps every gap finite, which the projection divides by
+    return None not in z and all(lo < hi for lo, hi in zip(z, z[1:])) and math.isfinite(z[-1] - z[0])
 
 
 _LAKE_STATES, _LAKE_ACTIONS = len("".join(FROZEN_LAKE_MAP)), 4
@@ -148,7 +163,7 @@ CONFIG_SCHEMA = {
     "steps": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
     "one_step_iterations": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "search_candidates": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
-    "grid": (_grid, "a strictly increasing list of at least 2 finite numbers with a finite span"),
+    "grid": (_grid, "a list of at least 2 numbers, finite and strictly increasing as floats, with a finite span"),
     "out": (lambda v: isinstance(v, str), "a path string"),
     "bins": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "atom_cap": (lambda v: _int(v) and v >= 1, "an integer >= 1"),

@@ -167,7 +167,7 @@ class CategoricalDistribution:
         return dist
 
     def mean(self) -> float:
-        return float(self.grid.dot(self.probs))  # categorical_means' 1-D dot
+        return float(self.grid.dot(self.probs))  # the 1-D dot that categorical_means' vecdot calls per row
 
     def as_atomic(self) -> AtomicDistribution:
         keep = self.probs > 0.0
@@ -337,22 +337,24 @@ def cramer_project(nu, grid) -> CategoricalDistribution:
 
 
 def categorical_means(probs, grid) -> np.ndarray:
-    """Means of probability vectors on one grid, over the last axis.
+    """Means of probability vectors on one grid, over the last axis: an
+    ndarray of probs.shape[:-1], 0-d for a single row.
 
-    Each mean is one 1-D dot of grid with a row. The greedy step compares
-    means with ==, so every caller must round them alike: on random rows a
-    batched probs @ grid, an einsum or (probs * grid).sum(-1) each differ
-    from the 1-D dot in the last bit in about 20-40% of rows (K = 3, 4, 51).
-    row @ grid is the same 1-D dot as grid.dot(row), which the learner's
-    kept means call because it dispatches in about half the time. A Python
-    sum of products is not: with FMA the small dot is a fused multiply-add
-    chain, which a sum of rounded products matches in only about 50-65% of
-    rows at K = 3-5.
+    One np.vecdot call takes every mean. Its float64 loop calls, for each
+    row, the same 1-D BLAS dot as grid.dot(row) and
+    CategoricalDistribution.mean, so every mean rounds alike whatever the
+    number of rows. The greedy step compares means with ==, so that is
+    required: on random rows a batched probs @ grid, an einsum or
+    (probs * grid).sum(-1) each differ from the 1-D dot in the last bit in
+    about 20-40% of rows (K = 3, 4, 51). Both inputs are made C-contiguous
+    first, because BLAS rounds a row whose cells are not adjacent (a
+    [..., ::2] view, a moved axis) differently from the same row copied. A
+    Python sum of products does not match either: with FMA the small dot is
+    a fused multiply-add chain, which a sum of rounded products matches in
+    only about 50-65% of rows at K = 3-5.
     """
-    grid = np.asarray(grid, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    rows = probs.reshape(-1, probs.shape[-1])
-    return np.fromiter(map(grid.dot, rows), float, len(rows)).reshape(probs.shape[:-1])
+    probs = np.ascontiguousarray(probs, dtype=float)
+    return np.asarray(np.vecdot(probs, np.ascontiguousarray(grid, dtype=float)))
 
 
 def categorical_w1(p, q, grid) -> np.ndarray:

@@ -399,6 +399,55 @@ def check_categorical_w1(seed: int = 0, n_cases: int = 2000) -> PropertyResult:
     return tracker.result()
 
 
+# Memory layouts of an (n, m, K) probability stack that keep its values:
+# a row's mean must not depend on how its cells sit in memory.
+_LAYOUTS = {
+    "contiguous": lambda p: p,
+    "reversed": lambda p: p[..., ::-1].copy()[..., ::-1],  # negative strides
+    "fortran": np.asfortranarray,
+    "strided": lambda p: np.repeat(p, 2, axis=-1)[..., ::2],
+    "axis_moved": lambda p: np.moveaxis(np.moveaxis(p, -1, 0).copy(), 0, -1),
+    "sliced": lambda p: p[1:, 1:],
+    "broadcast": lambda p: np.broadcast_to(p[:1], p.shape),
+    "one_row": lambda p: p[0, 0],
+}
+# grid sizes on both sides of OpenBLAS's 16- and 32-cell block edges
+_MEANS_KS = (2, 3, 4, 15, 16, 17, 31, 32, 33, 51, 201)
+
+
+def check_categorical_means(seed: int = 0, n_cases: int = 200) -> PropertyResult:
+    """categorical_means equals CategoricalDistribution.mean entry by entry,
+    bit for bit (tolerance 0, max abs difference reported), on random stacks
+    in every layout of _LAYOUTS and on contiguous, reversed and strided
+    grids, at every K of _MEANS_KS."""
+    rng = np.random.default_rng(seed)
+    tracker = _Tracker("categorical_means_match_entry_means", 0.0)
+    layouts = list(_LAYOUTS)
+    for case_index in range(n_cases):
+        k = _MEANS_KS[case_index % len(_MEANS_KS)]
+        layout = layouts[case_index % len(layouts)]
+        grid_layout = ("contiguous", "reversed", "strided")[case_index % 3]
+        grid = _LAYOUTS[grid_layout](np.cumsum(rng.uniform(0.05, 3.0, size=k)) - 10.0)
+        probs = random_probs(rng, int(rng.integers(2, 6)), int(rng.integers(2, 4)), k)
+        stack = _LAYOUTS[layout](probs)
+        got = categorical_means(stack, grid)
+        want = np.zeros(stack.shape[:-1])
+        for index in np.ndindex(want.shape):
+            want[index] = CategoricalDistribution(grid, stack[index]).mean()
+        shaped = isinstance(got, np.ndarray) and got.shape == want.shape
+        diff = float(np.max(np.abs(got - want))) if shaped else math.inf
+        tracker.record(
+            0.0 if shaped and np.array_equal(got, want) else (diff if diff > 0.0 else math.inf),
+            lambda g=grid, p=probs, n=layout, gn=grid_layout: {
+                "layout": n,
+                "grid_layout": gn,
+                "grid": g.tolist(),
+                "probs": p.tolist(),
+            },
+        )
+    return tracker.result()
+
+
 def _tied(rng, probs, near: bool) -> np.ndarray:
     """Every action takes action 0's probabilities, so the greedy step sees
     exact ties; near=True then moves a few ulp of mass between two cells of
@@ -765,6 +814,7 @@ def run_properties(seed: int = 0, fast: bool = False):
     results += run(check_wasserstein_axioms, n_cases=1000 // scale)
     results.append(run(check_w1_riemann_agreement, n_cases=200 // scale))
     results.append(run(check_categorical_w1, n_cases=2000 // scale))
+    results.append(run(check_categorical_means, n_cases=200 // scale))
     results.append(run(check_categorical_operators, n_cases=120 // scale))
     results.append(run(check_mean_commutation, n_cases=300 // scale))
     results.append(run(check_banach_residual, n_cases=50 // scale))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -91,6 +92,8 @@ class TestConfigHandling:
             ("frozenlake", "track", []),
             # the candidate search draws rewards near grid[1] .. grid[-2]
             ("instability", "grid", [0.0, 10.0]),
+            # strictly increasing as ints, but two points are one float
+            ("instability", "grid", [0, 10**20, 10**20 + 1, 10**21]),
         ],
     )
     def test_bad_typed_value_rejected(self, tmp_path, command, key, value):
@@ -120,6 +123,37 @@ class TestConfigHandling:
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "grid" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+    def test_integer_beyond_float_range_exits_with_config_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"alpha": 1' + "0" * 400 + "}")
+        assert main(["frozenlake", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "frozenlake").exists()
+
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command, defaults in DEFAULTS.items() for key in defaults]
+    )
+    def test_adversarial_values_are_config_errors(self, tmp_path, command, key):
+        # json writes nan and inf as NaN and Infinity, which json reads back
+        values = [10**400, -(10**400), 1e308, -1e308, math.nan, math.inf, -math.inf, "x", True, None, [], [[]], {}]
+        default = DEFAULTS[command][key]
+        candidates = list(values)
+        if isinstance(default, list):  # each value also as a list's first and last element
+            candidates += [[v, *default[1:]] for v in values] + [[*default[:-1], v] for v in values]
+            if isinstance(default[0], list):  # and as a number in a [state, action] pair
+                candidates += [[[v, default[0][1]]] for v in values] + [[[default[0][0], v]] for v in values]
+        path = tmp_path / "cfg.json"
+        for value in candidates:
+            path.write_text(json.dumps({key: value}))
+            try:
+                config = load_config(command, path, {})
+            except ConfigError as exc:
+                assert key in str(exc)
+                continue
+            assert json.dumps(config[key]) == json.dumps(value)
+            if key in ("grid", "alpha", "eps_start", "eps_end", "eps_rate", "goal_reward"):
+                assert np.all(np.isfinite(np.asarray(config[key], dtype=float))), (key, value)
 
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -26,6 +26,7 @@ from osdrl import (
 from osdrl.distributions import sup_wasserstein_ps, wasserstein_ps
 from osdrl.mdp import Policy, TabularMdp
 from osdrl.operators import random_atomic, random_collection, random_grid
+from osdrl.verify import _LAYOUTS, _MEANS_KS
 
 
 def riemann_w1(nu1, nu2, spacing):
@@ -157,16 +158,19 @@ class TestMean:
         d = cramer_project(dirac(1.0), [0.0, 1.9, 2.1, 10.0])
         assert abs(d.mean() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("k", [3, 4, 51])
+    @pytest.mark.parametrize("k", _MEANS_KS)
     def test_categorical_means_equal_mean_bit_for_bit(self, k):
+        # every layout of the same values, across BLAS's 16- and 32-cell block edges
         rng = np.random.default_rng(k)
         grid = np.sort(rng.uniform(-5.0, 20.0, size=k))
-        probs = rng.dirichlet(np.ones(k), size=(50, 3))
-        means = categorical_means(probs, grid)
-        assert means.shape == (50, 3)
-        for index in np.ndindex(50, 3):
-            d = CategoricalDistribution(grid, probs[index])
-            assert means[index] == d.mean() == float(grid @ probs[index])
+        probs = rng.dirichlet(np.ones(k), size=(20, 3))
+        for layout, arrange in _LAYOUTS.items():
+            stack = arrange(probs)
+            means = categorical_means(stack, grid)
+            assert isinstance(means, np.ndarray) and means.shape == stack.shape[:-1], layout
+            for index in np.ndindex(means.shape):
+                d = CategoricalDistribution(grid, stack[index])
+                assert means[index] == d.mean() == float(grid @ np.array(stack[index])), (layout, index)
 
 
 class TestWasserstein:
