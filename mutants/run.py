@@ -1,0 +1,159 @@
+"""Run the named mutants of osdrl's kernels against the tier-1 tests that
+must catch them.
+
+    python3 mutants/run.py [NAME ...]
+
+Each mutant in MUTANTS is one old-text/new-text patch of one file under
+src/, with the tier-1 test ids that must fail on it. The command copies
+src/, tests/ and pyproject.toml of this working tree into a temporary
+directory, checks that every named test passes there unpatched, then for
+each mutant patches a fresh copy and runs only its named tests. A mutant is
+caught when every one of its tests fails. A patch whose old text does not
+occur exactly once in its file is an error, not a pass: a refactor that
+rewrites a kernel must port that kernel's mutants or remove them, and say so.
+
+Exits 0 when every mutant is caught, 1 when one survives, and 2 when the
+catalog is broken (a missing or repeated old text, an unknown name) or the
+unpatched tree fails a named test.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LEARNING = "src/osdrl/learning.py"
+_REPLAY = "tests/test_learning.py::TestRunLearning::test_step_functions_replay_the_harness_bit_for_bit"
+_TIES = "tests/test_learning.py::TestBlockActions::test_ties_are_decided_as_the_scalar_epsilon_decides_them"
+_PROPERTY = "tests/test_learning.py::TestBlockActions::test_verify_property_passes"
+_ALL_REPLAYS = [
+    f"{_REPLAY}[{name}]"
+    for name in (
+        "os", "cdrl", "control-toy-os", "control-toy-cdrl", "control-lake-os", "control-lake-cdrl",
+        "control-five-os", "control-five-cdrl",
+    )
+]
+
+# name -> (file, old text, new text, test ids that must fail)
+MUTANTS = {
+    "epsilon_compared_with_le": (
+        LEARNING,
+        "    explores = u0 < eps\n"
+        "    for i in np.flatnonzero(np.abs(u0 - eps) <= 1e-12).tolist():\n"
+        "        explores[i] = u0[i] < exploration.epsilon(start + i)\n",
+        "    explores = u0 <= eps\n"
+        "    for i in np.flatnonzero(np.abs(u0 - eps) <= 1e-12).tolist():\n"
+        "        explores[i] = u0[i] <= exploration.epsilon(start + i)\n",
+        [f"{_TIES}[{name}]" for name in ("falling", "rising", "rate_0", "eps_0", "eps_1", "rate_overflows")] + [_PROPERTY],
+    ),
+    "np_exp_without_scalar_recheck": (
+        LEARNING,
+        "    for i in np.flatnonzero(np.abs(u0 - eps) <= 1e-12).tolist():\n"
+        "        explores[i] = u0[i] < exploration.epsilon(start + i)\n",
+        "",
+        [f"{_TIES}[falling]", f"{_TIES}[rising]", _PROPERTY],
+    ),
+    "overflowing_epsilon_warns": (
+        LEARNING,
+        'with np.errstate(over="ignore", invalid="ignore"):',
+        "if True:",
+        [f"{_TIES}[rate_overflows]"],
+    ),
+    "step_size_from_np_power": (
+        LEARNING,
+        "c / (1.0 + n) ** omega)",
+        "float(c / np.power(1.0 + n, omega)))",
+        _ALL_REPLAYS,
+    ),
+    "greedy_tie_to_highest_action": (
+        LEARNING,
+        "a = qx.index(max(qx))",
+        "a = len(qx) - 1 - qx[::-1].index(max(qx))",
+        [f"{_REPLAY}[control-lake-{algo}]" for algo in ("os", "cdrl")],
+    ),
+    "terminal_restart_skipped": (
+        LEARNING,
+        "x = restart[x_next]",
+        "x = x_next",
+        _ALL_REPLAYS,
+    ),
+    "restart_to_state_0": (
+        LEARNING,
+        "restart = [env.initial_state if s in",
+        "restart = [0 if s in",
+        [f"{_REPLAY}[control-five-{algo}]" for algo in ("os", "cdrl")],
+    ),
+}
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def _passed(tree: Path, ids: list) -> set:
+    """The ids among ids that pass on tree; an id that errors, fails or is
+    not collected does not pass."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *ids]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    return {line.split(" ", 2)[1] for line in proc.stdout.splitlines() if line.startswith("PASSED ")} & set(ids)
+
+
+def _patch(tree: Path, name: str) -> None:
+    path, old, new, _ = MUTANTS[name]
+    text = (tree / path).read_text()
+    (tree / path).write_text(text.replace(old, new))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    names = parser.parse_args(argv).names or list(MUTANTS)
+
+    broken = [f"unknown mutant {name!r}" for name in names if name not in MUTANTS]
+    for name in set(names) & set(MUTANTS):
+        path, old, _, ids = MUTANTS[name]
+        found = (ROOT / path).read_text().count(old)
+        if found != 1:
+            broken.append(f"{name}: its old text occurs {found} times in {path}, not once")
+        if not ids:
+            broken.append(f"{name}: names no test")
+    if broken:
+        print("\n".join(broken))
+        return 2
+
+    with tempfile.TemporaryDirectory(prefix="osdrl_mutants_") as tmp:
+        base = Path(tmp) / "unpatched"
+        _copy_tree(base)
+        every_id = sorted({i for name in names for i in MUTANTS[name][3]})
+        failing = sorted(set(every_id) - _passed(base, every_id))
+        if failing:
+            print("the unpatched tree does not pass:\n  " + "\n  ".join(failing))
+            return 2
+        print(f"unpatched tree: {len(every_id)} named tests pass")
+        survived = []
+        for name in names:
+            tree = Path(tmp) / name
+            _copy_tree(tree)
+            _patch(tree, name)
+            ids = MUTANTS[name][3]
+            passing = sorted(_passed(tree, ids))
+            if passing:
+                survived.append(name)
+                print(f"SURVIVED {name}: {len(passing)} of {len(ids)} named tests pass:\n  " + "\n  ".join(passing))
+            else:
+                print(f"caught   {name}: all {len(ids)} named tests fail")
+            shutil.rmtree(tree)
+    print(f"{len(names) - len(survived)} of {len(names)} mutants caught")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,6 +47,7 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 SEARCH_CHUNK = 32  # candidates the instability search draws and iterates in lockstep
+SEARCH_STEPS = 140  # iterates of each searched candidate, at most
 
 
 class ConfigError(ValueError):
@@ -157,6 +158,14 @@ def _track(v) -> bool:
     return isinstance(v, (list, tuple)) and len(v) >= 1 and all(map(pair_ok, v))
 
 
+# Bounds on counts that size arrays before a command runs. instability keeps
+# every iterate of a run in one float array of (n + 1) * S * A * K entries,
+# written out whole to CSV and charts, and the search one of SEARCH_CHUNK
+# times that: each is held to MAX_STACK_ENTRIES (128 MiB). histograms makes
+# a linspace entry, a CSV row and a bar per bin.
+MAX_STACK_ENTRIES = 1 << 24
+MAX_BINS = 10_000
+
 # key -> (check, what a valid value is), one entry per key of DEFAULTS
 CONFIG_SCHEMA = {
     "seed": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
@@ -165,7 +174,7 @@ CONFIG_SCHEMA = {
     "search_candidates": (lambda v: _int(v) and v >= 0, "an integer >= 0"),
     "grid": (_grid, "a list of at least 2 numbers, finite and strictly increasing as floats, with a finite span"),
     "out": (lambda v: isinstance(v, str), "a path string"),
-    "bins": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "bins": (lambda v: _int(v) and 1 <= v <= MAX_BINS, f"an integer in [1, {MAX_BINS}]: a CSV row and a bar each"),
     "atom_cap": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "seeds": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
     "alpha": (lambda v: _number(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
@@ -190,6 +199,18 @@ def _validate_config(command: str, config: dict) -> None:
             raise ConfigError(f"{key} must be {what}, got {value!r}")
     if command == "frozenlake" and config["steps"] < 1:
         raise ConfigError("steps must be >= 1 for frozenlake")
+    if command == "instability":
+        toy, n_points = make_toy_mdp(), len(config["grid"])
+        iterates = {"steps": config["steps"] + 1, "one_step_iterations": config["one_step_iterations"] + 1}
+        if config["search_candidates"] > 0:
+            iterates["search_candidates"] = SEARCH_CHUNK * (min(config["steps"], SEARCH_STEPS) + 1)
+        for key, n in iterates.items():
+            if n * toy.n_states * toy.n_actions * n_points > MAX_STACK_ENTRIES:
+                raise ConfigError(
+                    f"{key} = {config[key]!r} with a {n_points}-point grid keeps {n} iterates of"
+                    f" {toy.n_states * toy.n_actions * n_points} floats each in memory,"
+                    f" more than {MAX_STACK_ENTRIES} in all"
+                )
     # the candidate search draws rewards near the interior grid points
     if command == "instability" and config["search_candidates"] > 0 and len(config["grid"]) < 3:
         raise ConfigError(f"grid must hold at least 3 points when search_candidates > 0, got {config['grid']!r}")
@@ -297,7 +318,7 @@ def cmd_instability(config: dict) -> int:
     perturbed_stack = None
     if not cdrl_report.oscillating and config["search_candidates"] > 0:
         rng, total = np.random.default_rng(config["seed"]), config["search_candidates"]
-        for index, r_a, stack in _tied_candidates(rng, grid, start, total, min(config["steps"], 140)):
+        for index, r_a, stack in _tied_candidates(rng, grid, start, total, min(config["steps"], SEARCH_STEPS)):
             scan = detect_oscillation(stack, grid)
             if scan.oscillating:
                 search.update(

@@ -6,8 +6,10 @@ baseline categorical update projects the K shifted atoms of the next-state
 distribution. Both preserve normalization exactly up to rounding. Both read
 next-state means from a table kept beside the probabilities and write the
 row they update cell by cell in Python floats, so a step of the harness
-calls numpy only for the new row's mean (and the baseline's target). The
-baseline memoizes its targets per successor state: rows change only through
+calls numpy only for the new row's mean (and the baseline's target); the
+choices that do not depend on the state (whether to explore, the
+exploratory action) are numpy calls once per block of steps. The baseline
+memoizes its targets per successor state: rows change only through
 the updates, which clear the memo of the state they write.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from operator import mul
 from typing import Optional
 
@@ -287,8 +289,26 @@ def _cumulative(probs) -> list:
     return cum.tolist()
 
 
-# Uniforms drawn per rng call in run_learning: rows of 3, one row per step.
+# Rows of 3 uniforms drawn per rng call in run_learning, one row per step.
+# A block's exploration is decided in numpy at once, for about 50 us: under
+# 0.05 us a step, with the block's arrays a few tens of kB.
 _BLOCK = 1024
+
+
+def _block_actions(exploration: ExplorationSchedule, start: int, u0, u1, n_actions: int) -> list:
+    """Control-mode actions of steps start, start + 1, ... from their uniform
+    arrays u0 and u1: min(int(u1 * n_actions), n_actions - 1) where step t
+    explores, u0 < exploration.epsilon(t), and -1 where it acts greedily.
+    np.exp can round exp(-rate * t) an ulp away from math.exp, so every u0
+    within 1e-12 of its np.exp epsilon is decided again by epsilon(t): the
+    decisions are the scalar ones, bit for bit."""
+    t = np.arange(start, start + u0.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # as epsilon(t)'s floats: no warning for inf or nan
+        eps = exploration.eps_end + (exploration.eps_start - exploration.eps_end) * np.exp(-exploration.rate * t)
+    explores = u0 < eps
+    for i in np.flatnonzero(np.abs(u0 - eps) <= 1e-12).tolist():
+        explores[i] = u0[i] < exploration.epsilon(start + i)
+    return np.where(explores, np.minimum((u1 * n_actions).astype(np.int64), n_actions - 1), -1).tolist()
 
 
 def run_learning(
@@ -318,7 +338,12 @@ def run_learning(
     default_rng(seed), drawn in blocks of rows: u0 decides whether to
     explore (control) or draws the policy's action (eval), u1 the
     exploratory action, u2 the successor. So a run's first n steps do not
-    depend on n_steps.
+    depend on n_steps. In control mode _block_actions decides a block's
+    explorations and exploratory actions at once, each one the scalar
+    u0 < exploration.epsilon(t) (np.exp's epsilons, with near ties decided
+    again by epsilon(t)). The step loop then does only the work that
+    depends on the state: the greedy argmax or the policy's bisect, the
+    successor, the update and the restart.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -339,23 +364,21 @@ def run_learning(
     n_states, n_actions = mdp.n_states, mdp.n_actions
     if policy is not None and policy.probs.shape != (n_states, n_actions):
         raise ValueError(f"policy shape {policy.probs.shape} does not match the MDP's {(n_states, n_actions)}")
-    gamma = mdp.discount
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
     # all mass at z_1, where projected dynamic programming starts too
     probs = np.zeros((n_states, n_actions, grid.size))
     probs[:, :, 0] = 1.0
     eval_mode = mode == "eval"
-    tables = _Tables(probs, grid, gamma, policy if eval_mode else None)
+    tables = _Tables(probs, grid, mdp.discount, policy if eval_mode else None)
     q = tables.q
     update = _os_update if algo == "os" else _cdrl_update
     c, omega = schedule.c, schedule.omega
-
-    cum_kernel = _cumulative(mdp.kernel)
-    rewards = mdp.reward.tolist()
-    terminals = env.terminal_states
+    # successors[x][a] pairs (x, a)'s cumulative kernel row with its reward
+    # row; restart[x] is the state after reaching x
+    successors = [list(zip(cum, rew)) for cum, rew in zip(_cumulative(mdp.kernel), mdp.reward.tolist())]
+    restart = [env.initial_state if s in env.terminal_states else s for s in range(n_states)]
     policy_cum = _cumulative(policy.probs) if eval_mode else None
-    initial = env.initial_state
     ref_probs = _reference_probs(reference, grid) if reference is not None else None
     ref_q = np.asarray(reference_q, dtype=float) if reference_q is not None else None
     track = [tuple(pair) for pair in track]
@@ -365,12 +388,11 @@ def run_learning(
     rec_w1, rec_qsup, rec_qsq, rec_q = [], [], [], []
     tracked = {pair: [] for pair in track}
     visits = [[0] * n_actions for _ in range(n_states)]
-    violations = 0
 
     def epsilon(t):
         return exploration.epsilon(t) if exploration is not None else math.nan
 
-    def record(step, eps):
+    def record(step, eps, violations):
         rec_steps.append(step)
         rec_eps.append(eps)
         rec_alpha.append(float(np.mean(schedule.step_sizes(np.array(visits)))))
@@ -387,35 +409,30 @@ def run_learning(
         for pair in track:
             tracked[pair].append(probs[pair].copy())
 
-    record(0, epsilon(0))
-    last_action = n_actions - 1
-    if exploration is not None:
-        # exploration.epsilon(t), with its operations in the same order
-        eps_end, exp, minus_rate = exploration.eps_end, math.exp, -exploration.rate
-        eps_span = exploration.eps_start - eps_end
-    record_at = min(record_every, n_steps) - 1
-    x = initial
+    record(0, epsilon(0), 0)
+    x, violations, record_at = env.initial_state, 0, min(record_every, n_steps)
     for start in range(0, n_steps, _BLOCK):
-        block = rng.random((min(_BLOCK, n_steps - start), 3)).tolist()
-        for t, (u0, u1, u2) in enumerate(block, start):
-            if x in terminals:
-                x = initial
-            if eval_mode:
-                a = bisect_right(policy_cum[x], u0)
-            elif u0 < eps_end + eps_span * exp(minus_rate * t):
-                a = min(int(u1 * n_actions), last_action)
-            else:
-                qx = q[x]
-                a = qx.index(max(qx))
-            x_next = bisect_right(cum_kernel[x][a], u2)
+        u = rng.random((min(_BLOCK, n_steps - start), 3))
+        # -1 marks a step that acts by its state
+        actions = [-1] * len(u) if eval_mode else _block_actions(exploration, start, u[:, 0], u[:, 1], n_actions)
+        # done counts the steps taken, this one included
+        for done, u0, a, u2 in zip(count(start + 1), u[:, 0].tolist(), actions, u[:, 2].tolist()):
+            if a < 0:
+                if eval_mode:
+                    a = bisect_right(policy_cum[x], u0)
+                else:
+                    qx = q[x]
+                    a = qx.index(max(qx))
+            cum, reward = successors[x][a]
+            x_next = bisect_right(cum, u2)
             visits_x = visits[x]
             n = visits_x[a]
-            violations += update(tables, x, a, rewards[x][a][x_next], x_next, c / (1.0 + n) ** omega)
+            violations += update(tables, x, a, reward[x_next], x_next, c / (1.0 + n) ** omega)
             visits_x[a] = n + 1
-            x = x_next
-            if t == record_at:
-                record(t + 1, epsilon(t))
-                record_at = min(t + record_every, n_steps - 1)
+            x = restart[x_next]
+            if done == record_at:
+                record(done, epsilon(done - 1), violations)
+                record_at = min(done + record_every, n_steps)
 
     return LearningRecord(
         seed=seed,
@@ -430,4 +447,3 @@ def run_learning(
         tracked={pair: np.asarray(rows) for pair, rows in tracked.items()},
         final_state=LearnerState(probs, np.array(visits, dtype=np.int64)),
     )
-

@@ -34,7 +34,8 @@ from .distributions import (
     wasserstein_ps,
 )
 from .dp import _projected_closed_form, _state_values, categorical_start, iterate, solve_q_star
-from .learning import StepSizeSchedule, _add_dirac, _cdrl_update, _os_update, _Tables
+from .learning import ExplorationSchedule, StepSizeSchedule, _add_dirac, _block_actions, _cdrl_update, _os_update
+from .learning import _Tables
 from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
 from .operators import (
     bellman_eval,
@@ -603,6 +604,57 @@ def check_mean_field(seed: int = 0, n_cases: int = 100) -> PropertyResult:
     return tracker.result()
 
 
+# Exploration schedules at which _block_actions must decide as epsilon(t)
+# does: falling, rising, rate 0, epsilon exactly 0 and exactly 1, and a rate
+# at which -rate * t overflows; and block starts where exp(-rate * t) is
+# near 1 and where it has decayed.
+_SCHEDULES = {
+    "falling": ExplorationSchedule(),
+    "rising": ExplorationSchedule(eps_start=0.05, eps_end=0.9, rate=2e-4),
+    "rate_0": ExplorationSchedule(eps_start=0.3, eps_end=0.7, rate=0.0),
+    "eps_0": ExplorationSchedule(eps_start=0.0, eps_end=0.0),
+    "eps_1": ExplorationSchedule(eps_start=1.0, eps_end=1.0),
+    "rate_overflows": ExplorationSchedule(eps_start=0.9, eps_end=0.1, rate=1e308),
+}
+_STARTS = (0, 1024, 49_152)
+
+
+def _near_epsilon(exploration: ExplorationSchedule, start: int, n: int, side: int) -> np.ndarray:
+    """u0 for steps start, ..., start + n - 1: each step's epsilon(t)
+    (side 0), or the float next to it below (side -1) or above (side 1)."""
+    eps = np.array([exploration.epsilon(t) for t in range(start, start + n)])
+    return np.nextafter(eps, side * np.inf) if side else eps
+
+
+def check_exploration_decisions(seed: int = 0, n_cases: int = 60) -> PropertyResult:
+    """_block_actions decides every step as the scalar u0 < epsilon(t) and
+    min(int(u1 * A), A - 1) do, at tolerance 0 (the violation counts the
+    steps decided otherwise), on blocks of 256 steps whose u0 sit on
+    epsilon(t) or a float to either side and whose last u1 is the largest
+    float below 1: the schedules of _SCHEDULES first, then random ones."""
+    rng = np.random.default_rng(seed)
+    tracker = _Tracker("exploration_decisions_match_scalar", 0.0)
+    named = list(_SCHEDULES.values())
+    for case_index in range(n_cases):
+        rate = float(rng.choice([0.0, 10.0 ** rng.uniform(-6.0, -2.0)]))
+        ex = named[case_index] if case_index < len(named) else ExplorationSchedule(*rng.random(2).tolist(), rate)
+        start, n_actions = int(rng.choice([*_STARTS, int(rng.integers(0, 200_000))])), int(rng.integers(2, 6))
+        u0 = np.choose(rng.integers(0, 3, 256), [_near_epsilon(ex, start, 256, side) for side in (-1, 0, 1)])
+        u1 = np.append(rng.random(255), np.nextafter(1.0, 0.0))
+        want = [
+            min(int(b * n_actions), n_actions - 1) if a < ex.epsilon(t) else -1
+            for t, a, b in zip(range(start, start + 256), u0.tolist(), u1.tolist())
+        ]
+        got = _block_actions(ex, start, u0, u1, n_actions)
+        tracker.record(
+            float(sum(g != w for g, w in zip(got, want))),
+            lambda e=ex, s=start, k=n_actions, a=u0, b=u1: dict(
+                schedule=[e.eps_start, e.eps_end, e.rate], start=s, n_actions=k, u0=a.tolist(), u1=b.tolist()
+            ),
+        )
+    return tracker.result()
+
+
 def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
     """Entrywise means of every distributional operator output equal the
     scalar Bellman operator applied to entrywise means; projected variants
@@ -820,6 +872,7 @@ def run_properties(seed: int = 0, fast: bool = False):
     results.append(run(check_banach_residual, n_cases=50 // scale))
     results.append(run(check_mean_tracking, n_steps=10_000 // scale))
     results.append(run(check_mean_field, n_cases=100 // scale))
+    results.append(run(check_exploration_decisions, n_cases=60 // scale))
     complexity, bench = run(check_target_complexity, fast=fast)
     results.append(complexity)
     return results, bench, suites

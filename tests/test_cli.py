@@ -27,6 +27,8 @@ from osdrl.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
+    MAX_BINS,
+    MAX_STACK_ENTRIES,
     SEARCH_CHUNK,
     ConfigError,
     load_config,
@@ -154,6 +156,55 @@ class TestConfigHandling:
             assert json.dumps(config[key]) == json.dumps(value)
             if key in ("grid", "alpha", "eps_start", "eps_end", "eps_rate", "goal_reward"):
                 assert np.all(np.isfinite(np.asarray(config[key], dtype=float))), (key, value)
+
+    def test_bins_past_their_bound_are_config_errors(self, tmp_path):
+        # checked through load_config only, so no value past the bound is run
+        path = tmp_path / "cfg.json"
+        for value in (MAX_BINS + 1, 10**9, 10**400):
+            path.write_text(json.dumps({"bins": value}))
+            with pytest.raises(ConfigError, match="bins") as info:
+                load_config("histograms", path, {})
+            assert str(MAX_BINS) in str(info.value)
+        path.write_text(json.dumps({"bins": MAX_BINS}))
+        assert load_config("histograms", path, {})["bins"] == MAX_BINS
+
+    @pytest.mark.parametrize("key", ["steps", "one_step_iterations"])
+    def test_instability_iterates_past_the_memory_bound_are_config_errors(self, tmp_path, key):
+        # instability keeps (n + 1) iterates of the toy MDP's 4 pairs on the
+        # default 4-point grid: the bound is on the floats kept, not on n
+        path = tmp_path / "cfg.json"
+        fits = MAX_STACK_ENTRIES // 16 - 1
+        for value in (fits + 1, 10**9, 10**400):
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=key) as info:
+                load_config("instability", path, {})
+            assert str(MAX_STACK_ENTRIES) in str(info.value)
+        for value in (200_000, fits):
+            path.write_text(json.dumps({key: value}))
+            assert load_config("instability", path, {})[key] == value
+
+    def test_a_long_grid_shrinks_the_instability_counts_that_fit(self, tmp_path):
+        # 70000 points: 61 one-step iterates of 4 pairs pass the bound, 11
+        # do not; so does the search's stack of SEARCH_CHUNK candidates
+        grid = list(range(70_000))
+        path = tmp_path / "cfg.json"
+        for extra, key in (
+            ({}, "steps"),
+            ({"steps": 10}, "one_step_iterations"),
+            ({"steps": 10, "one_step_iterations": 10}, "search_candidates"),
+        ):
+            path.write_text(json.dumps({"grid": grid, **extra}))
+            with pytest.raises(ConfigError, match=f"{key} = .* 70000-point grid"):
+                load_config("instability", path, {})
+        path.write_text(json.dumps({"grid": grid, "steps": 10, "one_step_iterations": 10, "search_candidates": 0}))
+        assert len(load_config("instability", path, {})["grid"]) == 70_000
+
+    def test_steps_are_bounded_only_where_they_size_an_array(self, tmp_path):
+        # histograms and frozenlake size no array by steps before they run
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steps": MAX_STACK_ENTRIES}))
+        for command in ("histograms", "frozenlake"):
+            assert load_config(command, path, {})["steps"] == MAX_STACK_ENTRIES
 
     def test_cli_exit_code_on_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

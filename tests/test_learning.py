@@ -20,6 +20,7 @@ from osdrl import (
     categorical_means,
     categorical_start,
     greedy_policy,
+    make_frozen_lake,
     make_toy_mdp,
     project_points,
     projected_fixed_points,
@@ -27,11 +28,20 @@ from osdrl import (
     solve_q_star,
     write_learning_csv,
 )
-from osdrl.learning import ALGOS, _add_dirac, _cdrl_update, _os_update, _Tables
+from osdrl.learning import ALGOS, _BLOCK, _add_dirac, _block_actions, _cdrl_update, _os_update, _Tables
 from osdrl.operators import random_mdp
-from osdrl.verify import check_mean_field, check_mean_tracking, target_microbenchmark
+from osdrl.verify import (
+    _SCHEDULES,
+    _STARTS,
+    _near_epsilon,
+    check_exploration_decisions,
+    check_mean_field,
+    check_mean_tracking,
+    target_microbenchmark,
+)
 
 TOY_GRID = np.array([0.0, 1.9, 2.1, 10.0])
+LAKE_GRID = np.array([0.0, 10.0, 20.0])
 
 
 def toy_env():
@@ -109,6 +119,37 @@ class TestExplorationSchedule:
             ExplorationSchedule(eps_start=1.5)
         with pytest.raises(ValueError):
             ExplorationSchedule(rate=-1.0)
+
+
+class TestBlockActions:
+    """run_learning's per-block decisions against exploration.epsilon(t)."""
+
+    @pytest.mark.parametrize("name", list(_SCHEDULES))
+    def test_ties_are_decided_as_the_scalar_epsilon_decides_them(self, name):
+        # u0 on epsilon(t) and one float to either side, where np.exp alone
+        # would decide some steps otherwise (asserted for the falling schedule)
+        exploration, n_actions = _SCHEDULES[name], 3
+        differs = 0
+        for start in _STARTS:
+            t = np.arange(start, start + _BLOCK)
+            u1 = np.append(np.random.default_rng(start).random(_BLOCK - 1), np.nextafter(1.0, 0.0))
+            if name == "falling":
+                span = exploration.eps_start - exploration.eps_end
+                np_eps = exploration.eps_end + span * np.exp(-exploration.rate * t)
+                differs += int(np.sum(np_eps != _near_epsilon(exploration, start, _BLOCK, 0)))
+            for side in (-1, 0, 1):
+                u0 = _near_epsilon(exploration, start, _BLOCK, side)
+                want = [
+                    min(int(b * n_actions), n_actions - 1) if a < exploration.epsilon(step) else -1
+                    for step, a, b in zip(t.tolist(), u0.tolist(), u1.tolist())
+                ]
+                assert _block_actions(exploration, start, u0, u1, n_actions) == want, (start, side)
+        if name == "falling":
+            assert differs > 0
+
+    def test_verify_property_passes(self):
+        result = check_exploration_decisions(seed=5, n_cases=40)
+        assert result.passed and result.cases == 40, result.failing_case
 
 
 class TestLearnerState:
@@ -625,33 +666,59 @@ class TestRunLearning:
             lines += (tmp_path / f"{i}.csv").read_text().splitlines()[0 if i == 0 else 1 :]
         assert (tmp_path / "both.csv").read_text().splitlines() == lines
 
-    @pytest.mark.parametrize("algo", ALGOS)
-    def test_step_functions_replay_the_harness_bit_for_bit(self, algo):
-        env, pi = toy_env(), Policy.uniform(2, 2)
+    @pytest.mark.parametrize(
+        "algo, make_env, mode",
+        [(algo, toy_env, "eval") for algo in ALGOS]
+        + [(algo, make_env, "control") for make_env in (toy_env, make_frozen_lake, five_state_env) for algo in ALGOS],
+        ids=[
+            "os", "cdrl", "control-toy-os", "control-toy-cdrl", "control-lake-os", "control-lake-cdrl",
+            "control-five-os", "control-five-cdrl",
+        ],
+    )
+    def test_step_functions_replay_the_harness_bit_for_bit(self, algo, make_env, mode):
+        env, control = make_env(), mode == "control"
+        mdp, n_actions = env.mdp, env.mdp.n_actions
         schedule = StepSizeSchedule.polynomial()
-        rec = run_learning(env, schedule, None, TOY_GRID, "eval", 2000, seed=4, policy=pi, algo=algo)
-        # the harness reads a row of 3 uniforms per step: the first draws the
-        # policy's action, the second (the exploratory action) goes unused in
-        # eval mode, the third draws the successor
-        uniforms = np.random.default_rng(4).random((2000, 3))
-        mdp = env.mdp
+        grid = {toy_env: TOY_GRID, make_frozen_lake: LAKE_GRID, five_state_env: np.linspace(-3.0, 5.0, 6)}[make_env]
+        # control: three blocks of uniforms, with record points inside the
+        # first two blocks (steps 997 and 1994) and at the last step
+        n_steps, record_every = (2500, 997) if control else (2000, 1000)
+        pi = None if control else Policy.uniform(2, 2)
+        exploration = ExplorationSchedule() if control else None
+        rec = run_learning(
+            env, schedule, exploration, grid, mode, n_steps, seed=4, policy=pi, algo=algo,
+            record_every=record_every, record_q=True,
+        )
+        # the harness reads a row of 3 uniforms per step: the first decides
+        # whether to explore (control) or draws the policy's action (eval),
+        # the second gives the exploratory action (unused in eval), the third
+        # draws the successor
+        uniforms = np.random.default_rng(4).random((n_steps, 3))
         update = _os_update if algo == "os" else _cdrl_update
-        tables = _Tables(initial_probs(TOY_GRID), TOY_GRID, mdp.discount, pi)
-        visits = np.zeros((2, 2), dtype=np.int64)
-        violations = 0
+        tables = _Tables(categorical_start(mdp, grid).probs(), grid, mdp.discount, pi)
+        visits = np.zeros((mdp.n_states, n_actions), dtype=np.int64)
+        violations, q_means = 0, [np.array(tables.q)]
         x = env.initial_state
-        for u_action, _, u_next in uniforms:
+        for t, (u0, u1, u2) in enumerate(uniforms):
             if x in env.terminal_states:
                 x = env.initial_state
-            a = int(np.searchsorted(np.cumsum(pi.probs[x]), u_action, side="right"))
-            x_next = int(np.searchsorted(np.cumsum(mdp.kernel[x, a]), u_next, side="right"))
+            if not control:
+                a = int(np.searchsorted(np.cumsum(pi.probs[x]), u0, side="right"))
+            elif u0 < exploration.epsilon(t):
+                a = min(int(u1 * n_actions), n_actions - 1)
+            else:
+                a = int(np.argmax(tables.q[x]))  # the lowest of tied actions
+            x_next = int(np.searchsorted(np.cumsum(mdp.kernel[x, a]), u2, side="right"))
             alpha = float(schedule.step_size(visits[x, a]))
             violations += update(tables, x, a, float(mdp.reward[x, a, x_next]), x_next, alpha)
             visits[x, a] += 1
             x = x_next
+            if (t + 1) % record_every == 0 or t + 1 == n_steps:
+                q_means.append(np.array(tables.q))
         assert np.array_equal(tables.probs, rec.final_state.probs)
         assert np.array_equal(visits, rec.final_state.visits)
         assert violations == rec.range_violations[-1]
+        assert np.array_equal(np.array(q_means), rec.q_means)
 
     def test_rejects_bad_arguments(self):
         env = toy_env()
