@@ -1,5 +1,5 @@
-"""Run the named mutants of osdrl's kernels against the tier-1 tests that
-must catch them.
+"""Run the named mutants of osdrl's kernels and of its verify property
+record against the tier-1 tests that must catch them.
 
     python3 mutants/run.py [NAME ...]
 
@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LEARNING = "src/osdrl/learning.py"
+VERIFY = "src/osdrl/verify.py"
 _REPLAY = "tests/test_learning.py::TestRunLearning::test_step_functions_replay_the_harness_bit_for_bit"
 _TIES = "tests/test_learning.py::TestBlockActions::test_ties_are_decided_as_the_scalar_epsilon_decides_them"
 _PROPERTY = "tests/test_learning.py::TestBlockActions::test_verify_property_passes"
@@ -36,6 +37,21 @@ _ALL_REPLAYS = [
         "os", "cdrl", "control-toy-os", "control-toy-cdrl", "control-lake-os", "control-lake-cdrl",
         "control-five-os", "control-five-cdrl",
     )
+]
+# verify properties that a broken operator or kernel must fail, and ones that must pass
+_FIXED_POINT_FAILS = (
+    "tests/test_dp.py::TestProjectedFixedPoints::test_fixed_point_property_fails_under_shifted_array_operator"
+)
+_SYMMETRY_FAILS = (
+    "tests/test_distributions.py::TestExactOracleKeepsItsBits::test_symmetry_check_refines_the_swapped_pair"
+)
+_MEAN_FIELD_FAILS = "tests/test_learning.py::TestMeanField::test_swapped_interpolation_weights_fail"
+_MEAN_TRACKING_FAILS = "tests/test_learning.py::TestMeanTrackingProperty::test_a_broken_update_fails"
+_FAILING_CASES_JSON = "tests/test_cli.py::TestVerifyCommand::test_every_failing_case_is_json"
+_TOL_0_PASS = [
+    "tests/test_learning.py::TestBlockActions::test_verify_property_passes",
+    "tests/test_operators.py::TestArrayOperators::test_verify_property_passes",
+    "tests/test_cli.py::TestVerifyCommand::test_fast_run_passes_with_report",
 ]
 
 # name -> (file, old text, new text, test ids that must fail)
@@ -86,6 +102,24 @@ MUTANTS = {
         "restart = [env.initial_state if s in",
         "restart = [0 if s in",
         [f"{_REPLAY}[control-five-{algo}]" for algo in ("os", "cdrl")],
+    ),
+    "max_violation_never_updated": (
+        VERIFY,
+        "            self.max_violation = float(violation)\n",
+        "            pass\n",
+        [_FIXED_POINT_FAILS, _SYMMETRY_FAILS, _MEAN_FIELD_FAILS, _MEAN_TRACKING_FAILS],
+    ),
+    "failing_case_never_kept": (
+        VERIFY,
+        "            self.failing_case = _as_json(case)\n",
+        "            pass\n",
+        [_FIXED_POINT_FAILS, _MEAN_FIELD_FAILS, _FAILING_CASES_JSON],
+    ),
+    "passed_compares_with_lt": (
+        VERIFY,
+        "return self.max_violation <= self.tol",
+        "return self.max_violation < self.tol",
+        _TOL_0_PASS,
     ),
 }
 

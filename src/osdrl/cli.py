@@ -162,9 +162,11 @@ def _track(v) -> bool:
 # every iterate of a run in one float array of (n + 1) * S * A * K entries,
 # written out whole to CSV and charts, and the search one of SEARCH_CHUNK
 # times that: each is held to MAX_STACK_ENTRIES (128 MiB). histograms makes
-# a linspace entry, a CSV row and a bar per bin.
+# a linspace entry, a CSV row and a bar per bin. frozenlake lists its seeds
+# and keeps each seed's learner record until the CSVs are written.
 MAX_STACK_ENTRIES = 1 << 24
 MAX_BINS = 10_000
+MAX_SEEDS = 1000
 
 # key -> (check, what a valid value is), one entry per key of DEFAULTS
 CONFIG_SCHEMA = {
@@ -176,7 +178,10 @@ CONFIG_SCHEMA = {
     "out": (lambda v: isinstance(v, str), "a path string"),
     "bins": (lambda v: _int(v) and 1 <= v <= MAX_BINS, f"an integer in [1, {MAX_BINS}]: a CSV row and a bar each"),
     "atom_cap": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
-    "seeds": (lambda v: _int(v) and v >= 1, "an integer >= 1"),
+    "seeds": (
+        lambda v: _int(v) and 1 <= v <= MAX_SEEDS,
+        f"an integer in [1, {MAX_SEEDS}]: a learner run each, every record kept until the CSVs are written",
+    ),
     "alpha": (lambda v: _number(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
     "eps_start": (lambda v: _number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
     "eps_end": (lambda v: _number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),

@@ -424,14 +424,12 @@ class DistributionCollection:
         """(n_states, n_actions, K) probabilities of categorical entries on one grid."""
         return np.array([[d.probs for d in row] for row in self._entries])
 
+    def _atom_counts(self):
+        """Each entry's atoms as as_atomic holds them: a categorical entry's positive cells."""
+        return (_as_atomic(d).atoms.size for _, d in self)
+
     def total_atoms(self) -> int:
-        return sum(
-            d.atoms.size if isinstance(d, AtomicDistribution) else d.grid.size
-            for _, d in self
-        )
+        return sum(self._atom_counts())
 
     def max_atoms_per_entry(self) -> int:
-        return max(
-            d.atoms.size if isinstance(d, AtomicDistribution) else int(np.sum(d.probs > 0))
-            for _, d in self
-        )
+        return max(self._atom_counts())

@@ -61,8 +61,8 @@ class StepSizeSchedule:
 
     @classmethod
     def polynomial(cls, c: float = 1.0, omega: float = 0.7) -> "StepSizeSchedule":
-        if not c > 0.0:
-            raise ValueError(f"c must be positive, got {c}")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {c}")
         if not 0.5 < omega <= 1.0:
             raise ValueError(f"omega must lie in (0.5, 1], got {omega}")
         return cls(c=float(c), omega=float(omega))
@@ -85,8 +85,8 @@ class ExplorationSchedule:
     def __post_init__(self):
         if not (0.0 <= self.eps_start <= 1.0 and 0.0 <= self.eps_end <= 1.0):
             raise ValueError("eps_start and eps_end must lie in [0, 1]")
-        if self.rate < 0.0:
-            raise ValueError(f"decay rate must be nonnegative, got {self.rate}")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError(f"decay rate must be nonnegative and finite, got {self.rate}")
 
     def epsilon(self, t: int) -> float:
         return self.eps_end + (self.eps_start - self.eps_end) * math.exp(-self.rate * t)

@@ -1,10 +1,12 @@
 """Executable property suites: contraction, fixed points, projection laws,
 metric axioms, monotonicity, mean tracking, and the target microbenchmark.
 
-Every property runs a seeded randomized case loop and reports (name, cases,
-max_violation, passed) plus a serialized failing case for replay when one
-exists. The verify CLI command aggregates these into a machine-readable
-report and a process exit code.
+Every property runs a seeded randomized case loop into one PropertyResult:
+record(violation, **case) counts the case, keeps the largest violation, and
+turns the first case above the property's tolerance into JSON for replay.
+The result reports (name, cases, max_violation, passed) and that failing
+case when one exists. The verify CLI command aggregates these into a
+machine-readable report and a process exit code.
 """
 
 from __future__ import annotations
@@ -62,12 +64,27 @@ TOY_GRID = (0.0, 1.9, 2.1, 10.0)
 
 @dataclass
 class PropertyResult:
+    """One property's record: its case count, its largest violation, and
+    its first case above tol as JSON. It passes when no violation exceeds
+    tol; to_json leaves tol out."""
+
     name: str
-    cases: int
-    max_violation: float
-    passed: bool
+    tol: float
+    cases: int = 0
+    max_violation: float = 0.0
     failing_case: Optional[dict] = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tol
+
+    def record(self, violation, **case) -> None:
+        self.cases += 1
+        if violation > self.max_violation:
+            self.max_violation = float(violation)
+        if violation > self.tol and self.failing_case is None:
+            self.failing_case = _as_json(case)
 
     def to_json(self) -> dict:
         doc = {
@@ -83,35 +100,19 @@ class PropertyResult:
         return doc
 
 
-def _collection_json(mu: DistributionCollection) -> list:
-    return [[mu[x, a].to_json() for a in range(mu.n_actions)] for x in range(mu.n_states)]
-
-
-class _Tracker:
-    """Running maximum violation with first-failure capture."""
-
-    def __init__(self, name, tol):
-        self.name = name
-        self.tol = tol
-        self.max_violation = 0.0
-        self.cases = 0
-        self.failing_case = None
-
-    def record(self, violation, case_fn):
-        self.cases += 1
-        if violation > self.max_violation:
-            self.max_violation = violation
-        if violation > self.tol and self.failing_case is None:
-            self.failing_case = case_fn()
-
-    def result(self) -> PropertyResult:
-        return PropertyResult(
-            name=self.name,
-            cases=self.cases,
-            max_violation=float(self.max_violation),
-            passed=bool(self.max_violation <= self.tol),
-            failing_case=self.failing_case,
-        )
+def _as_json(value):
+    """A case's value as JSON; a dict's None values are left out."""
+    if isinstance(value, dict):
+        return {key: _as_json(v) for key, v in value.items() if v is not None}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Policy):
+        return value.probs.tolist()
+    if isinstance(value, DistributionCollection):
+        return [[value[x, a].to_json() for a in range(value.n_actions)] for x in range(value.n_states)]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value.to_json() if hasattr(value, "to_json") else value  # MDPs and distributions
 
 
 def _near_tie_pair(rng, n_states, n_actions):
@@ -134,8 +135,8 @@ def check_contraction_suite(seed: int = 0, n_cases: int = 1000) -> list:
     full operator is recorded, not asserted."""
     rng = np.random.default_rng(seed)
     ps = (1.0, 2.0, 4.0)
-    trackers = [
-        _Tracker(name, 1e-10)
+    results = [
+        PropertyResult(name, 1e-10)
         for name in (
             "one_step_eval_contraction",
             "one_step_opt_contraction",
@@ -144,8 +145,8 @@ def check_contraction_suite(seed: int = 0, n_cases: int = 1000) -> list:
             "full_eval_contraction",
         )
     ]
-    greedy_violations = 0
-    greedy_max_excess = 0.0
+    # tolerance infinity: expansion is expected, so it is counted and its largest case kept
+    greedy = PropertyResult("full_opt_contraction_violations", math.inf, cases=n_cases, details={"violations": 0})
     greedy_example = None
     for case_index in range(n_cases):
         n_states = int(rng.integers(2, 5))
@@ -162,50 +163,31 @@ def check_contraction_suite(seed: int = 0, n_cases: int = 1000) -> list:
             mu2 = random_collection(rng, n_states, n_actions, max_atoms=3)
         grid = random_grid(rng, max_points=5)
         gamma = mdp.discount
-
-        def case():
-            return {
-                "mdp": mdp.to_json(),
-                "policy": pi.probs.tolist(),
-                "mu1": _collection_json(mu1),
-                "mu2": _collection_json(mu2),
-                "grid": grid.tolist(),
-            }
-
+        case = dict(mdp=mdp, policy=pi, mu1=mu1, mu2=mu2, grid=grid)
         # one quantile refinement per entry pair serves every p
         before = sup_wasserstein_ps(mu1, mu2, ps)
         ev1, ev2 = os_distr_eval(mu1, mdp, pi), os_distr_eval(mu2, mdp, pi)
         op1, op2 = os_distr_opt(mu1, mdp), os_distr_opt(mu2, mdp)
         project = lambda mu: mu.map(lambda d: cramer_project(d, grid))
-        outputs = (  # in the order of trackers; the projections in W1 only
+        outputs = (  # in the order of results; the projections in W1 only
             (ev1, ev2, ps),
             (op1, op2, ps),
             (project(ev1), project(ev2), ps[:1]),
             (project(op1), project(op2), ps[:1]),
             (distr_bellman_eval(mu1, mdp, pi), distr_bellman_eval(mu2, mdp, pi), ps),
         )
-        for tracker, (out1, out2, qs) in zip(trackers, outputs):
+        for result, (out1, out2, qs) in zip(results, outputs):
             for d, after in zip(before, sup_wasserstein_ps(out1, out2, qs)):
-                tracker.record(after - gamma * d, case)
+                result.record(after - gamma * d, **case)
         fo1 = distr_bellman_opt(mu1, mdp, tie_break="lowest")
         fo2 = distr_bellman_opt(mu2, mdp, tie_break="lowest")
         excess = sup_wasserstein(fo1, fo2, 1.0) - gamma * before[0]
         if excess > 1e-12:
-            greedy_violations += 1
-            if excess > greedy_max_excess:
-                greedy_max_excess = excess
-                greedy_example = case()
-    results = [t.result() for t in trackers]
-    results.append(
-        PropertyResult(
-            name="full_opt_contraction_violations",
-            cases=n_cases,
-            max_violation=float(greedy_max_excess),
-            passed=True,  # expansion is expected; recorded, not asserted
-            details={"violations": greedy_violations, "example": greedy_example},
-        )
-    )
-    return results
+            greedy.details["violations"] += 1
+            if excess > greedy.max_violation:
+                greedy.max_violation, greedy_example = float(excess), case
+    greedy.details["example"] = _as_json(greedy_example)
+    return [*results, greedy]
 
 
 def _fitting_grid(mdp, v, k: int = 7) -> np.ndarray:
@@ -230,7 +212,7 @@ def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> l
     for _ in range(n_eval):
         mdp = random_mdp(rng, int(rng.integers(2, 5)), 2)
         cases.append((mdp, random_policy(rng, mdp.n_states, 2), None))
-    trackers = {kind: _Tracker(f"projected_fixed_point_{kind}", tol) for kind in ("control", "eval")}
+    results = {kind: PropertyResult(f"projected_fixed_point_{kind}", tol) for kind in ("control", "eval")}
     for mdp, pi, grid in cases:
         v = _state_values(mdp, 1e-12, pi)
         if grid is None:
@@ -241,44 +223,34 @@ def check_fixed_points(seed: int = 0, n_control: int = 10, n_eval: int = 5) -> l
         else:
             op = lambda m: os_distr_eval(m, mdp, pi)
         exact = sup_wasserstein(projected(op, grid)(eta), eta, 1.0)
-        trackers["control" if pi is None else "eval"].record(
-            max(residual, exact) - tol,
-            lambda m=mdp, p=pi, g=grid: {
-                "mdp": m.to_json(),
-                "grid": g.tolist(),
-                **({} if p is None else {"policy": p.probs.tolist()}),
-            },
-        )
-    return [tracker.result() for tracker in trackers.values()]
+        results["control" if pi is None else "eval"].record(max(residual, exact) - tol, mdp=mdp, grid=grid, policy=pi)
+    return list(results.values())
 
 
 def check_projection_lemma(seed: int = 0, n_cases: int = 10_000) -> PropertyResult:
     """W1 of projected point masses never exceeds the original separation."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("projection_w1_nonexpansive_on_diracs", 1e-10)
+    result = PropertyResult("projection_w1_nonexpansive_on_diracs", 1e-10)
     for _ in range(n_cases):
         grid = random_grid(rng)
         a, b = rng.uniform(-15.0, 15.0, size=2)
         d = wasserstein(cramer_project(dirac(a), grid), cramer_project(dirac(b), grid), 1.0)
-        tracker.record(
-            d - abs(a - b),
-            lambda g=grid, a=a, b=b: {"grid": g.tolist(), "a": float(a), "b": float(b)},
-        )
-    return tracker.result()
+        result.record(d - abs(a - b), grid=grid, a=a, b=b)
+    return result
 
 
 def check_mean_preservation(seed: int = 0, n_cases: int = 10_000) -> PropertyResult:
     """Projection preserves the mean exactly for support inside [z1, zK]."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("projection_mean_preservation", 1e-12)
+    result = PropertyResult("projection_mean_preservation", 1e-12)
     for _ in range(n_cases):
         grid = random_grid(rng)
         n = int(rng.integers(1, 6))
         atoms = rng.uniform(grid[0], grid[-1], size=n)
         nu = AtomicDistribution.from_points(atoms, rng.dirichlet(np.ones(n)))
         err = abs(cramer_project(nu, grid).mean() - nu.mean())
-        tracker.record(err - 1e-12, lambda g=grid, d=nu: {"grid": g.tolist(), "nu": d.to_json()})
-    return tracker.result()
+        result.record(err - 1e-12, grid=grid, nu=nu)
+    return result
 
 
 def _dominated_pair(rng, base):
@@ -289,23 +261,21 @@ def _dominated_pair(rng, base):
 def check_projection_monotonicity(seed: int = 0, n_cases: int = 2000) -> PropertyResult:
     """Stochastic dominance survives the categorical projection."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("projection_monotone_in_dominance", 1e-12)
+    result = PropertyResult("projection_monotone_in_dominance", 1e-12)
     for _ in range(n_cases):
         grid = random_grid(rng)
         nu1 = random_atomic(rng, max_atoms=4, low=-5.0, high=5.0)
         nu2 = _dominated_pair(rng, nu1)
         excess = dominance_excess(cramer_project(nu2, grid), cramer_project(nu1, grid))
-        tracker.record(
-            excess, lambda g=grid, a=nu1, b=nu2: {"grid": g.tolist(), "lo": a.to_json(), "hi": b.to_json()}
-        )
-    return tracker.result()
+        result.record(excess, grid=grid, lo=nu1, hi=nu2)
+    return result
 
 
 def check_operator_monotonicity(seed: int = 0, n_cases: int = 400) -> PropertyResult:
     """Entrywise dominance is preserved by the one-step optimality operator
     and its projection."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("one_step_monotone_in_dominance", 1e-12)
+    result = PropertyResult("one_step_monotone_in_dominance", 1e-12)
     for _ in range(n_cases):
         mdp = random_mdp(rng, int(rng.integers(2, 4)), 2)
         mu1 = random_collection(rng, mdp.n_states, mdp.n_actions, max_atoms=3)
@@ -319,43 +289,35 @@ def check_operator_monotonicity(seed: int = 0, n_cases: int = 400) -> PropertyRe
         excess = max(
             dominance_excess(hi[x, a], lo[x, a]) for lo, hi in ((out1, out2), (pr1, pr2)) for (x, a), _ in lo
         )
-        tracker.record(
-            excess,
-            lambda m=mdp, a=mu1, b=mu2, g=grid: {
-                "mdp": m.to_json(),
-                "mu_lo": _collection_json(a),
-                "mu_hi": _collection_json(b),
-                "grid": g.tolist(),
-            },
-        )
-    return tracker.result()
+        result.record(excess, mdp=mdp, mu_lo=mu1, mu_hi=mu2, grid=grid)
+    return result
 
 
 def check_wasserstein_axioms(seed: int = 0, n_cases: int = 1000) -> list:
     rng = np.random.default_rng(seed)
-    symmetry = _Tracker("wasserstein_symmetry", 1e-12)
-    identity = _Tracker("wasserstein_identity", 1e-12)
-    triangle = _Tracker("wasserstein_triangle", 1e-10)
+    symmetry = PropertyResult("wasserstein_symmetry", 1e-12)
+    identity = PropertyResult("wasserstein_identity", 1e-12)
+    triangle = PropertyResult("wasserstein_triangle", 1e-10)
     ps = (1.0, 2.0, 4.0)
     for _ in range(n_cases):
         a = random_atomic(rng, max_atoms=5)
         b = random_atomic(rng, max_atoms=5)
         c = random_atomic(rng, max_atoms=5)
-        case = lambda a=a, b=b, c=c: {"a": a.to_json(), "b": b.to_json(), "c": c.to_json()}
+        case = dict(a=a, b=b, c=c)
         # one refinement per ordered pair: (b, a) is not (a, b)'s, or symmetry checks nothing
         ab, ba, aa, ac, cb = (wasserstein_ps(u, v, ps) for u, v in ((a, b), (b, a), (a, a), (a, c), (c, b)))
         for i in range(len(ps)):
-            symmetry.record(abs(ab[i] - ba[i]), case)
-            identity.record(aa[i], case)
-            triangle.record(ab[i] - ac[i] - cb[i], case)
-    return [symmetry.result(), identity.result(), triangle.result()]
+            symmetry.record(abs(ab[i] - ba[i]), **case)
+            identity.record(aa[i], **case)
+            triangle.record(ab[i] - ac[i] - cb[i], **case)
+    return [symmetry, identity, triangle]
 
 
 def check_w1_riemann_agreement(seed: int = 0, n_cases: int = 200) -> PropertyResult:
     """Exact W1 against an independent CDF-area Riemann sum on lattice atoms
     (lattice spacing keeps the midpoint rule exact)."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("w1_matches_riemann_cdf_area", 1e-6)
+    result = PropertyResult("w1_matches_riemann_cdf_area", 1e-6)
     step = 1.0 / 64
 
     def lattice(n):
@@ -371,15 +333,15 @@ def check_w1_riemann_agreement(seed: int = 0, n_cases: int = 200) -> PropertyRes
         mids = np.arange(lo + step / 4, hi, step / 2)
         riemann = float(np.sum(np.abs(a.cdf(mids) - b.cdf(mids))) * step / 2)
         rel = abs(exact - riemann) / exact if exact > 0 else float(riemann > 1e-12)
-        tracker.record(rel - 1e-6, lambda a=a, b=b: {"a": a.to_json(), "b": b.to_json()})
-    return tracker.result()
+        result.record(rel - 1e-6, a=a, b=b)
+    return result
 
 
 def check_categorical_w1(seed: int = 0, n_cases: int = 2000) -> PropertyResult:
     """The shared-grid W1 kernel agrees with the exact quantile W1 on random
     grids and probability vectors, zero cells and identical pairs included."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("categorical_w1_matches_exact", 1e-12)
+    result = PropertyResult("categorical_w1_matches_exact", 1e-12)
 
     def probs(k):
         p = rng.dirichlet(np.ones(k))
@@ -393,11 +355,8 @@ def check_categorical_w1(seed: int = 0, n_cases: int = 2000) -> PropertyResult:
         p = probs(grid.size)
         q = p if case_index % 5 == 0 else probs(grid.size)
         exact = wasserstein(CategoricalDistribution(grid, p), CategoricalDistribution(grid, q), 1.0)
-        tracker.record(
-            abs(float(categorical_w1(p, q, grid)) - exact),
-            lambda g=grid, p=p, q=q: {"grid": g.tolist(), "p": p.tolist(), "q": q.tolist()},
-        )
-    return tracker.result()
+        result.record(abs(float(categorical_w1(p, q, grid)) - exact), grid=grid, p=p, q=q)
+    return result
 
 
 # Memory layouts of an (n, m, K) probability stack that keep its values:
@@ -422,7 +381,7 @@ def check_categorical_means(seed: int = 0, n_cases: int = 200) -> PropertyResult
     in every layout of _LAYOUTS and on contiguous, reversed and strided
     grids, at every K of _MEANS_KS."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("categorical_means_match_entry_means", 0.0)
+    result = PropertyResult("categorical_means_match_entry_means", 0.0)
     layouts = list(_LAYOUTS)
     for case_index in range(n_cases):
         k = _MEANS_KS[case_index % len(_MEANS_KS)]
@@ -437,16 +396,14 @@ def check_categorical_means(seed: int = 0, n_cases: int = 200) -> PropertyResult
             want[index] = CategoricalDistribution(grid, stack[index]).mean()
         shaped = isinstance(got, np.ndarray) and got.shape == want.shape
         diff = float(np.max(np.abs(got - want))) if shaped else math.inf
-        tracker.record(
+        result.record(
             0.0 if shaped and np.array_equal(got, want) else (diff if diff > 0.0 else math.inf),
-            lambda g=grid, p=probs, n=layout, gn=grid_layout: {
-                "layout": n,
-                "grid_layout": gn,
-                "grid": g.tolist(),
-                "probs": p.tolist(),
-            },
+            layout=layout,
+            grid_layout=grid_layout,
+            grid=grid,
+            probs=probs,
         )
-    return tracker.result()
+    return result
 
 
 def _tied(rng, probs, near: bool) -> np.ndarray:
@@ -477,7 +434,7 @@ def check_categorical_operators(seed: int = 0, n_cases: int = 120) -> PropertyRe
     MDPs with stochastic evaluation policies. The toy cases then go once more
     through one categorical_full_opt_batch of all their MDPs."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("categorical_operators_match_object", 0.0)
+    result = PropertyResult("categorical_operators_match_object", 0.0)
     compared, toy = [], []  # (operator, array result, object result, mdp, grid, probs, policy)
     for case_index in range(n_cases):
         family = (case_index - 1) % 6 if case_index else None
@@ -524,17 +481,15 @@ def check_categorical_operators(seed: int = 0, n_cases: int = 120) -> PropertyRe
         compared += [("full_opt_batch", got, *case[2:]) for got, case in zip(batched, toy)]
     for name, got, want, mdp, grid, probs, pi in compared:
         diff = float(np.max(np.abs(got - want)))
-        tracker.record(
+        result.record(
             0.0 if np.array_equal(got, want) else (diff if diff > 0.0 else math.inf),
-            lambda n=name, m=mdp, g=grid, p=probs, q=pi: {
-                "operator": n,
-                "mdp": m.to_json(),
-                "grid": g.tolist(),
-                "probs": p.tolist(),
-                "policy": q.probs.tolist(),
-            },
+            operator=name,
+            mdp=mdp,
+            grid=grid,
+            probs=probs,
+            policy=pi,
         )
-    return tracker.result()
+    return result
 
 
 def _expected_update(update, tables, mdp, x, a, alpha) -> np.ndarray:
@@ -563,7 +518,7 @@ def check_mean_field(seed: int = 0, n_cases: int = 100) -> PropertyResult:
     give every action the same row (exact greedy ties) and a third move a few
     ulp of mass in the last action (ties a rounding step apart)."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("learner_mean_field", 1e-12)
+    result = PropertyResult("learner_mean_field", 1e-12)
     for case_index in range(n_cases):
         mdp = random_mdp(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         grid = random_grid(rng, max_points=5)
@@ -589,19 +544,8 @@ def check_mean_field(seed: int = 0, n_cases: int = 100) -> PropertyResult:
                 for x in range(mdp.n_states)
                 for a in range(mdp.n_actions)
             )
-            tracker.record(
-                gap,
-                lambda al=algo, mo=mode, m=mdp, g=grid, p=probs, q=pi, s=alpha: {
-                    "algo": al,
-                    "mode": mo,
-                    "mdp": m.to_json(),
-                    "grid": g.tolist(),
-                    "probs": p.tolist(),
-                    "policy": q.probs.tolist(),
-                    "alpha": s,
-                },
-            )
-    return tracker.result()
+            result.record(gap, algo=algo, mode=mode, mdp=mdp, grid=grid, probs=probs, policy=pi, alpha=alpha)
+    return result
 
 
 # Exploration schedules at which _block_actions must decide as epsilon(t)
@@ -633,7 +577,7 @@ def check_exploration_decisions(seed: int = 0, n_cases: int = 60) -> PropertyRes
     epsilon(t) or a float to either side and whose last u1 is the largest
     float below 1: the schedules of _SCHEDULES first, then random ones."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("exploration_decisions_match_scalar", 0.0)
+    result = PropertyResult("exploration_decisions_match_scalar", 0.0)
     named = list(_SCHEDULES.values())
     for case_index in range(n_cases):
         rate = float(rng.choice([0.0, 10.0 ** rng.uniform(-6.0, -2.0)]))
@@ -646,13 +590,15 @@ def check_exploration_decisions(seed: int = 0, n_cases: int = 60) -> PropertyRes
             for t, a, b in zip(range(start, start + 256), u0.tolist(), u1.tolist())
         ]
         got = _block_actions(ex, start, u0, u1, n_actions)
-        tracker.record(
+        result.record(
             float(sum(g != w for g, w in zip(got, want))),
-            lambda e=ex, s=start, k=n_actions, a=u0, b=u1: dict(
-                schedule=[e.eps_start, e.eps_end, e.rate], start=s, n_actions=k, u0=a.tolist(), u1=b.tolist()
-            ),
+            schedule=[ex.eps_start, ex.eps_end, ex.rate],
+            start=start,
+            n_actions=n_actions,
+            u0=u0,
+            u1=u1,
         )
-    return tracker.result()
+    return result
 
 
 def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
@@ -660,17 +606,12 @@ def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
     scalar Bellman operator applied to entrywise means; projected variants
     agree whenever all targets lie inside the grid."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("mean_commutation", 1e-10)
+    result = PropertyResult("mean_commutation", 1e-10)
     for _ in range(n_cases):
         mdp = random_mdp(rng, int(rng.integers(2, 5)), 2)
         pi = random_policy(rng, mdp.n_states, 2)
         mu = random_collection(rng, mdp.n_states, 2, max_atoms=3)
         q = mu.means()
-        case = lambda m=mdp, p=pi, u=mu: {
-            "mdp": m.to_json(),
-            "policy": p.probs.tolist(),
-            "mu": _collection_json(u),
-        }
         err = np.max(np.abs(distr_bellman_eval(mu, mdp, pi).means() - bellman_eval(q, mdp, pi)))
         err = max(err, np.max(np.abs(distr_bellman_opt(mu, mdp).means() - bellman_opt(q, mdp))))
         err = max(err, np.max(np.abs(os_distr_eval(mu, mdp, pi).means() - bellman_eval(q, mdp, pi))))
@@ -681,15 +622,15 @@ def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
         grid = _fitting_grid(mdp, v)
         projected_means = out_opt.map(lambda d: cramer_project(d, grid)).means()
         err = max(err, np.max(np.abs(projected_means - bellman_opt(q, mdp))))
-        tracker.record(err, case)
-    return tracker.result()
+        result.record(err, mdp=mdp, policy=pi, mu=mu)
+    return result
 
 
 def check_banach_residual(seed: int = 0, n_cases: int = 50) -> PropertyResult:
     """Successive step distances along contractive-operator traces decay by
     at least the discount factor."""
     rng = np.random.default_rng(seed)
-    tracker = _Tracker("banach_residual_decay", 1e-10)
+    result = PropertyResult("banach_residual_decay", 1e-10)
     for _ in range(n_cases):
         mdp = random_mdp(rng, int(rng.integers(2, 4)), 2)
         pi = random_policy(rng, mdp.n_states, 2)
@@ -700,13 +641,12 @@ def check_banach_residual(seed: int = 0, n_cases: int = 50) -> PropertyResult:
             lambda m: os_distr_opt(m, mdp),
             projected(lambda m: os_distr_opt(m, mdp), grid),
         ]
-        case = lambda m=mdp: {"mdp": m.to_json()}
         for op in ops:
             iterates = iterate(op, mu0, 8)
             steps = [sup_wasserstein(nxt, cur, 1.0) for cur, nxt in zip(iterates, iterates[1:])]
             for n in range(1, len(steps)):
-                tracker.record(steps[n] - mdp.discount * steps[n - 1], case)
-    return tracker.result()
+                result.record(steps[n] - mdp.discount * steps[n - 1], mdp=mdp)
+    return result
 
 
 def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
@@ -718,7 +658,7 @@ def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
     schedule = StepSizeSchedule.polynomial(c=1.0, omega=0.7)
     grid = np.asarray(TOY_GRID)
     pi = Policy.uniform(2, 2)
-    tracker = _Tracker("mean_tracking_vs_scalar_learner", 1e-9)
+    result = PropertyResult("mean_tracking_vs_scalar_learner", 1e-9)
     for mode in ("control", "eval"):
         probs = categorical_start(mdp, grid).probs()
         tables = _Tables(probs, grid, mdp.discount, pi if mode == "eval" else None)
@@ -742,11 +682,8 @@ def check_mean_tracking(seed: int = 0, n_steps: int = 10_000) -> PropertyResult:
             )
             visits[tr.state, tr.action] += 1
             x = tr.next_state
-            tracker.record(
-                float(np.max(np.abs(categorical_means(probs, grid) - q))),
-                lambda t=t, m=mode: {"step": t, "mode": m},
-            )
-    return tracker.result()
+            result.record(float(np.max(np.abs(categorical_means(probs, grid) - q))), step=t, mode=mode)
+    return result
 
 
 @dataclass
@@ -833,14 +770,12 @@ def check_target_complexity(seed: int = 0, fast: bool = False) -> tuple:
         seed=seed,
         n_inputs=16 if fast else 32,
     )
-    ratios = [row["ratio"] for row in bench.rows]
-    passed = bench.ratio_increasing and bench.max_cells <= 2
     result = PropertyResult(
-        name="target_complexity",
+        "target_complexity",
+        0.0,
         cases=len(bench.rows),
-        max_violation=0.0 if passed else 1.0,
-        passed=passed,
-        details={"ratios": ratios, "max_cells": bench.max_cells},
+        max_violation=0.0 if bench.ratio_increasing and bench.max_cells <= 2 else 1.0,
+        details={"ratios": [row["ratio"] for row in bench.rows], "max_cells": bench.max_cells},
     )
     return result, bench
 

@@ -28,6 +28,7 @@ from osdrl.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     MAX_BINS,
+    MAX_SEEDS,
     MAX_STACK_ENTRIES,
     SEARCH_CHUNK,
     ConfigError,
@@ -198,6 +199,17 @@ class TestConfigHandling:
                 load_config("instability", path, {})
         path.write_text(json.dumps({"grid": grid, "steps": 10, "one_step_iterations": 10, "search_candidates": 0}))
         assert len(load_config("instability", path, {})["grid"]) == 70_000
+
+    def test_seeds_past_their_bound_are_config_errors(self, tmp_path):
+        # checked through load_config only, so no value past the bound is run
+        path = tmp_path / "cfg.json"
+        for value in (MAX_SEEDS + 1, 10**9, 10**400):
+            path.write_text(json.dumps({"seeds": value}))
+            with pytest.raises(ConfigError, match="seeds") as info:
+                load_config("frozenlake", path, {})
+            assert str(MAX_SEEDS) in str(info.value)
+        path.write_text(json.dumps({"seeds": MAX_SEEDS}))
+        assert load_config("frozenlake", path, {})["seeds"] == MAX_SEEDS
 
     def test_steps_are_bounded_only_where_they_size_an_array(self, tmp_path):
         # histograms and frozenlake size no array by steps before they run
@@ -474,6 +486,28 @@ class TestVerifyCommand:
         assert len(names) == len(set(names)) >= 15
         assert all(name.startswith("check_") for name in names)
         assert all(suite["seconds"] >= 0.0 for suite in report["suites"])
+
+    def test_every_failing_case_is_json(self, monkeypatch):
+        # every tolerance below every violation, so each recorded property
+        # keeps its first case: a value that json cannot write fails here,
+        # and not only in a run where a property fails
+        import osdrl.verify as verify
+
+        init = verify.PropertyResult.__init__
+
+        def failing(self, name, tol, *args, **kwargs):
+            init(self, name, -math.inf, *args, **kwargs)
+
+        monkeypatch.setattr(verify.PropertyResult, "__init__", failing)
+        results, _, _ = verify.run_properties(seed=0, fast=True)
+        unrecorded = {"full_opt_contraction_violations", "target_complexity"}  # built by hand, no record()
+        for result in results:
+            assert (result.failing_case is None) == (result.name in unrecorded), result.name
+            json.dumps(result.to_json(), allow_nan=False)
+        by_name = {result.name: result for result in results}
+        assert by_name["full_opt_contraction_violations"].details["example"] is not None
+        assert list(by_name["projected_fixed_point_control"].failing_case) == ["mdp", "grid"]
+        assert list(by_name["projected_fixed_point_eval"].failing_case) == ["mdp", "grid", "policy"]
 
 
 class TestStartup:

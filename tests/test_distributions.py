@@ -397,6 +397,13 @@ class TestDistributionCollection:
     def test_total_atoms(self):
         mu = DistributionCollection.constant(2, 2, mixture([(0.5, dirac(0.0)), (0.5, dirac(1.0))]))
         assert mu.total_atoms() == 8
+        # a categorical entry counts its positive cells, as as_atomic holds them
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        cat = DistributionCollection.build(
+            2, 2, lambda x, a: CategoricalDistribution(grid, [0.5, 0.0, 0.5, 0.0] if x else [0.0, 0.0, 1.0, 0.0])
+        )
+        assert cat.total_atoms() == 6
+        assert cat.max_atoms_per_entry() == 2
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):

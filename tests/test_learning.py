@@ -93,6 +93,9 @@ class TestStepSizeSchedule:
             StepSizeSchedule.polynomial(omega=0.5)
         with pytest.raises(ValueError):
             StepSizeSchedule.polynomial(omega=1.1)
+        for c in (math.inf, math.nan):  # inf would make every step size inf
+            with pytest.raises(ValueError, match="c must"):
+                StepSizeSchedule.polynomial(c=c)
 
     def test_robbins_monro_partial_sums(self):
         # divergent sum, convergent squared sum for omega in (0.5, 1]
@@ -119,6 +122,10 @@ class TestExplorationSchedule:
             ExplorationSchedule(eps_start=1.5)
         with pytest.raises(ValueError):
             ExplorationSchedule(rate=-1.0)
+        for rate in (math.inf, math.nan):  # inf would make epsilon(0) nan (-inf * 0), nan every epsilon
+            with pytest.raises(ValueError, match="rate"):
+                ExplorationSchedule(rate=rate)
+        assert _SCHEDULES["rate_overflows"].rate == 1e308  # finite, so still a schedule
 
 
 class TestBlockActions:
