@@ -1,5 +1,6 @@
-"""Run the named mutants of osdrl's kernels and of its verify property
-record against the tier-1 tests that must catch them.
+"""Run the named mutants of osdrl's kernels, of its greedy and draw rules
+and of its verify property record against the tier-1 tests that must
+catch them.
 
     python3 mutants/run.py [NAME ...]
 
@@ -27,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LEARNING = "src/osdrl/learning.py"
+MDP = "src/osdrl/mdp.py"
+OPERATORS = "src/osdrl/operators.py"
 VERIFY = "src/osdrl/verify.py"
 _REPLAY = "tests/test_learning.py::TestRunLearning::test_step_functions_replay_the_harness_bit_for_bit"
 _TIES = "tests/test_learning.py::TestBlockActions::test_ties_are_decided_as_the_scalar_epsilon_decides_them"
@@ -102,6 +105,23 @@ MUTANTS = {
         "restart = [env.initial_state if s in",
         "restart = [0 if s in",
         [f"{_REPLAY}[control-five-{algo}]" for algo in ("os", "cdrl")],
+    ),
+    "exact_greedy_tie_to_highest": (
+        OPERATORS,
+        "Policy.deterministic(q.argmax(axis=1), q.shape[1])",
+        "Policy.deterministic(q.shape[1] - 1 - q[:, ::-1].argmax(axis=1), q.shape[1])",
+        [
+            "tests/test_operators.py::TestGreedyPolicy::test_lowest_index",
+            "tests/test_operators.py::TestArrayOperators::test_tied_and_near_tied_actions",
+            "tests/test_operators.py::TestArrayOperators::test_full_opt_trace_matches_object_on_toy_family[0.7]",
+            "tests/test_operators.py::TestArrayOperators::test_verify_property_passes",
+        ],
+    ),
+    "draw_past_last_positive_cell": (
+        MDP,
+        "        row[np.flatnonzero(p)[-1] :] = 1.0\n",
+        "        pass\n",
+        ["tests/test_mdp.py::TestEpisodicEnv::test_sample_step_never_draws_a_state_of_probability_zero"],
     ),
     "max_violation_never_updated": (
         VERIFY,

@@ -31,13 +31,22 @@ from .distributions import (
     categorical_means,
     categorical_w1,
 )
-from .mdp import EpisodicEnv, Policy, write_csv
+from .mdp import EpisodicEnv, Policy, _cumulative, write_csv
 
 # Default epsilon decay: reaches 0.26 at step 5e4 when decaying 1 -> 0.25.
 DEFAULT_EPS_RATE = math.log(75.0) / 5e4
 
 MODES = ("eval", "control")
 ALGOS = ("os", "cdrl")
+
+
+def _as_float(value) -> float:
+    """float(value), an int beyond float range becoming inf of its sign, so
+    that the schedules' finiteness checks reject it by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,12 @@ class StepSizeSchedule:
 
     @classmethod
     def polynomial(cls, c: float = 1.0, omega: float = 0.7) -> "StepSizeSchedule":
+        c, omega = _as_float(c), _as_float(omega)
         if not 0.0 < c < math.inf:
             raise ValueError(f"c must be positive and finite, got {c}")
         if not 0.5 < omega <= 1.0:
             raise ValueError(f"omega must lie in (0.5, 1], got {omega}")
-        return cls(c=float(c), omega=float(omega))
+        return cls(c=c, omega=omega)
 
     def step_size(self, visits: int) -> float:
         return self.c / (1.0 + visits) ** self.omega
@@ -83,6 +93,8 @@ class ExplorationSchedule:
     rate: float = DEFAULT_EPS_RATE
 
     def __post_init__(self):
+        for name in ("eps_start", "eps_end", "rate"):
+            object.__setattr__(self, name, _as_float(getattr(self, name)))
         if not (0.0 <= self.eps_start <= 1.0 and 0.0 <= self.eps_end <= 1.0):
             raise ValueError("eps_start and eps_end must lie in [0, 1]")
         if not 0.0 <= self.rate < math.inf:
@@ -276,17 +288,6 @@ def _reference_probs(reference, grid: np.ndarray) -> np.ndarray:
             raise ValueError("reference must be a categorical collection on the learner grid")
         probs[x, a] = dist.probs
     return probs
-
-
-def _cumulative(probs) -> list:
-    """Cumulative sums over the last axis as nested lists, each row's entries
-    from its last positive cell on set to 1.0: bisect_right of a uniform in
-    [0, 1) then lands only on cells of positive probability."""
-    cum = np.cumsum(probs, axis=-1)
-    rows = cum.reshape(-1, cum.shape[-1])
-    for row, p in zip(rows, np.reshape(probs, rows.shape)):
-        row[np.flatnonzero(p)[-1] :] = 1.0
-    return cum.tolist()
 
 
 # Rows of 3 uniforms drawn per rng call in run_learning, one row per step.

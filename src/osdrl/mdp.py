@@ -4,6 +4,7 @@ and the one writer of every canonical CSV."""
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -167,8 +168,22 @@ class EpisodicEnv:
         object.__setattr__(self, "initial_state", _state_id(self.initial_state, n, "initial state"))
 
 
+def _cumulative(probs) -> list:
+    """Cumulative sums over the last axis as nested lists, each row's entries
+    from its last positive cell on set to 1.0: bisect_right of a uniform in
+    [0, 1) then lands only on cells of positive probability. The one rule
+    for drawing an index from a probability row."""
+    cum = np.cumsum(probs, axis=-1)
+    rows = cum.reshape(-1, cum.shape[-1])
+    for row, p in zip(rows, np.reshape(probs, rows.shape)):
+        row[np.flatnonzero(p)[-1] :] = 1.0
+    return cum.tolist()
+
+
 def sample_step(env, state: int, action: int, rng: np.random.Generator) -> Transition:
-    """Sample one transition (x, a, r, x') from the environment's kernel.
+    """Sample one transition (x, a, r, x') from the environment's kernel:
+    x' is bisect_right of one rng.random() in the row's _cumulative sums,
+    the rule run_learning draws by.
 
     Accepts an EpisodicEnv or a bare TabularMdp. Deterministic given the rng
     state. Raises IndexError on out-of-range ids.
@@ -178,10 +193,7 @@ def sample_step(env, state: int, action: int, rng: np.random.Generator) -> Trans
         raise IndexError(f"state {state} out of range [0, {mdp.n_states})")
     if not 0 <= action < mdp.n_actions:
         raise IndexError(f"action {action} out of range [0, {mdp.n_actions})")
-    row = mdp.kernel[state, action]
-    cum = np.cumsum(row)
-    next_state = int(np.searchsorted(cum, rng.random(), side="right"))
-    next_state = min(next_state, mdp.n_states - 1)
+    next_state = bisect_right(_cumulative(mdp.kernel[state, action]), rng.random())
     return Transition(state, action, float(mdp.reward[state, action, next_state]), next_state)
 
 

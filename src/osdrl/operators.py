@@ -24,8 +24,6 @@ from .distributions import (
 )
 from .mdp import Policy, TabularMdp
 
-TIE_BREAKS = ("lowest", "uniform")
-
 
 def _check_q(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     q = np.asarray(q, dtype=float)
@@ -50,23 +48,11 @@ def bellman_opt(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     return (mdp.kernel * (mdp.reward + mdp.discount * v[None, None, :])).sum(axis=2)
 
 
-def greedy_policy(q: np.ndarray, tie_break: str = "lowest") -> Policy:
-    """Greedy policy w.r.t. Q with an explicit tie-breaking rule.
-
-    "lowest" picks the smallest-index maximizer, "uniform" mixes equally over
-    all maximizers.
-    """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+def greedy_policy(q: np.ndarray) -> Policy:
+    """Greedy policy w.r.t. Q: each row's lowest-index maximizer, the one
+    greedy rule of the exact layer, the array operators and the learner."""
     q = np.asarray(q, dtype=float)
-    probs = np.zeros_like(q)
-    for x in range(q.shape[0]):
-        winners = np.flatnonzero(q[x] == q[x].max())
-        if tie_break == "lowest":
-            probs[x, winners[0]] = 1.0
-        else:
-            probs[x, winners] = 1.0 / winners.size
-    return Policy(probs)
+    return Policy.deterministic(q.argmax(axis=1), q.shape[1])
 
 
 def distr_bellman_eval(
@@ -103,13 +89,10 @@ def distr_bellman_eval(
     return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
 
 
-def distr_bellman_opt(
-    mu: DistributionCollection, mdp: TabularMdp, tie_break: str = "lowest"
-) -> DistributionCollection:
+def distr_bellman_opt(mu: DistributionCollection, mdp: TabularMdp) -> DistributionCollection:
     """Full distributional optimality operator: greedy policy from the
     entrywise means, then the evaluation operator under that policy."""
-    pi_greedy = greedy_policy(mu.means(), tie_break=tie_break)
-    return distr_bellman_eval(mu, mdp, pi_greedy)
+    return distr_bellman_eval(mu, mdp, greedy_policy(mu.means()))
 
 
 def _one_step_collection(mdp: TabularMdp, v: np.ndarray) -> DistributionCollection:
@@ -283,7 +266,7 @@ def categorical_full_opt_batch(mdps, grid):
 
 
 def categorical_full_opt(mdp: TabularMdp, grid):
-    """Array form of projected(lambda m: distr_bellman_opt(m, mdp, "lowest"), grid): the batch of one."""
+    """Array form of projected(lambda m: distr_bellman_opt(m, mdp), grid): the batch of one."""
     apply = categorical_full_opt_batch([mdp], grid)
     return lambda probs: apply(probs[None])[0]
 

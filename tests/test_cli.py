@@ -408,7 +408,7 @@ class TestInstabilityCommand:
             written = np.array([float(row["prob"]) for row in csv.DictReader(fh)]).reshape(141, 2, 2, 4)
         grid = DEFAULTS["instability"]["grid"]
         mdp = make_toy_mdp(search["r_a"])
-        op = projected(lambda m: distr_bellman_opt(m, mdp, tie_break="lowest"), grid)
+        op = projected(lambda m: distr_bellman_opt(m, mdp), grid)
         mu = categorical_start(mdp, grid)
         for n in range(141):
             assert np.array_equal(written[n], mu.probs()), f"iterate {n}"

@@ -578,7 +578,7 @@ def reference_greedy(mu) -> Policy:
             return float(categorical_means(d.probs, d.grid))
         return float(d.atoms @ d.weights)
 
-    return greedy_policy(np.array([[mean(mu[x, a]) for a in range(mu.n_actions)] for x in range(mu.n_states)]), "lowest")
+    return greedy_policy(np.array([[mean(mu[x, a]) for a in range(mu.n_actions)] for x in range(mu.n_states)]))
 
 
 def full_operator_cases(seed=3, n_cases=60):
@@ -649,7 +649,7 @@ class TestExactOracleKeepsItsBits:
             opt_ref = reference_full_eval(mu, mdp, reference_greedy(mu))
             for (x, a), out in distr_bellman_eval(mu, mdp, policy):
                 assert_same(out, eval_ref[x, a])
-            for (x, a), out in distr_bellman_opt(mu, mdp, "lowest"):
+            for (x, a), out in distr_bellman_opt(mu, mdp):
                 assert_same(out, opt_ref[x, a])
             seen.add(mdp.discount)
         assert seen == {0.0, 1e-13, 0.5, 0.9}
@@ -678,7 +678,7 @@ class TestExactOracleKeepsItsBits:
             with pytest.raises(ValueError, match="atoms must be finite"):
                 distr_bellman_eval(mu, mdp, policy)
             with pytest.raises(ValueError, match="atoms must be finite"):
-                distr_bellman_opt(mu, mdp, "lowest")
+                distr_bellman_opt(mu, mdp)
 
     def test_shared_refinement_sup_wasserstein(self):
         rng = np.random.default_rng(17)

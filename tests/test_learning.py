@@ -93,7 +93,8 @@ class TestStepSizeSchedule:
             StepSizeSchedule.polynomial(omega=0.5)
         with pytest.raises(ValueError):
             StepSizeSchedule.polynomial(omega=1.1)
-        for c in (math.inf, math.nan):  # inf would make every step size inf
+        # inf would make every step size inf; 10**400 does not fit in a float
+        for c in (math.inf, math.nan, 10**400):
             with pytest.raises(ValueError, match="c must"):
                 StepSizeSchedule.polynomial(c=c)
 
@@ -122,7 +123,9 @@ class TestExplorationSchedule:
             ExplorationSchedule(eps_start=1.5)
         with pytest.raises(ValueError):
             ExplorationSchedule(rate=-1.0)
-        for rate in (math.inf, math.nan):  # inf would make epsilon(0) nan (-inf * 0), nan every epsilon
+        # inf would make epsilon(0) nan (-inf * 0), nan every epsilon, and
+        # 10**400, which does not fit in a float, overflow epsilon(t)
+        for rate in (math.inf, math.nan, 10**400):
             with pytest.raises(ValueError, match="rate"):
                 ExplorationSchedule(rate=rate)
         assert _SCHEDULES["rate_overflows"].rate == 1e308  # finite, so still a schedule
@@ -284,13 +287,11 @@ def reference_dirac(points, u):
 
 class ReferenceLearner:
     """probs and their kept means, moved by the reference arithmetic. The
-    baseline's greedy next-state row follows the object-level tie_break rule
-    of greedy_policy; the learner has "lowest" only. seen tallies the
-    situations the updates met, for the coverage checks."""
+    baseline's greedy next-state row is the object-level greedy_policy's.
+    seen tallies the situations the updates met, for the coverage checks."""
 
-    def __init__(self, probs, grid, gamma, policy=None, tie_break="lowest"):
+    def __init__(self, probs, grid, gamma, policy=None):
         self.probs, self.grid, self.gamma, self.policy = probs, grid, gamma, policy
-        self.tie_break = tie_break
         self.q = [[float(row @ grid) for row in rows] for rows in probs]
         self.seen = Counter()
 
@@ -319,7 +320,7 @@ class ReferenceLearner:
         else:
             q_next = self.q[x_next]
             self.seen["tie"] += q_next.count(max(q_next)) > 1
-            next_probs = greedy_policy(np.array([q_next]), self.tie_break).probs[0] @ self.probs[x_next]
+            next_probs = greedy_policy(np.array([q_next])).probs[0] @ self.probs[x_next]
         grid = self.grid
         atoms = r + self.gamma * grid
         matrix = np.array([project_points(atoms[k : k + 1], np.ones(1), grid) for k in range(atoms.size)])
@@ -373,17 +374,16 @@ def update_cases(seed, n_cases=60, n_updates=12, k=None):
         yield grid, gamma, probs, policy, transitions
 
 
-def replay(algo, mode, tie_break, cases) -> Counter:
+def replay(algo, mode, cases) -> Counter:
     """Run each case's transitions through the learner's update and the
     reference side by side, asserting the same rows, means and flags after
-    every update; return the situations the reference met. tie_break is the
-    reference's greedy rule."""
+    every update; return the situations the reference met."""
     update = _os_update if algo == "os" else _cdrl_update
     seen = Counter()
     for grid, gamma, probs, policy, transitions in cases:
         policy = policy if mode == "eval" else None
         tables = _Tables(probs.copy(), grid, gamma, policy)
-        ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break)
+        ref = ReferenceLearner(probs.copy(), grid, gamma, policy)
         ref_update = ref.os_update if algo == "os" else ref.cdrl_update
         assert tables.q == ref.q
         for x, a, r, x_next, alpha in transitions:
@@ -396,18 +396,13 @@ def replay(algo, mode, tie_break, cases) -> Counter:
     return seen
 
 
-UPDATE_KINDS = [
-    ("os", "control", "lowest"),
-    ("os", "eval", "lowest"),
-    ("cdrl", "control", "lowest"),
-    ("cdrl", "eval", "lowest"),
-]
+UPDATE_KINDS = [("os", "control"), ("os", "eval"), ("cdrl", "control"), ("cdrl", "eval")]
 
 
 class TestUpdatesKeepTheirBits:
-    @pytest.mark.parametrize("algo, mode, tie_break", UPDATE_KINDS)
-    def test_rows_means_and_flags_match_the_reference(self, algo, mode, tie_break):
-        seen = replay(algo, mode, tie_break, update_cases(seed=5))
+    @pytest.mark.parametrize("algo, mode", UPDATE_KINDS)
+    def test_rows_means_and_flags_match_the_reference(self, algo, mode):
+        seen = replay(algo, mode, update_cases(seed=5))
         # the spread reached every situation it is meant to cover
         if algo == "os":
             assert min(seen["below"], seen["above"], seen["inside"], seen["on_grid"]) > 0, seen
@@ -417,9 +412,9 @@ class TestUpdatesKeepTheirBits:
             assert seen["tie"] > 0, seen
 
     @pytest.mark.parametrize("k", [2, 3, 51])
-    @pytest.mark.parametrize("algo, mode", [("os", "control"), ("os", "eval"), ("cdrl", "control"), ("cdrl", "eval")])
+    @pytest.mark.parametrize("algo, mode", UPDATE_KINDS)
     def test_short_and_long_grids(self, algo, mode, k):
-        seen = replay(algo, mode, "lowest", update_cases(seed=6, n_cases=16, k=k))
+        seen = replay(algo, mode, update_cases(seed=6, n_cases=16, k=k))
         if algo == "os":
             assert min(seen["below"], seen["above"]) > 0, seen
 
@@ -472,15 +467,15 @@ MEMO_SCRIPT = [
 
 
 class TestBaselineTargetMemo:
-    @pytest.mark.parametrize("mode, tie_break", [("control", "lowest"), ("eval", "lowest")])
-    def test_hits_and_misses_keep_the_reference_bits(self, mode, tie_break):
+    @pytest.mark.parametrize("mode", ["control", "eval"])
+    def test_hits_and_misses_keep_the_reference_bits(self, mode):
         updates, built, seen = 0, 0, Counter()
         for grid, gamma, probs, policy, _ in update_cases(seed=8, n_cases=12):
             policy = policy if mode == "eval" else None
             span = grid[-1] - grid[0]
             rewards = (float(grid[0] - 0.5 * span), float(grid[1] * (1.0 - gamma)))
             tables = _Tables(probs.copy(), grid, gamma, policy)
-            ref = ReferenceLearner(probs.copy(), grid, gamma, policy, tie_break)
+            ref = ReferenceLearner(probs.copy(), grid, gamma, policy)
             builds = count_builds(tables)
             for step, (x, a, i, x_next, miss) in enumerate(MEMO_SCRIPT):
                 alpha = 1.0 if step == 3 else 0.2 + 0.05 * step

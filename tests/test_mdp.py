@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,3 +215,14 @@ class TestEpisodicEnv:
         env = make_frozen_lake()
         a = [sample_step(env, 0, 2, np.random.default_rng(9)) for _ in range(3)]
         assert a[0] == a[1] == a[2]
+
+    def test_sample_step_never_draws_a_state_of_probability_zero(self):
+        # the row's cumulative sums end at 0.9999999999999999, which a
+        # uniform just below 1.0 reaches: the draw stops at the last cell of
+        # positive probability, as the learner's draws do
+        kernel = np.zeros((4, 1, 4))
+        kernel[:, 0] = [0.7, 0.2, 0.1, 0.0]
+        mdp = TabularMdp(kernel=kernel, reward=np.zeros_like(kernel), discount=0.5)
+        assert np.cumsum(kernel[0, 0])[-1] < 1.0
+        rng = SimpleNamespace(random=lambda: np.nextafter(1.0, 0.0))
+        assert sample_step(mdp, 0, 0, rng).next_state == 2

@@ -99,18 +99,8 @@ class TestScalarOperators:
 
 class TestGreedyPolicy:
     def test_lowest_index(self):
-        pi = greedy_policy(np.array([[1.0, 1.0], [0.0, 2.0]]), "lowest")
+        pi = greedy_policy(np.array([[1.0, 1.0], [0.0, 2.0]]))
         assert pi.probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-    def test_uniform_mix(self):
-        pi = greedy_policy(np.array([[1.0, 1.0]]), "uniform")
-        assert pi.probs.tolist() == [[0.5, 0.5]]
-
-    def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError):
-            greedy_policy(np.zeros((1, 2)), "first")
-        with pytest.raises(ValueError, match="tie_break"):
-            greedy_policy(np.zeros((1, 2)), "random")
 
 
 class TestFullDistributionalOperators:
@@ -145,7 +135,7 @@ class TestFullDistributionalOperators:
         rng = np.random.default_rng(3)
         mdp = random_mdp(rng)
         mu = random_collection(rng, mdp.n_states, mdp.n_actions)
-        pi_greedy = greedy_policy(mu.means(), "lowest")
+        pi_greedy = greedy_policy(mu.means())
         out_opt = distr_bellman_opt(mu, mdp)
         out_eval = distr_bellman_eval(mu, mdp, pi_greedy)
         assert sup_wasserstein(out_opt, out_eval, 1.0) == 0.0
@@ -155,19 +145,20 @@ class TestFullDistributionalOperators:
         for _ in range(50):
             mdp = random_mdp(rng)
             mu = random_collection(rng, mdp.n_states, mdp.n_actions)
-            out = distr_bellman_opt(mu, mdp, tie_break="lowest")
+            out = distr_bellman_opt(mu, mdp)
             assert np.max(np.abs(out.means() - bellman_opt(mu.means(), mdp))) <= 1e-10
 
     def test_tie_break_changes_output_on_toy(self):
-        # exact tie at x1: both branches are produced and differ
+        # exact tie at x1, different shapes: the full operator mixes in the
+        # entry of the lowest tied action, so relabelling the tied entries
+        # changes its output; the one-step operator reads only the tied mean
         mdp = make_toy_mdp()
-        entries = [[dirac(2.0), mixture([(0.5, dirac(0.0)), (0.5, dirac(4.0))])],
-                   [dirac(0.0), dirac(0.0)]]
-        mu = DistributionCollection(entries)
+        spread = mixture([(0.5, dirac(0.0)), (0.5, dirac(4.0))])
+        mu = DistributionCollection([[dirac(2.0), spread], [dirac(0.0), dirac(0.0)]])
+        swapped = DistributionCollection([[spread, dirac(2.0)], [dirac(0.0), dirac(0.0)]])
         assert mu.means()[0, 0] == mu.means()[0, 1] == 2.0
-        lowest = distr_bellman_opt(mu, mdp, tie_break="lowest")
-        uniform = distr_bellman_opt(mu, mdp, tie_break="uniform")
-        assert sup_wasserstein(lowest, uniform, 1.0) > 0.01
+        assert sup_wasserstein(distr_bellman_opt(mu, mdp), distr_bellman_opt(swapped, mdp), 1.0) > 0.01
+        assert sup_wasserstein(os_distr_opt(mu, mdp), os_distr_opt(swapped, mdp), 1.0) == 0.0
 
     def test_full_eval_contracts(self):
         rng = np.random.default_rng(5)
@@ -314,7 +305,7 @@ def assert_ops_match(mdp, grid, probs, policy=None):
     policy = policy or Policy.uniform(mdp.n_states, mdp.n_actions)
     mu = categorical_collection(probs, grid)
     pairs = (
-        (categorical_full_opt(mdp, grid), lambda m: distr_bellman_opt(m, mdp, tie_break="lowest")),
+        (categorical_full_opt(mdp, grid), lambda m: distr_bellman_opt(m, mdp)),
         (categorical_os_opt(mdp, grid), lambda m: os_distr_opt(m, mdp)),
         (categorical_os_eval(mdp, policy, grid), lambda m: os_distr_eval(m, mdp, policy)),
     )
@@ -330,7 +321,7 @@ class TestArrayOperators:
         # r_a = 1.5: both successors of (x1, a2) pay 1.5, so their atoms coincide
         mdp = make_toy_mdp(r_a)
         array_op = categorical_full_opt(mdp, self.GRID)
-        object_op = projected(lambda m: distr_bellman_opt(m, mdp, tie_break="lowest"), self.GRID)
+        object_op = projected(lambda m: distr_bellman_opt(m, mdp), self.GRID)
         mu = categorical_start(mdp, self.GRID)
         probs = mu.probs()
         for _ in range(40):
