@@ -34,6 +34,8 @@ VERIFY = "src/osdrl/verify.py"
 _REPLAY = "tests/test_learning.py::TestRunLearning::test_step_functions_replay_the_harness_bit_for_bit"
 _TIES = "tests/test_learning.py::TestBlockActions::test_ties_are_decided_as_the_scalar_epsilon_decides_them"
 _PROPERTY = "tests/test_learning.py::TestBlockActions::test_verify_property_passes"
+_UPDATES = "tests/test_learning.py::TestUpdatesKeepTheirBits"
+_ORACLE = "tests/test_distributions.py::TestExactOracleKeepsItsBits"
 _ALL_REPLAYS = [
     f"{_REPLAY}[{name}]"
     for name in (
@@ -94,6 +96,19 @@ MUTANTS = {
         "a = len(qx) - 1 - qx[::-1].index(max(qx))",
         [f"{_REPLAY}[control-lake-{algo}]" for algo in ("os", "cdrl")],
     ),
+    "cdrl_greedy_tie_to_highest": (
+        LEARNING,
+        "next_probs = t.rows[x_next][q_next.index(max(q_next))]",
+        "next_probs = t.rows[x_next][len(q_next) - 1 - q_next[::-1].index(max(q_next))]",
+        [
+            f"{_UPDATES}::test_rows_means_and_flags_match_the_reference[cdrl-control]",
+            f"{_UPDATES}::test_short_and_long_grids[cdrl-control-3]",
+            f"{_UPDATES}::test_short_and_long_grids[cdrl-control-51]",
+            f"{_UPDATES}::test_a_row_written_through_probs_is_what_the_next_update_reads[cdrl]",
+            "tests/test_learning.py::TestBaselineTargetMemo::test_hits_and_misses_keep_the_reference_bits[control]",
+            "tests/test_learning.py::TestBaselineTargetMemo::test_a_row_restored_through_probs_drops_its_memo",
+        ],
+    ),
     "terminal_restart_skipped": (
         LEARNING,
         "x = restart[x_next]",
@@ -115,7 +130,42 @@ MUTANTS = {
             "tests/test_operators.py::TestArrayOperators::test_tied_and_near_tied_actions",
             "tests/test_operators.py::TestArrayOperators::test_full_opt_trace_matches_object_on_toy_family[0.7]",
             "tests/test_operators.py::TestArrayOperators::test_verify_property_passes",
+            f"{_UPDATES}::test_rows_means_and_flags_match_the_reference[cdrl-control]",
         ],
+    ),
+    "row_argsort_unstable": (
+        OPERATORS,
+        'np.argsort(values, axis=1, kind="stable")',
+        "np.argsort(values, axis=1)",
+        [f"{_ORACLE}::test_full_eval_and_greedy_opt"],
+    ),
+    "full_eval_skips_component_merge": (
+        OPERATORS,
+        "        masses = _merge_sorted(atoms.reshape(rows), weights[src].reshape(rows)).reshape(atoms.shape)\n",
+        "        masses = weights[src]\n",
+        [
+            f"{_ORACLE}::test_full_eval_and_greedy_opt",
+            "tests/test_operators.py::TestArrayOperators::test_cells_narrower_than_merge_tolerance_and_zero_discount",
+            "tests/test_operators.py::TestFullOptBatch::test_random_rewards_on_one_kernel[grid1-None]",
+        ],
+    ),
+    "one_step_rows_skip_finiteness": (
+        OPERATORS,
+        '    if not _all(np.isfinite(targets), axis=None):\n        raise ValueError("atoms must be finite")\n',
+        "",
+        ["tests/test_operators.py::TestOneStepRows::test_an_overflowing_target_fails_in_the_array_forms_too"],
+    ),
+    "merge_shortcut_skips_a_gap_of_exactly_the_tolerance": (
+        OPERATORS,
+        "(gaps > ATOM_MERGE_TOL)",
+        "(gaps >= ATOM_MERGE_TOL)",
+        [f"{_ORACLE}::test_a_gap_of_exactly_the_merge_tolerance_merges"],
+    ),
+    "merge_shortcut_skips_two_infinite_atoms": (
+        OPERATORS,
+        "| np.isnan(values[:, 1:])",
+        "| np.isnan(gaps)",
+        ["tests/test_operators.py::TestFullOptBatch::test_infinite_atoms_merge_before_their_clamped_mass_is_summed"],
     ),
     "draw_past_last_positive_cell": (
         MDP,

@@ -83,8 +83,8 @@ class AtomicDistribution:
 
     @classmethod
     def _trusted(cls, atoms, weights) -> "AtomicDistribution":
-        """Wrap arrays this module has just built (by _merge_runs, dirac or
-        as_atomic), or frozen ones it shares: 1-D, equal-length, non-empty,
+        """Wrap arrays just built (by _merge_runs, dirac, as_atomic or the
+        operators' row merge), or frozen ones shared: 1-D, equal-length, non-empty,
         sorted, with positive weights. Only finite atoms (an affine image can
         overflow; sorted, both ends suffice) and finite weights summing to 1
         (positive weights are finite if their sum is) are checked. The arrays
@@ -359,8 +359,9 @@ def categorical_means(probs, grid) -> np.ndarray:
 
 def categorical_w1(p, q, grid) -> np.ndarray:
     """W1 between probability vectors on one shared grid, over the last axis:
-    the area between the two CDFs, |cumsum(p - q)| weighted by the cell widths."""
-    return np.abs(np.cumsum(p - q, axis=-1)[..., :-1]) @ np.diff(grid)
+    the area between the two CDFs, |cumsum(p - q)| weighted by the cell widths
+    (np.cumsum's and np.diff's arithmetic, without their Python wrappers)."""
+    return np.abs(_cumsum(p - q, axis=-1)[..., :-1]) @ (grid[1:] - grid[:-1])
 
 
 def dominance_excess(hi, lo) -> float:

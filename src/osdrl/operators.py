@@ -16,9 +16,10 @@ from .distributions import (
     AtomicDistribution,
     DistributionCollection,
     _as_atomic,
+    _all,
+    _any,
     _check_mixture_weights,
-    _mixed,
-    _pushforward,
+    _sum,
     categorical_means,
     cramer_project,
 )
@@ -63,30 +64,37 @@ def distr_bellman_eval(
     Entry (x, a) becomes the mixture over successor pairs (x', a') weighted
     by P(x'|x,a) pi(a'|x') of the pushforwards z -> r(x,a,x') + gamma * z of
     mu[x', a']. Atom counts grow by a factor of up to n_states * n_actions.
-    Each entry equals mixture of the pushforward_affine images bit for bit,
-    mixed from arrays with no AtomicDistribution per successor pair.
+    Each entry equals mixture of the pushforward_affine images bit for bit:
+    one row of its components' atoms, each component merged within itself
+    before its weights are scaled, then sorted and merged as from_points.
     """
-    gamma = mdp.discount
-    kernel, reward, pi = mdp.kernel.tolist(), mdp.reward.tolist(), policy.probs.tolist()
-    nus = [[_as_atomic(mu[x, a]) for a in range(mdp.n_actions)] for x in range(mdp.n_states)]
-
-    def entry(x, a):
-        ws, values, weights = [], [], []
-        for p, r, pi_next, nus_next in zip(kernel[x][a], reward[x][a], pi, nus, strict=True):
-            if p == 0.0:
-                continue
-            for q, nu in zip(pi_next, nus_next, strict=True):
-                w = p * q
-                if w == 0.0:
-                    continue
-                atoms, masses = _pushforward(nu, r, gamma)
-                ws.append(w)
-                values.append(atoms)
-                weights.append(w * masses)
+    if not (mu.n_states, mu.n_actions) == policy.probs.shape == (mdp.n_states, mdp.n_actions):
+        raise ValueError("mu, policy and mdp must have the same states and actions")
+    gamma, n = mdp.discount, mdp.n_states * mdp.n_actions
+    mix = (mdp.kernel[..., None] * policy.probs).reshape(n, n)  # P(x'|x,a) pi(a'|x')
+    for ws in mix.tolist():
         _check_mixture_weights(ws)
-        return _mixed(values, weights)
-
-    return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
+    # entry e's components: the pairs (x', a') = divmod(cols[e, j], n_actions) of weight w[e, j] > 0
+    cols, real = _positive_columns(mix)
+    entry = np.arange(n)[:, None]
+    w, reward = mix[entry, cols] * real, mdp.reward.reshape(n, -1)[entry, cols // mdp.n_actions]
+    if gamma == 0.0:  # each pushforward is dirac(r)
+        atoms, masses = reward[..., None], np.ones(w.shape + (1,))
+    else:
+        # mu as (n + 1, M) tables of atoms and weights, padded with NaN atoms
+        # of weight 0, so that a padding column reads the all-padding last row
+        nus = [_as_atomic(d) for _, d in mu]
+        sizes = np.array([nu.atoms.size for nu in nus])
+        present = np.arange(sizes.max()) < sizes[:, None]
+        table, weights = np.full((n + 1, present.shape[1]), np.nan), np.zeros((n + 1, present.shape[1]))
+        table[:n][present] = np.concatenate([nu.atoms for nu in nus])
+        weights[:n][present] = np.concatenate([nu.weights for nu in nus])
+        src, rows = np.where(real, cols, n), (-1, present.shape[1])
+        atoms = reward[..., None] + gamma * table[src]
+        if _any(np.isinf(atoms), axis=None):  # every atom but a padding NaN is a component's
+            raise ValueError("atoms must be finite")
+        masses = _merge_sorted(atoms.reshape(rows), weights[src].reshape(rows)).reshape(atoms.shape)
+    return _collection(mdp, *_sort_and_merge(atoms.reshape(n, -1), (w[..., None] * masses).reshape(n, -1)))
 
 
 def distr_bellman_opt(mu: DistributionCollection, mdp: TabularMdp) -> DistributionCollection:
@@ -98,14 +106,16 @@ def distr_bellman_opt(mu: DistributionCollection, mdp: TabularMdp) -> Distributi
 def _one_step_collection(mdp: TabularMdp, v: np.ndarray) -> DistributionCollection:
     # Dirac mixture over successors at r(x,a,x') + gamma * v(x'); coincident
     # targets merge, so entries carry at most n_states atoms.
-    targets = mdp.reward + mdp.discount * v[None, None, :]
+    return _collection(mdp, *_one_step_rows(_successors(mdp), mdp.discount, v))
 
-    def entry(x, a):
-        row = mdp.kernel[x, a]
-        keep = row > 0.0
-        return AtomicDistribution.from_points(targets[x, a][keep], row[keep])
 
-    return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
+def _collection(mdp: TabularMdp, values, weights) -> DistributionCollection:
+    """The collection whose entry (x, a) holds the present atoms of row
+    x * n_actions + a of sorted, merged (E, W) rows (weight 0 = absent)."""
+    keep = weights > 0.0
+    atoms, weights, ends = values[keep], weights[keep], np.add.accumulate(_sum(keep, axis=1)).tolist()
+    entries = [AtomicDistribution._trusted(atoms[i:j], weights[i:j]) for i, j in zip([0, *ends], ends)]
+    return DistributionCollection([entries[i : i + mdp.n_actions] for i in range(0, len(entries), mdp.n_actions)])
 
 
 def os_distr_eval(
@@ -141,13 +151,19 @@ def projected(op, grid):
 # repeated in the same order: AtomicDistribution.from_points (stable sort,
 # merging atoms within ATOM_MERGE_TOL, merged weights summed in order) and
 # project_points (clamped mass first, then the lower and the upper cell
-# shares in atom order).
+# shares in atom order). The exact operators build their rows here too.
 
 
 def _merge_sorted(values, weights):
     """from_points on rows sorted by value, weight 0 marking an absent atom:
     each run of atoms within ATOM_MERGE_TOL of its predecessor gets its
-    weights' in-order sum at its first atom, and weight 0 elsewhere."""
+    weights' in-order sum at its first atom, and weight 0 elsewhere. When
+    every adjacent gap exceeds ATOM_MERGE_TOL nothing merges; a NaN gap
+    between two equal infinite atoms merges, and one before a NaN (absent
+    padding) does not."""
+    gaps = values[:, 1:] - values[:, :-1]
+    if _all((gaps > ATOM_MERGE_TOL) | np.isnan(values[:, 1:]), axis=None):
+        return weights
     present = weights > 0.0
     # on sorted rows the running max of present values is the last one
     last = np.maximum.accumulate(np.where(present, values, -np.inf), axis=1)
@@ -158,6 +174,24 @@ def _merge_sorted(values, weights):
     merged = np.zeros(weights.size)
     merged[starts] = np.bincount(run[keep], weights=weights.ravel()[keep])
     return merged.reshape(weights.shape)
+
+
+def _sort_and_merge(values, weights):
+    """Rows of atoms (weight 0 = absent) sorted by a stable argsort and
+    merged by _merge_sorted, as from_points sorts and merges each row."""
+    order = np.argsort(values, axis=1, kind="stable") + np.arange(0, values.size, values.shape[1])[:, None]
+    values = values.ravel()[order]
+    return values, _merge_sorted(values, weights.ravel()[order])
+
+
+def _one_step_rows(successors, gamma, v):
+    """The one-step operator's sorted, merged rows: each entry's Dirac
+    targets r(x,a,x') + gamma * v(x') at its successors (_successors)."""
+    nxt, p, reward = successors
+    targets = reward + gamma * v[nxt]
+    if not _all(np.isfinite(targets), axis=None):
+        raise ValueError("atoms must be finite")
+    return _sort_and_merge(targets, p)
 
 
 class _Cells(NamedTuple):
@@ -206,16 +240,24 @@ def _project_rows(weights, cells: _Cells) -> np.ndarray:
     return np.bincount(cells.index, weights=values).reshape(len(weights), -1)
 
 
+def _positive_columns(weights):
+    """Each row's columns of positive weight in index order, padded with
+    copies of the last one, as a (rows, W) array, and the mask of the
+    columns that are not padding."""
+    real = weights > 0.0
+    count = _sum(real, axis=1)
+    cols = (~real).argsort(axis=1, kind="stable")[:, : count.max()]
+    real = np.arange(cols.shape[1]) < count[:, None]
+    return np.where(real, cols, cols[np.arange(len(cols)), count - 1][:, None]), real
+
+
 def _successors(mdp: TabularMdp):
     """Each entry's successors x' with P(x'|x,a) > 0 in index order, padded
     with copies of the last one, as (E, W) arrays: x', P (0 for a padding
     copy, so its atoms are absent) and r(x, a, x')."""
     kernel = mdp.kernel.reshape(-1, mdp.n_states)
-    successors = [np.flatnonzero(row > 0.0) for row in kernel]
-    width = max(s.size for s in successors)
-    nxt = np.array([np.pad(s, (0, width - s.size), mode="edge") for s in successors])
+    nxt, real = _positive_columns(kernel)
     entry = np.arange(len(kernel))[:, None]
-    real = np.arange(width) < np.array([s.size for s in successors])[:, None]
     return nxt, np.where(real, kernel[entry, nxt], 0.0), mdp.reward.reshape(-1, mdp.n_states)[entry, nxt]
 
 
@@ -272,17 +314,12 @@ def categorical_full_opt(mdp: TabularMdp, grid):
 
 
 def _projected_one_step(mdp: TabularMdp, grid, next_value):
-    # array form of projected(_one_step_collection(mdp, next_value(means))):
-    # each entry's Dirac targets at its successors
+    # array form of projected(_one_step_collection(mdp, next_value(means)))
     grid = np.asarray(grid, dtype=float)
-    nxt, p, reward = _successors(mdp)
-    offsets = np.arange(len(p))[:, None] * p.shape[1]
+    successors = _successors(mdp)
 
     def apply(probs: np.ndarray) -> np.ndarray:
-        targets = reward + mdp.discount * next_value(categorical_means(probs, grid))[nxt]
-        order = np.argsort(targets, axis=1, kind="stable") + offsets
-        values = targets.ravel()[order]
-        merged = _merge_sorted(values, p.ravel()[order])
+        values, merged = _one_step_rows(successors, mdp.discount, next_value(categorical_means(probs, grid)))
         cells = _cells(values, grid, merged > 0.0)
         return _project_rows(merged, cells).reshape(mdp.n_states, mdp.n_actions, grid.size)
 

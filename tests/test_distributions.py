@@ -17,8 +17,14 @@ from osdrl import (
     dominance_excess,
     greedy_policy,
     mixture,
+    one_step_fixed_point_eval,
+    one_step_fixed_point_opt,
+    os_distr_eval,
+    os_distr_opt,
     project_points,
     pushforward_affine,
+    solve_q_pi,
+    solve_q_star,
     stochastically_dominates,
     sup_wasserstein,
     wasserstein,
@@ -569,16 +575,32 @@ def reference_full_eval(mu, mdp, policy) -> DistributionCollection:
     return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
 
 
-def reference_greedy(mu) -> Policy:
-    """The lowest-index greedy policy of distr_bellman_opt, from means written
-    out: atoms @ weights, and categorical_means for a categorical entry."""
+def reference_means(mu) -> np.ndarray:
+    """Entrywise means written out: atoms @ weights, and categorical_means
+    for a categorical entry."""
 
     def mean(d):
         if isinstance(d, CategoricalDistribution):
             return float(categorical_means(d.probs, d.grid))
         return float(d.atoms @ d.weights)
 
-    return greedy_policy(np.array([[mean(mu[x, a]) for a in range(mu.n_actions)] for x in range(mu.n_states)]))
+    return np.array([[mean(mu[x, a]) for a in range(mu.n_actions)] for x in range(mu.n_states)])
+
+
+def reference_greedy(mu) -> Policy:
+    """The lowest-index greedy policy of distr_bellman_opt, from reference_means."""
+    return greedy_policy(reference_means(mu))
+
+
+def reference_one_step(mdp, v) -> DistributionCollection:
+    """The one-step collection written out: entry (x, a) is from_points of the
+    targets r(x,a,x') + gamma * v(x') weighted by P(x'|x,a), through
+    reference_from_points, which drops the successors of probability 0."""
+    return DistributionCollection.build(
+        mdp.n_states,
+        mdp.n_actions,
+        lambda x, a: reference_from_points(mdp.reward[x, a] + mdp.discount * v, mdp.kernel[x, a]),
+    )
 
 
 def full_operator_cases(seed=3, n_cases=60):
@@ -679,6 +701,59 @@ class TestExactOracleKeepsItsBits:
                 distr_bellman_eval(mu, mdp, policy)
             with pytest.raises(ValueError, match="atoms must be finite"):
                 distr_bellman_opt(mu, mdp)
+
+    def test_one_step_operators(self):
+        seen = set()
+        for mdp, policy, mu in full_operator_cases():
+            q = reference_means(mu)
+            q_pi, q_star = solve_q_pi(mdp, policy), solve_q_star(mdp)
+            pairs = (
+                (os_distr_eval(mu, mdp, policy), (policy.probs * q).sum(axis=1)),
+                (os_distr_opt(mu, mdp), q.max(axis=1)),
+                (one_step_fixed_point_eval(mdp, policy), (policy.probs * q_pi).sum(axis=1)),
+                (one_step_fixed_point_opt(mdp), q_star.max(axis=1)),
+            )
+            for out, v in pairs:
+                ref = reference_one_step(mdp, v)
+                for (x, a), got in out:
+                    assert_same(got, ref[x, a])
+            seen.add(mdp.discount)
+        assert seen == {0.0, 1e-13, 0.5, 0.9}
+
+    def test_one_step_overflow_fails_only_where_it_has_probability(self):
+        # successor 1 pays 1e308 and is worth 1e308, so its target overflows
+        reward = np.zeros((2, 1, 2))
+        reward[..., 1] = 1e308
+        mu = DistributionCollection([[dirac(0.0)], [dirac(1e308)]])
+        policy = Policy(np.ones((2, 1)))
+        reached = TabularMdp(kernel=np.full((2, 1, 2), 0.5), reward=reward, discount=0.9)
+        with np.errstate(over="ignore"):
+            for op in (lambda m: os_distr_eval(mu, m, policy), lambda m: os_distr_opt(mu, m)):
+                with pytest.raises(ValueError, match="atoms must be finite"):
+                    op(reached)
+                unreached = TabularMdp(kernel=np.array([[[1.0, 0.0]]] * 2), reward=reward, discount=0.9)
+                for _, got in op(unreached):
+                    assert got.atoms.tolist() == [0.0] and got.weights.tolist() == [1.0]
+
+    def test_a_gap_of_exactly_the_merge_tolerance_merges(self):
+        # successor 1 pays 1e-12 more than successor 0, and at gamma 0.5 each
+        # pushforward of atoms 0 and 2e-12 lies 1e-12 apart: every row and
+        # every component holds a gap of exactly ATOM_MERGE_TOL, which merges
+        reward = np.zeros((2, 1, 2))
+        reward[..., 1] = 1e-12
+        policy = Policy(np.ones((2, 1)))
+        mu = DistributionCollection.constant(2, 1, AtomicDistribution.from_points([0.0, 2e-12], [0.5, 0.5]))
+        for gamma in (0.0, 0.5):
+            mdp = TabularMdp(kernel=np.full((2, 1, 2), 0.5), reward=reward, discount=gamma)
+            full = reference_full_eval(mu, mdp, policy)
+            for (x, a), out in distr_bellman_eval(mu, mdp, policy):
+                assert_same(out, full[x, a])
+                assert out.atoms.tolist() == [0.0]
+            if gamma == 0.0:
+                one_step = reference_one_step(mdp, np.zeros(2))
+                for (x, a), out in os_distr_opt(mu, mdp):
+                    assert_same(out, one_step[x, a])
+                    assert out.atoms.tolist() == [0.0]
 
     def test_shared_refinement_sup_wasserstein(self):
         rng = np.random.default_rng(17)

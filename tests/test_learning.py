@@ -319,7 +319,9 @@ class ReferenceLearner:
             next_probs = self.policy.probs[x_next] @ self.probs[x_next]
         else:
             q_next = self.q[x_next]
-            self.seen["tie"] += q_next.count(max(q_next)) > 1
+            tied = [row for row, q in zip(self.probs[x_next], q_next) if q == max(q_next)]
+            self.seen["tie"] += len(tied) > 1
+            self.seen["tie_rows_differ"] += any(not np.array_equal(row, tied[0]) for row in tied)
             next_probs = greedy_policy(np.array([q_next])).probs[0] @ self.probs[x_next]
         grid = self.grid
         atoms = r + self.gamma * grid
@@ -341,7 +343,13 @@ def update_cases(seed, n_cases=60, n_updates=12, k=None):
     gamma 0, where a reward on a grid point puts u exactly there; rewards
     also fall below z_1, above z_K (clamped ends) and in between. A third of
     the cases give every action the same row (exact greedy ties), and about
-    a third of the cells hold no mass."""
+    a third of the cells hold no mass. Then, unless k < 3, come
+    max(2, n_cases // 6) cases from a stream of their own on the integer
+    lattice around 0, where actions 0 and 1 tie above every other action
+    with different rows, delta(0) against delta(-1) / 2 + delta(1) / 2, so
+    the baseline's greedy rule decides which row it reads."""
+    ties = range(max(2, n_cases // 6) if k is None or k >= 3 else 0)
+    k_ties = k
     rng = np.random.default_rng(seed)
     for case in range(n_cases):
         k = int(rng.integers(2, 7)) if k is None else k
@@ -355,23 +363,42 @@ def update_cases(seed, n_cases=60, n_updates=12, k=None):
         probs /= probs.sum(axis=-1, keepdims=True)
         if case % 3 == 1:
             probs[:] = probs[:, :1]
-        policy = Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
-        span = grid[-1] - grid[0]
-        transitions = []
-        for _ in range(n_updates):
-            kind = int(rng.integers(4))
-            if kind == 0:
-                r = float(grid[rng.integers(k)])
-            elif kind == 1:
-                r = float(grid[0] - rng.uniform(0.1, 1.0) * span)
-            elif kind == 2:
-                r = float(grid[-1] + rng.uniform(0.1, 1.0) * span)
-            else:
-                r = float(rng.uniform(grid[0], grid[-1]) * (1.0 - gamma))
-            alpha = 1.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 1.0))
-            x, a, x_next = int(rng.integers(n_states)), int(rng.integers(n_actions)), int(rng.integers(n_states))
-            transitions.append((x, a, r, x_next, alpha))
-        yield grid, gamma, probs, policy, transitions
+        yield grid, gamma, probs, *_policy_and_transitions(rng, grid, gamma, probs.shape, n_updates)
+    rng = np.random.default_rng([seed, 1])
+    for _ in ties:
+        k = int(rng.integers(3, 7)) if k_ties is None else k_ties
+        grid, zero = np.arange(k) - k // 2.0, k // 2
+        gamma = float(rng.uniform(0.1, 0.99))  # at gamma 0 every next row projects alike
+        probs = np.zeros((int(rng.integers(2, 4)), int(rng.integers(3, 5)), k))
+        probs[..., 0] = 1.0
+        probs[:, 0] = np.eye(k)[zero]
+        probs[:, 1] = (np.eye(k)[zero - 1] + np.eye(k)[zero + 1]) / 2.0
+        q = categorical_means(probs, grid)
+        assert np.all(q[:, 0] == q[:, 1]) and np.all(q[:, 2:] < q[:, :1])
+        yield grid, gamma, probs, *_policy_and_transitions(rng, grid, gamma, probs.shape, n_updates)
+
+
+def _policy_and_transitions(rng, grid, gamma, shape, n_updates):
+    """update_cases' random policy and n_updates transitions (x, a, r, x',
+    alpha) for probs of the given (n_states, n_actions, k) shape."""
+    n_states, n_actions, k = shape
+    policy = Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
+    span = grid[-1] - grid[0]
+    transitions = []
+    for _ in range(n_updates):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            r = float(grid[rng.integers(k)])
+        elif kind == 1:
+            r = float(grid[0] - rng.uniform(0.1, 1.0) * span)
+        elif kind == 2:
+            r = float(grid[-1] + rng.uniform(0.1, 1.0) * span)
+        else:
+            r = float(rng.uniform(grid[0], grid[-1]) * (1.0 - gamma))
+        alpha = 1.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 1.0))
+        x, a, x_next = int(rng.integers(n_states)), int(rng.integers(n_actions)), int(rng.integers(n_states))
+        transitions.append((x, a, r, x_next, alpha))
+    return policy, transitions
 
 
 def replay(algo, mode, cases) -> Counter:
@@ -410,6 +437,8 @@ class TestUpdatesKeepTheirBits:
             assert min(seen["off_grid_hit"], seen["off_grid_missed"], seen["on_grid_atoms"]) > 0, seen
         if mode == "control":
             assert seen["tie"] > 0, seen
+        if (algo, mode) == ("cdrl", "control"):
+            assert seen["tie_rows_differ"] > 0, seen
 
     @pytest.mark.parametrize("k", [2, 3, 51])
     @pytest.mark.parametrize("algo, mode", UPDATE_KINDS)
@@ -493,8 +522,8 @@ class TestBaselineTargetMemo:
         # the mean-field property's pattern: update (x, a), put the row back
         # through probs and clear targets[x]; a target built from the
         # updated row in between must not outlive the restore
-        rebuilt = 0
-        for grid, gamma, probs, _, _ in update_cases(seed=9, n_cases=12):
+        rebuilt, cases = 0, list(update_cases(seed=9, n_cases=12))
+        for grid, gamma, probs, _, _ in cases:
             r = float(grid[-1] * (1.0 - gamma))
             tables = _Tables(probs.copy(), grid, gamma)
             ref = ReferenceLearner(probs.copy(), grid, gamma)
@@ -512,7 +541,7 @@ class TestBaselineTargetMemo:
             rebuilt += len(builds) - n_built
             assert np.array_equal(tables.probs, ref.probs)
             assert tables.q == ref.q
-        assert rebuilt == 12
+        assert rebuilt == len(cases)  # one rebuild per case
 
 
 class TestCdrlStep:

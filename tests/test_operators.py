@@ -174,6 +174,20 @@ class TestFullDistributionalOperators:
                 )
                 assert after <= mdp.discount * before + 1e-10
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_mu_or_policy_of_another_shape_is_refused(self, gamma):
+        # a 3 x 2 mu holds as many entries as a 2 x 3 MDP, and a one-state
+        # policy would broadcast over every state; neither is paired up
+        rng = np.random.default_rng(6)
+        mdp = random_mdp(rng, n_states=2, n_actions=3)
+        mdp = TabularMdp(kernel=mdp.kernel, reward=mdp.reward, discount=gamma)
+        mu, pi = random_collection(rng, 2, 3), random_policy(rng, 2, 3)
+        for bad_mu, bad_pi in ((random_collection(rng, 3, 2), pi), (mu, random_policy(rng, 1, 3))):
+            with pytest.raises(ValueError, match="same states and actions"):
+                distr_bellman_eval(bad_mu, mdp, bad_pi)
+        with pytest.raises(ValueError, match="same states and actions"):
+            distr_bellman_opt(random_collection(rng, 3, 2), mdp)
+
 
 class TestOneStepOperators:
     def test_atom_count_at_most_n_states(self):
@@ -396,6 +410,26 @@ class TestArrayOperators:
         assert result.cases >= 24
 
 
+class TestOneStepRows:
+    """The rows that os_distr_eval, os_distr_opt and their array forms share."""
+
+    def test_an_overflowing_target_fails_in_the_array_forms_too(self):
+        # successor 1 pays 1e308 and its row's mean is 1e308, so its target
+        # overflows; where it has probability 0 nothing fails
+        grid = np.array([0.0, 1e308])
+        probs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+        reward = np.zeros((2, 1, 2))
+        reward[..., 1] = 1e308
+        policy = Policy(np.ones((2, 1)))
+        reached = TabularMdp(kernel=np.full((2, 1, 2), 0.5), reward=reward, discount=0.9)
+        unreached = TabularMdp(kernel=np.array([[[1.0, 0.0]]] * 2), reward=reward, discount=0.9)
+        with np.errstate(over="ignore"):
+            for make in (categorical_os_opt, lambda m, g: categorical_os_eval(m, policy, g)):
+                with pytest.raises(ValueError, match="atoms must be finite"):
+                    make(reached, grid)(probs)
+                assert make(unreached, grid)(probs).tolist() == [[[1.0, 0.0]], [[1.0, 0.0]]]
+
+
 def lone_and_batched(mdps, grid, probs, n_steps):
     """n_steps applications from probs[c] of each MDP's own operator, and of
     one batched operator over all of them, as (n_steps + 1, C, S, A, K)."""
@@ -462,3 +496,18 @@ class TestFullOptBatch:
         ):
             with pytest.raises(ValueError, match="share kernel and discount"):
                 categorical_full_opt_batch([mdp, other], self.GRID)
+
+    def test_infinite_atoms_merge_before_their_clamped_mass_is_summed(self):
+        # every entry reaches successors 0 and 1 with probability 1/2, whose
+        # rewards near float max overflow r + 0.9 * 1e307 to +inf: each row
+        # clamps 0.15 at each of two finite atoms and 0.35 at each of two
+        # equal infinite ones, which merge as from_points merges them (inf -
+        # inf is NaN, not a new run), so the mass sums as 0.15 + 0.15 +
+        # (0.35 + 0.35) = 1.0 and not as 0.9999999999999999 in atom order
+        reward = np.zeros((2, 1, 2))
+        reward[..., 0], reward[..., 1] = 1.79e308, 1.795e308
+        mdp = TabularMdp(kernel=np.full((2, 1, 2), 0.5), reward=reward, discount=0.9)
+        probs = np.array([[[0.3, 0.7]], [[0.3, 0.7]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = categorical_full_opt(mdp, np.array([0.0, 1e307]))(probs)
+        assert got.tolist() == [[[0.0, 1.0]], [[0.0, 1.0]]]

@@ -30,7 +30,9 @@ INVOCATIONS = {
     "histograms": (["histograms"], None),
     "frozenlake": (["frozenlake"], {"seeds": 2, "steps": 20000}),
     "verify_fast": (["verify"], {"fast": True}),
+    "verify": (["verify"], None),
 }
+VERIFY_RUNS = ("verify_fast", "verify")  # the same properties and suites, fast and full
 
 # report.json keys that hold wall-clock readings, dropped wherever they occur:
 # frozenlake's learner timing; verify's target_complexity ratios, the
@@ -91,9 +93,10 @@ def _normalize(results: Path, drop: set) -> None:
             if key in doc:
                 doc[key] = [entry for entry in doc[key] if entry["name"] not in drop]
         report.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    stdout = results / "verify_fast" / "stdout.txt"
-    lines = stdout.read_text().splitlines(keepends=True)
-    stdout.write_text("".join(line for line in lines if not any(f"  {name}  " in line for name in drop)))
+    for run in VERIFY_RUNS:
+        stdout = results / run / "stdout.txt"
+        lines = stdout.read_text().splitlines(keepends=True)
+        stdout.write_text("".join(line for line in lines if not any(f"  {name}  " in line for name in drop)))
 
 
 def main(argv=None) -> int:
