@@ -5,17 +5,21 @@ catch them.
     python3 mutants/run.py [NAME ...]
 
 Each mutant in MUTANTS is one old-text/new-text patch of one file under
-src/, with the tier-1 test ids that must fail on it. The command copies
-src/, tests/ and pyproject.toml of this working tree into a temporary
-directory, checks that every named test passes there unpatched, then for
-each mutant patches a fresh copy and runs only its named tests. A mutant is
-caught when every one of its tests fails. A patch whose old text does not
-occur exactly once in its file is an error, not a pass: a refactor that
-rewrites a kernel must port that kernel's mutants or remove them, and say so.
+src/, with the checks that must fail on it: tier-1 test ids, or
+`verify:NAME` for the property NAME of a fast `osdrl verify` round
+(`run_properties(0, fast=True)`). The command copies src/, tests/ and
+pyproject.toml of this working tree into a temporary directory, checks that
+every named check passes there unpatched, then for each mutant patches a
+fresh copy and runs only its named tests, and the verify round once if it
+names a property. A mutant is caught when every one of its checks fails; a
+property that is missing or whose round raises does not pass. A patch whose
+old text does not occur exactly once in its file is an error, not a pass: a
+refactor that rewrites a kernel must port that kernel's mutants or remove
+them, and say so.
 
 Exits 0 when every mutant is caught, 1 when one survives, and 2 when the
 catalog is broken (a missing or repeated old text, an unknown name) or the
-unpatched tree fails a named test.
+unpatched tree fails a named check.
 """
 
 import argparse
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DISTRIBUTIONS = "src/osdrl/distributions.py"
 LEARNING = "src/osdrl/learning.py"
 MDP = "src/osdrl/mdp.py"
 OPERATORS = "src/osdrl/operators.py"
@@ -59,7 +64,15 @@ _TOL_0_PASS = [
     "tests/test_cli.py::TestVerifyCommand::test_fast_run_passes_with_report",
 ]
 
-# name -> (file, old text, new text, test ids that must fail)
+# a check named VERIFY_CHECK + NAME is the property NAME of _VERIFY_ROUND,
+# which prints the name of every property that passes
+VERIFY_CHECK = "verify:"
+_VERIFY_ROUND = (
+    "from osdrl.verify import run_properties\n"
+    "print(*(r.name for r in run_properties(0, fast=True)[0] if r.passed))\n"
+)
+
+# name -> (file, old text, new text, checks that must fail)
 MUTANTS = {
     "epsilon_compared_with_le": (
         LEARNING,
@@ -167,6 +180,68 @@ MUTANTS = {
         "| np.isnan(gaps)",
         ["tests/test_operators.py::TestFullOptBatch::test_infinite_atoms_merge_before_their_clamped_mass_is_summed"],
     ),
+    "means_from_batched_matmul": (
+        DISTRIBUTIONS,
+        "np.asarray(np.vecdot(probs, np.ascontiguousarray(grid, dtype=float)))",
+        "np.asarray(probs @ np.ascontiguousarray(grid, dtype=float))",
+        [
+            f"{VERIFY_CHECK}categorical_means_match_entry_means",
+            f"{VERIFY_CHECK}categorical_operators_match_object",
+            "tests/test_distributions.py::TestMean::test_categorical_means_equal_mean_bit_for_bit[4]",
+            "tests/test_distributions.py::TestMean::test_categorical_means_equal_mean_bit_for_bit[51]",
+            "tests/test_operators.py::TestArrayOperators::test_tied_and_near_tied_actions",
+        ],
+    ),
+    "categorical_w1_shifted": (
+        DISTRIBUTIONS,
+        "np.abs(_cumsum(p - q, axis=-1)[..., :-1])",
+        "np.abs(_cumsum(p - q, axis=-1)[..., 1:])",
+        [
+            f"{VERIFY_CHECK}categorical_w1_matches_exact",
+            "tests/test_distributions.py::TestCategoricalW1::test_matches_exact_w1_over_leading_axes",
+            "tests/test_dp.py::TestOscillationDetector::test_flags_period_two_cycle",
+            "tests/test_cli.py::TestInstabilityCommand::test_one_step_trace_matches_object_iteration",
+        ],
+    ),
+    "add_dirac_weights_swapped": (
+        LEARNING,
+        "        row[i - 1] += alpha * ((hi - u) / gap)\n        row[i] += alpha * ((u - lo) / gap)\n",
+        "        row[i - 1] += alpha * ((u - lo) / gap)\n        row[i] += alpha * ((hi - u) / gap)\n",
+        [
+            f"{VERIFY_CHECK}learner_mean_field",
+            f"{VERIFY_CHECK}mean_tracking_vs_scalar_learner",
+            f"{_UPDATES}::test_rows_means_and_flags_match_the_reference[os-control]",
+            f"{_UPDATES}::test_rows_means_and_flags_match_the_reference[cdrl-control]",
+            "tests/test_learning.py::TestOsCdrlStep::test_mean_follows_q_learning_update",
+        ],
+    ),
+    "os_update_discounts_twice": (
+        LEARNING,
+        "    u = r + t.gamma * v\n",
+        "    u = r + t.gamma * t.gamma * v\n",
+        [
+            f"{VERIFY_CHECK}learner_mean_field",
+            f"{VERIFY_CHECK}mean_tracking_vs_scalar_learner",
+            f"{_UPDATES}::test_rows_means_and_flags_match_the_reference[os-control]",
+            f"{_UPDATES}::test_rows_means_and_flags_match_the_reference[os-eval]",
+            "tests/test_learning.py::TestOsCdrlStep::test_mean_follows_q_learning_update",
+        ],
+    ),
+    "full_eval_skips_weight_check": (
+        OPERATORS,
+        "    for ws in mix.tolist():\n        _check_mixture_weights(ws)\n",
+        "",
+        ["tests/test_distributions.py::TestMixture::test_rejects_bad_weights"],
+    ),
+    "csv_floats_to_six_places": (
+        MDP,
+        "        writer.writerows(rows)\n",
+        '        writer.writerows([[f"{v:.6f}" if isinstance(v, float) else v for v in row] for row in rows])\n',
+        [
+            "tests/test_cli.py::TestCsvText::test_every_field_of_every_csv_is_canonical",
+            "tests/test_cli.py::TestInstabilityCommand::test_one_step_trace_matches_object_iteration",
+        ],
+    ),
     "draw_past_last_positive_cell": (
         MDP,
         "        row[np.flatnonzero(p)[-1] :] = 1.0\n",
@@ -202,12 +277,21 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _passed(tree: Path, ids: list) -> set:
-    """The ids among ids that pass on tree; an id that errors, fails or is
-    not collected does not pass."""
+    """The ids among ids that pass on tree; a test that errors, fails or is
+    not collected does not pass, nor does a verify property that fails, is
+    missing or whose round raises."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *ids]
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    return {line.split(" ", 2)[1] for line in proc.stdout.splitlines() if line.startswith("PASSED ")} & set(ids)
+    tests = [i for i in ids if not i.startswith(VERIFY_CHECK)]
+    properties = set(ids) - set(tests)
+    passed = set()
+    if tests:
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests]
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        passed |= {line.split(" ", 2)[1] for line in proc.stdout.splitlines() if line.startswith("PASSED ")}
+    if properties:
+        proc = subprocess.run([sys.executable, "-c", _VERIFY_ROUND], cwd=tree, env=env, capture_output=True, text=True)
+        passed |= {VERIFY_CHECK + name for name in proc.stdout.split()}
+    return passed & set(ids)
 
 
 def _patch(tree: Path, name: str) -> None:
@@ -228,7 +312,7 @@ def main(argv=None) -> int:
         if found != 1:
             broken.append(f"{name}: its old text occurs {found} times in {path}, not once")
         if not ids:
-            broken.append(f"{name}: names no test")
+            broken.append(f"{name}: names no check")
     if broken:
         print("\n".join(broken))
         return 2
@@ -241,7 +325,7 @@ def main(argv=None) -> int:
         if failing:
             print("the unpatched tree does not pass:\n  " + "\n  ".join(failing))
             return 2
-        print(f"unpatched tree: {len(every_id)} named tests pass")
+        print(f"unpatched tree: {len(every_id)} named checks pass")
         survived = []
         for name in names:
             tree = Path(tmp) / name
@@ -251,9 +335,9 @@ def main(argv=None) -> int:
             passing = sorted(_passed(tree, ids))
             if passing:
                 survived.append(name)
-                print(f"SURVIVED {name}: {len(passing)} of {len(ids)} named tests pass:\n  " + "\n  ".join(passing))
+                print(f"SURVIVED {name}: {len(passing)} of {len(ids)} named checks pass:\n  " + "\n  ".join(passing))
             else:
-                print(f"caught   {name}: all {len(ids)} named tests fail")
+                print(f"caught   {name}: all {len(ids)} named checks fail")
             shutil.rmtree(tree)
     print(f"{len(names) - len(survived)} of {len(names)} mutants caught")
     return 1 if survived else 0

@@ -10,10 +10,7 @@ from .distributions import (
     cramer_project,
     dirac,
     dominance_excess,
-    mixture,
     project_points,
-    pushforward_affine,
-    stochastically_dominates,
     sup_wasserstein,
     wasserstein,
 )

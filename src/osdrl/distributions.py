@@ -196,50 +196,9 @@ def dirac(z: float) -> AtomicDistribution:
     return AtomicDistribution._trusted(np.array([z], dtype=float), np.ones(1))
 
 
-def pushforward_affine(nu: AtomicDistribution, r0: float, gamma: float) -> AtomicDistribution:
-    """Image of nu under z -> r0 + gamma * z; collapses to dirac(r0) when gamma = 0."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if not math.isfinite(r0):
-        raise ValueError(f"shift must be finite, got {r0}")
-    return AtomicDistribution._trusted(*_pushforward(nu, r0, gamma))
-
-
-def _pushforward(nu, r0, gamma):
-    """pushforward_affine's atoms and weights: z -> r0 + gamma * z is
-    nondecreasing, so the image stays sorted (ties possible) and only
-    from_points' merge can change it."""
-    if gamma == 0.0:
-        return np.array([r0], dtype=float), np.ones(1)  # dirac(r0)
-    return _merge_runs(r0 + gamma * nu.atoms, nu.weights)
-
-
 def _check_mixture_weights(ws) -> None:
     if any(w < 0.0 for w in ws) or not abs(math.fsum(ws) - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"mixture weights must be nonnegative and sum to 1 (got {math.fsum(ws)!r})")
-
-
-def _mixed(values, weights) -> AtomicDistribution:
-    """from_points of mixture components' atoms and scaled weights w * weights,
-    less the checks they have passed: only a product underflowing to 0 is
-    dropped (and an overflowed atom of one still fails as infinite)."""
-    values, weights = np.concatenate(values), np.concatenate(weights)
-    keep = weights > 0.0
-    if not _all(keep):
-        if not _all(np.isfinite(values)):
-            raise ValueError("atoms must be finite")
-        values, weights = values[keep], weights[keep]
-    order = values.argsort(kind="stable")
-    return AtomicDistribution._trusted(*_merge_runs(values[order], weights[order]))
-
-
-def mixture(components) -> AtomicDistribution:
-    """Convex combination of atomic distributions: from_points of the
-    concatenated atoms and weights, without re-checking the components."""
-    components = list(components)
-    _check_mixture_weights([w for w, _ in components])
-    kept = [(w, _as_atomic(comp)) for w, comp in components if w != 0.0]
-    return _mixed([c.atoms for _, c in kept], [w * c.weights for w, c in kept])
 
 
 def _quantile_segments(nu1: AtomicDistribution, nu2: AtomicDistribution):
@@ -370,12 +329,6 @@ def dominance_excess(hi, lo) -> float:
     hi, lo = _as_atomic(hi), _as_atomic(lo)
     zs = np.concatenate((hi.atoms, lo.atoms))  # unsorted, with repeats: the max is the same
     return float(np.maximum.reduce(hi.cdf(zs) - lo.cdf(zs)))
-
-
-def stochastically_dominates(nu1, nu2, tol: float = 1e-12) -> bool:
-    """True iff nu1 stochastically dominates nu2: F1(z) <= F2(z) at every
-    merged breakpoint, up to tol."""
-    return dominance_excess(nu1, nu2) <= tol
 
 
 class DistributionCollection:

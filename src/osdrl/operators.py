@@ -64,9 +64,11 @@ def distr_bellman_eval(
     Entry (x, a) becomes the mixture over successor pairs (x', a') weighted
     by P(x'|x,a) pi(a'|x') of the pushforwards z -> r(x,a,x') + gamma * z of
     mu[x', a']. Atom counts grow by a factor of up to n_states * n_actions.
-    Each entry equals mixture of the pushforward_affine images bit for bit:
-    one row of its components' atoms, each component merged within itself
-    before its weights are scaled, then sorted and merged as from_points.
+    Each entry is one row of its components' atoms, each component merged
+    within itself (as from_points merges r + gamma * atoms; dirac(r) at
+    gamma 0) before its weights are scaled, then sorted and merged as
+    from_points: tests/test_distributions.py's reference_full_eval writes
+    this out, and the entries equal it bit for bit.
     """
     if not (mu.n_states, mu.n_actions) == policy.probs.shape == (mdp.n_states, mdp.n_actions):
         raise ValueError("mu, policy and mdp must have the same states and actions")

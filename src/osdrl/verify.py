@@ -3,7 +3,7 @@ metric axioms, monotonicity, mean tracking, and the target microbenchmark.
 
 Every property runs a seeded randomized case loop into one PropertyResult:
 record(violation, **case) counts the case, keeps the largest violation, and
-turns the first case above the property's tolerance into JSON for replay.
+records the first case above the tolerance as JSON, which no code replays.
 The result reports (name, cases, max_violation, passed) and that failing
 case when one exists. The verify CLI command aggregates these into a
 machine-readable report and a process exit code.
@@ -65,8 +65,8 @@ TOY_GRID = (0.0, 1.9, 2.1, 10.0)
 @dataclass
 class PropertyResult:
     """One property's record: its case count, its largest violation, and
-    its first case above tol as JSON. It passes when no violation exceeds
-    tol; to_json leaves tol out."""
+    its first case above tol as JSON, kept to be read (nothing replays it).
+    It passes when no violation exceeds tol; to_json leaves tol out."""
 
     name: str
     tol: float

@@ -16,16 +16,13 @@ from osdrl import (
     distr_bellman_opt,
     dominance_excess,
     greedy_policy,
-    mixture,
     one_step_fixed_point_eval,
     one_step_fixed_point_opt,
     os_distr_eval,
     os_distr_opt,
     project_points,
-    pushforward_affine,
     solve_q_pi,
     solve_q_star,
-    stochastically_dominates,
     sup_wasserstein,
     wasserstein,
 )
@@ -103,56 +100,84 @@ class TestAtomicDistribution:
         assert np.array_equal(back.weights, d.weights)
 
 
+def full_entry(kernel_row, rewards, components, gamma) -> AtomicDistribution:
+    """Entry (0, 0) of distr_bellman_eval on a one-action MDP where state 0
+    moves to state j with probability kernel_row[j] and reward rewards[j],
+    state j's entry holds components[j], and every other state loops on
+    itself: the mixture over j of the pushforwards z -> rewards[j] + gamma * z
+    of components[j], weighted by kernel_row."""
+    n = len(kernel_row)
+    kernel, reward = np.eye(n)[:, None, :], np.zeros((n, 1, n))
+    kernel[0, 0], reward[0, 0] = kernel_row, rewards
+    mdp = TabularMdp(kernel=kernel, reward=reward, discount=gamma)
+    return distr_bellman_eval(DistributionCollection([[c] for c in components]), mdp, Policy(np.ones((n, 1))))[0, 0]
+
+
 class TestPushforward:
+    """The full operator's affine pushforward, on a lone successor."""
+
     def test_dirac_case(self):
-        out = pushforward_affine(dirac(2.0), 1.0, 0.5)
+        out = full_entry([1.0], [1.0], [dirac(2.0)], 0.5)
         assert out.atoms.tolist() == [2.0] and out.weights.tolist() == [1.0]
 
     def test_gamma_zero_collapses(self):
         nu = AtomicDistribution.from_points([-1.0, 5.0], [0.3, 0.7])
-        out = pushforward_affine(nu, 1.5, 0.0)
+        out = full_entry([1.0], [1.5], [nu], 0.0)
         assert out.atoms.tolist() == [1.5] and out.weights.tolist() == [1.0]
 
     def test_mean_is_affine(self):
-        nu = mixture([(0.5, dirac(0.0)), (0.5, dirac(4.0))])
-        out = pushforward_affine(nu, 1.0, 0.5)
+        nu = AtomicDistribution.from_points([0.0, 4.0], [0.5, 0.5])
+        out = full_entry([1.0], [1.0], [nu], 0.5)
         assert out.atoms.tolist() == [1.0, 3.0]
         assert out.mean() == 1.0 + 0.5 * nu.mean() == 2.0
 
     def test_rejects_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            pushforward_affine(dirac(0.0), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            pushforward_affine(dirac(0.0), 0.0, -0.1)
+        # the operator reads gamma from the MDP, which refuses it
+        for gamma in (1.0, -0.1):
+            with pytest.raises(ValueError, match="discount"):
+                full_entry([1.0], [0.0], [dirac(0.0)], gamma)
 
 
 class TestMixture:
+    """The full operator's mixture over successor pairs."""
+
     def test_identity(self):
+        # a lone component of weight 1 keeps its weights bit for bit
         nu = AtomicDistribution.from_points([0.0, 1.0], [0.25, 0.75])
-        out = mixture([(1.0, nu)])
-        assert np.array_equal(out.atoms, nu.atoms)
+        out = full_entry([1.0], [0.0], [nu], 0.5)
+        assert out.atoms.tolist() == [0.0, 0.5]
         assert np.array_equal(out.weights, nu.weights)
 
     def test_merges_equal_atoms(self):
-        out = mixture([(0.5, dirac(0.0)), (0.5, dirac(0.0))])
+        out = full_entry([0.5, 0.5], [0.0, 0.0], [dirac(0.0), dirac(0.0)], 0.5)
         assert out.atoms.tolist() == [0.0] and out.weights.tolist() == [1.0]
 
     def test_mean_convexity(self):
-        out = mixture([(0.5, dirac(0.0)), (0.5, dirac(2.0))])
+        out = full_entry([0.5, 0.5], [0.0, 2.0], [dirac(0.0), dirac(0.0)], 0.0)
         assert out.mean() == 1.0
 
     def test_drops_zero_weight_components(self):
-        out = mixture([(0.0, dirac(99.0)), (1.0, dirac(1.0))])
+        out = full_entry([0.0, 1.0], [99.0, 1.0], [dirac(0.0), dirac(0.0)], 0.5)
         assert out.atoms.tolist() == [1.0]
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            mixture([(0.7, dirac(0.0)), (0.7, dirac(1.0))])
+        # each kernel and policy row passes its own 1e-12 check, but their
+        # products P(x'|x,a) pi(a'|x') sum to about 1 + 1.8e-12
+        row = [0.5, 0.5 + 9e-13]
+        kernel, policy = np.array([[row, row]] * 2), Policy(np.array([row, row]))
+        mdp = TabularMdp(kernel=kernel, reward=np.zeros((2, 2, 2)), discount=0.5)
+        assert math.fsum((kernel[0, 0][:, None] * policy.probs).ravel().tolist()) - 1.0 > 1.7e-12
+        mu = DistributionCollection.constant(2, 2, dirac(0.0))
+        with pytest.raises(ValueError, match="mixture weights must be nonnegative and sum to 1"):
+            distr_bellman_eval(mu, mdp, policy)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_nonfinite_weight(self, bad):
-        with pytest.raises(ValueError, match="sum to 1"):
-            mixture([(bad, dirac(0.0)), (1.0, dirac(1.0))])
+        # the weights come from kernel and policy tables, which refuse a non-finite entry
+        with pytest.raises(ValueError, match="finite"):
+            TabularMdp(kernel=np.array([[[bad, 1.0]]] * 2), reward=np.zeros((2, 1, 2)), discount=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            Policy(np.array([[bad, 1.0]]))
 
 
 class TestMean:
@@ -188,7 +213,7 @@ class TestWasserstein:
     def test_half_half_vs_middle(self):
         # quantile functions differ by exactly 1 on each half of (0, 1),
         # so every order p gives 1
-        nu = mixture([(0.5, dirac(0.0)), (0.5, dirac(2.0))])
+        nu = AtomicDistribution.from_points([0.0, 2.0], [0.5, 0.5])
         assert wasserstein(nu, dirac(1.0), 1.0) == 1.0
         assert wasserstein(nu, dirac(1.0), 2.0) == 1.0
 
@@ -302,10 +327,8 @@ class TestCramerProjection:
             nu1 = random_atomic(rng, max_atoms=4, low=-5.0, high=5.0)
             shifts = rng.uniform(0.0, 3.0, size=nu1.atoms.size)
             nu2 = AtomicDistribution.from_points(nu1.atoms + shifts, nu1.weights)
-            assert stochastically_dominates(nu2, nu1)
-            assert stochastically_dominates(
-                cramer_project(nu2, grid), cramer_project(nu1, grid)
-            )
+            assert dominance_excess(nu2, nu1) <= 1e-12
+            assert dominance_excess(cramer_project(nu2, grid), cramer_project(nu1, grid)) <= 1e-12
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -360,17 +383,17 @@ class TestStochasticDominance:
         assert dominance_excess(nu, dirac(1.0)) == 0.5
 
     def test_shifted_dirac(self):
-        assert stochastically_dominates(dirac(2.0), dirac(1.0))
-        assert not stochastically_dominates(dirac(1.0), dirac(2.0))
+        assert dominance_excess(dirac(2.0), dirac(1.0)) <= 1e-12
+        assert not dominance_excess(dirac(1.0), dirac(2.0)) <= 1e-12
 
     def test_reflexivity(self):
         nu = AtomicDistribution.from_points([0.0, 3.0], [0.5, 0.5])
-        assert stochastically_dominates(nu, nu)
+        assert dominance_excess(nu, nu) <= 1e-12
 
     def test_crossing_cdfs_incomparable(self):
         nu = AtomicDistribution.from_points([0.0, 3.0], [0.5, 0.5])
-        assert not stochastically_dominates(nu, dirac(1.0))
-        assert not stochastically_dominates(dirac(1.0), nu)
+        assert not dominance_excess(nu, dirac(1.0)) <= 1e-12
+        assert not dominance_excess(dirac(1.0), nu) <= 1e-12
 
 
 class TestCategoricalDistribution:
@@ -401,7 +424,7 @@ class TestDistributionCollection:
         assert mu.means().tolist() == [[0.0, 1.0], [10.0, 11.0]]
 
     def test_total_atoms(self):
-        mu = DistributionCollection.constant(2, 2, mixture([(0.5, dirac(0.0)), (0.5, dirac(1.0))]))
+        mu = DistributionCollection.constant(2, 2, AtomicDistribution.from_points([0.0, 1.0], [0.5, 0.5]))
         assert mu.total_atoms() == 8
         # a categorical entry counts its positive cells, as as_atomic holds them
         grid = np.array([0.0, 1.0, 2.0, 3.0])
@@ -488,17 +511,16 @@ class TestTrustedConstruction:
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-13, 4e-13, 1e-12 / 3, 0.3, 0.9])
     def test_pushforward(self, gamma):
-        # at gamma 1e-13 the unit gaps scale under the merge tolerance
+        # the full operator's pushforward of a lone successor; at gamma
+        # 1e-13 the unit gaps scale under the merge tolerance
         for values, weights in spread_inputs(n_random=100):
             nu = AtomicDistribution.from_points(values, weights)
             for r0 in (0.0, -1.7, 1e-12):
-                if gamma == 0.0:
-                    ref = AtomicDistribution(atoms=[r0], weights=[1.0])
-                else:
-                    ref = reference_from_points(r0 + gamma * nu.atoms, nu.weights)
-                assert_same(pushforward_affine(nu, r0, gamma), ref)
+                assert_same(full_entry([1.0], [r0], [nu], gamma), reference_mixture([(1.0, r0, nu)], gamma))
 
     def test_mixture(self):
+        # the full operator's mixture of the spread, pushed forward at scales
+        # that keep near-tolerance gaps, with zero mixture weights
         rng = np.random.default_rng(11)
         inputs = list(spread_inputs(n_random=120))
         for _ in range(100):
@@ -509,12 +531,9 @@ class TestTrustedConstruction:
             if mix.sum() == 0.0:
                 mix[0] = 1.0
             mix /= mix.sum()
-            kept = [(w, c) for w, c in zip(mix, comps) if w != 0.0]
-            ref = reference_from_points(
-                np.concatenate([c.atoms for _, c in kept]),
-                np.concatenate([w * c.weights for w, c in kept]),
-            )
-            assert_same(mixture(zip(mix.tolist(), comps)), ref)
+            rewards, gamma = rng.choice([0.0, 1e-12, -0.5], size=len(comps)), float(rng.choice([0.5, 0.9]))
+            ref = reference_mixture([(w, r, c) for w, r, c in zip(mix, rewards, comps) if w != 0.0], gamma)
+            assert_same(full_entry(mix, rewards, comps, gamma), ref)
 
     def test_dirac(self):
         for z in (0.0, -3.25, 1e300):
@@ -534,9 +553,6 @@ class TestTrustedConstruction:
             assert np.array_equal(out.grid, ref.grid)
 
     def test_checks_that_are_kept(self):
-        # an affine image can overflow, so finiteness is still checked
-        with pytest.raises(ValueError, match="atoms must be finite"), np.errstate(over="ignore"):
-            pushforward_affine(AtomicDistribution.from_points([0.0, 1e308], [0.5, 0.5]), 1e308, 0.9)
         with pytest.raises(ValueError, match="sum to 1"):
             AtomicDistribution.from_points([0.0, 1.0], [0.5, 0.4])
         with pytest.raises(ValueError, match="sum to 1"):
@@ -547,11 +563,25 @@ class TestTrustedConstruction:
             cramer_project(AtomicDistribution.from_points([0.0], [1.0]), [-1e308, 1e308])
 
 
+def reference_mixture(components, gamma) -> AtomicDistribution:
+    """One entry of distr_bellman_eval written out from (w, r, nu) components
+    of weight w > 0: each component is dirac(r) at gamma 0 and otherwise the
+    merge of r + gamma * atoms (reference_from_points), and the concatenation
+    of the components' atoms and scaled weights goes through
+    reference_from_points again, so that the check does not share the
+    operator's sort."""
+    parts = [
+        (w, dirac(r) if gamma == 0.0 else reference_from_points(r + gamma * nu.atoms, nu.weights))
+        for w, r, nu in components
+    ]
+    return reference_from_points(
+        np.concatenate([c.atoms for _, c in parts]), np.concatenate([w * c.weights for w, c in parts])
+    )
+
+
 def reference_full_eval(mu, mdp, policy) -> DistributionCollection:
-    """distr_bellman_eval written out as first built: one public
-    pushforward_affine per successor pair with positive weight, then mixture,
-    whose from_points of the concatenation is written out again here
-    (reference_from_points) so that the check does not share its sort."""
+    """distr_bellman_eval written out: entry (x, a) is reference_mixture of a
+    component per successor pair with positive weight P(x'|x,a) pi(a'|x')."""
 
     def entry(x, a):
         comps = []
@@ -565,12 +595,8 @@ def reference_full_eval(mu, mdp, policy) -> DistributionCollection:
                     continue
                 nu = mu[x_next, a_next]
                 nu = nu.as_atomic() if isinstance(nu, CategoricalDistribution) else nu
-                comps.append((w, pushforward_affine(nu, mdp.reward[x, a, x_next], mdp.discount)))
-        ref = reference_from_points(
-            np.concatenate([c.atoms for _, c in comps]), np.concatenate([w * c.weights for w, c in comps])
-        )
-        assert_same(mixture(comps), ref)
-        return ref
+                comps.append((w, mdp.reward[x, a, x_next], nu))
+        return reference_mixture(comps, mdp.discount)
 
     return DistributionCollection.build(mdp.n_states, mdp.n_actions, entry)
 
@@ -660,8 +686,8 @@ def reference_wasserstein(nu1, nu2, p):
 
 
 class TestExactOracleKeepsItsBits:
-    """The full operators, built from arrays, equal one public
-    pushforward_affine per successor pair mixed by mixture, bit for bit; the
+    """The full operators, built from arrays, equal reference_full_eval, a
+    mixture of pushforwards written out in test code, bit for bit; the
     shared-refinement sup-W_p equals one refinement per p."""
 
     def test_full_eval_and_greedy_opt(self):

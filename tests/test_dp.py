@@ -7,6 +7,7 @@ import pytest
 
 from osdrl import (
     AtomBudgetExceeded,
+    AtomicDistribution,
     DistributionCollection,
     Policy,
     RangeConditionError,
@@ -16,7 +17,6 @@ from osdrl import (
     iterate,
     make_frozen_lake,
     make_toy_mdp,
-    mixture,
     one_step_fixed_point_eval,
     one_step_fixed_point_opt,
     os_distr_eval,
@@ -135,7 +135,7 @@ class TestOneStepFixedPoints:
 
     def test_toy_opt_mixture_entry(self):
         nu = one_step_fixed_point_opt(make_toy_mdp(), tol=1e-12)
-        expected = mixture([(0.5, dirac(0.0)), (0.5, dirac(4.0))])
+        expected = AtomicDistribution.from_points([0.0, 4.0], [0.5, 0.5])
         assert wasserstein(nu[0, 1], expected, 1.0) <= 1e-10
 
     def test_opt_is_fixed_point(self):

@@ -349,14 +349,13 @@ def update_cases(seed, n_cases=60, n_updates=12, k=None):
     with different rows, delta(0) against delta(-1) / 2 + delta(1) / 2, so
     the baseline's greedy rule decides which row it reads."""
     ties = range(max(2, n_cases // 6) if k is None or k >= 3 else 0)
-    k_ties = k
     rng = np.random.default_rng(seed)
     for case in range(n_cases):
-        k = int(rng.integers(2, 7)) if k is None else k
-        grid = rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.1, 2.0, size=k))
+        n_points = int(rng.integers(2, 7)) if k is None else k
+        grid = rng.uniform(-3.0, 0.0) + np.cumsum(rng.uniform(0.1, 2.0, size=n_points))
         gamma = 0.0 if case % 4 == 0 else float(rng.uniform(0.1, 0.99))
         n_states, n_actions = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        probs = rng.dirichlet(np.ones(k), size=(n_states, n_actions))
+        probs = rng.dirichlet(np.ones(n_points), size=(n_states, n_actions))
         keep = rng.random(probs.shape) > 0.35
         keep[..., 0] |= ~keep.any(axis=-1)
         probs = np.where(keep, probs, 0.0)
@@ -366,13 +365,13 @@ def update_cases(seed, n_cases=60, n_updates=12, k=None):
         yield grid, gamma, probs, *_policy_and_transitions(rng, grid, gamma, probs.shape, n_updates)
     rng = np.random.default_rng([seed, 1])
     for _ in ties:
-        k = int(rng.integers(3, 7)) if k_ties is None else k_ties
-        grid, zero = np.arange(k) - k // 2.0, k // 2
+        n_points = int(rng.integers(3, 7)) if k is None else k
+        grid, zero = np.arange(n_points) - n_points // 2.0, n_points // 2
         gamma = float(rng.uniform(0.1, 0.99))  # at gamma 0 every next row projects alike
-        probs = np.zeros((int(rng.integers(2, 4)), int(rng.integers(3, 5)), k))
+        probs = np.zeros((int(rng.integers(2, 4)), int(rng.integers(3, 5)), n_points))
         probs[..., 0] = 1.0
-        probs[:, 0] = np.eye(k)[zero]
-        probs[:, 1] = (np.eye(k)[zero - 1] + np.eye(k)[zero + 1]) / 2.0
+        probs[:, 0] = np.eye(n_points)[zero]
+        probs[:, 1] = (np.eye(n_points)[zero - 1] + np.eye(n_points)[zero + 1]) / 2.0
         q = categorical_means(probs, grid)
         assert np.all(q[:, 0] == q[:, 1]) and np.all(q[:, 2:] < q[:, :1])
         yield grid, gamma, probs, *_policy_and_transitions(rng, grid, gamma, probs.shape, n_updates)
