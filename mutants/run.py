@@ -1,6 +1,6 @@
 """Run the named mutants of osdrl's kernels, of its greedy and draw rules
-and of its verify property record against the tier-1 tests that must
-catch them.
+and of its verify property record and JSON writer against the tier-1 tests
+that must catch them.
 
     python3 mutants/run.py [NAME ...]
 
@@ -265,6 +265,18 @@ MUTANTS = {
         "return self.max_violation <= self.tol",
         "return self.max_violation < self.tol",
         _TOL_0_PASS,
+    ),
+    "mdp_json_without_shape": (
+        VERIFY,
+        '"n_states": value.n_states, "n_actions": value.n_actions, ',
+        "",
+        ["tests/test_mdp.py::TestTabularMdp::test_json_round_trip"],
+    ),
+    "categorical_json_unconverted": (
+        VERIFY,
+        "isinstance(value, (AtomicDistribution, CategoricalDistribution))",
+        "isinstance(value, AtomicDistribution)",
+        ["tests/test_distributions.py::TestCategoricalDistribution::test_json_round_trip"],
     ),
 }
 

@@ -64,7 +64,6 @@ DEFAULTS = {
         "out": "out",
     },
     "histograms": {
-        "seed": 0,
         "steps": 4,
         "bins": 30,
         "atom_cap": 1_000_000,
@@ -602,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="base random seed")
+        if "seed" in DEFAULTS[name]:
+            cmd.add_argument("--seed", type=int, default=None, help="base random seed")
         if "steps" in DEFAULTS[name]:
             cmd.add_argument("--steps", type=int, default=None, help="iterations / learning steps")
         cmd.add_argument("--out", type=str, default=None, help="output directory")

@@ -111,13 +111,6 @@ class AtomicDistribution:
         cum = np.concatenate((_ZERO, _cumsum(self.weights)))
         return cum[self.atoms.searchsorted(np.asarray(z, dtype=float), side="right")]
 
-    def to_json(self) -> dict:
-        return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "AtomicDistribution":
-        return cls(atoms=doc["atoms"], weights=doc["weights"])
-
 
 def _check_grid(grid: np.ndarray) -> None:
     """Raise ValueError unless grid is 1-D with at least 2 finite, strictly
@@ -172,13 +165,6 @@ class CategoricalDistribution:
     def as_atomic(self) -> AtomicDistribution:
         keep = self.probs > 0.0
         return AtomicDistribution._trusted(self.grid[keep], self.probs[keep])
-
-    def to_json(self) -> dict:
-        return {"grid": self.grid.tolist(), "probs": self.probs.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CategoricalDistribution":
-        return cls(grid=doc["grid"], probs=doc["probs"])
 
 
 def _as_atomic(dist) -> AtomicDistribution:

@@ -80,9 +80,6 @@ class StepSizeSchedule:
     def step_size(self, visits: int) -> float:
         return self.c / (1.0 + visits) ** self.omega
 
-    def step_sizes(self, visits: np.ndarray) -> np.ndarray:
-        return self.c / (1.0 + np.asarray(visits, dtype=float)) ** self.omega
-
 
 @dataclass(frozen=True)
 class ExplorationSchedule:
@@ -396,7 +393,7 @@ def run_learning(
     def record(step, eps, violations):
         rec_steps.append(step)
         rec_eps.append(eps)
-        rec_alpha.append(float(np.mean(schedule.step_sizes(np.array(visits)))))
+        rec_alpha.append(float(np.mean([schedule.step_size(n) for row in visits for n in row])))
         rec_viol.append(violations)
         means = np.array(q)
         if ref_probs is not None:

@@ -69,25 +69,6 @@ class TabularMdp:
     def n_actions(self) -> int:
         return self.kernel.shape[1]
 
-    def to_json(self) -> dict:
-        """Row-major (x, a, x') JSON document, round-trips through from_json."""
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "discount": self.discount,
-            "kernel": self.kernel.tolist(),
-            "reward": self.reward.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TabularMdp":
-        kernel = np.asarray(doc["kernel"], dtype=float)
-        reward = np.asarray(doc["reward"], dtype=float)
-        expected = (doc["n_states"], doc["n_actions"], doc["n_states"])
-        if kernel.shape != expected:
-            raise ValueError(f"kernel shape {kernel.shape} inconsistent with header {expected}")
-        return cls(kernel=kernel, reward=reward, discount=doc["discount"])
-
 
 def write_csv(path, header, rows) -> None:
     """Write one canonical CSV: the header, then each row. Rows hold Python

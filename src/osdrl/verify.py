@@ -3,7 +3,8 @@ metric axioms, monotonicity, mean tracking, and the target microbenchmark.
 
 Every property runs a seeded randomized case loop into one PropertyResult:
 record(violation, **case) counts the case, keeps the largest violation, and
-records the first case above the tolerance as JSON, which no code replays.
+records the first case above the tolerance through _as_json, the one JSON
+writer of every recorded value; no code replays it.
 The result reports (name, cases, max_violation, passed) and that failing
 case when one exists. The verify CLI command aggregates these into a
 machine-readable report and a process exit code.
@@ -101,18 +102,25 @@ class PropertyResult:
 
 
 def _as_json(value):
-    """A case's value as JSON; a dict's None values are left out."""
+    """A value as JSON, a dict's None values left out; the constructors are
+    the readers: AtomicDistribution(**doc), CategoricalDistribution(**doc),
+    TabularMdp(kernel=..., reward=..., discount=...) (README, File formats)."""
     if isinstance(value, dict):
         return {key: _as_json(v) for key, v in value.items() if v is not None}
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, TabularMdp):
+        return {"n_states": value.n_states, "n_actions": value.n_actions, "discount": value.discount,
+                "kernel": value.kernel.tolist(), "reward": value.reward.tolist()}
+    if isinstance(value, (AtomicDistribution, CategoricalDistribution)):
+        return _as_json(asdict(value))
     if isinstance(value, Policy):
         return value.probs.tolist()
     if isinstance(value, DistributionCollection):
-        return [[value[x, a].to_json() for a in range(value.n_actions)] for x in range(value.n_states)]
+        return [[_as_json(value[x, a]) for a in range(value.n_actions)] for x in range(value.n_states)]
     if isinstance(value, np.generic):
         return value.item()
-    return value.to_json() if hasattr(value, "to_json") else value  # MDPs and distributions
+    return value
 
 
 def _near_tie_pair(rng, n_states, n_actions):

@@ -73,8 +73,17 @@ class TestConfigHandling:
     def test_flags_beat_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"seed": 5, "steps": 7}')
-        config = load_config("histograms", path, {"seed": 9, "steps": None, "out": None})
+        config = load_config("frozenlake", path, {"seed": 9, "steps": None, "out": None})
         assert config["seed"] == 9 and config["steps"] == 7
+
+    def test_histograms_takes_no_seed(self, tmp_path):
+        # the command is deterministic: neither the flag nor the key exists
+        with pytest.raises(SystemExit):
+            main(["histograms", "--seed", "1"])
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 0}')
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            load_config("histograms", path, {})
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -75,7 +75,7 @@ class TestStepSizeSchedule:
     def test_constant_bounds(self):
         sched = StepSizeSchedule.constant(0.6)
         assert sched.step_size(99) == 0.6
-        assert np.all(sched.step_sizes(np.arange(1000)) == 0.6)
+        assert all(sched.step_size(n) == 0.6 for n in range(1000))
         with pytest.raises(ValueError):
             StepSizeSchedule.constant(0.0)
         with pytest.raises(ValueError):
@@ -101,7 +101,7 @@ class TestStepSizeSchedule:
     def test_robbins_monro_partial_sums(self):
         # divergent sum, convergent squared sum for omega in (0.5, 1]
         sched = StepSizeSchedule.polynomial(c=1.0, omega=0.7)
-        alphas = sched.step_sizes(np.arange(100_000))
+        alphas = np.array([sched.step_size(n) for n in range(100_000)])
         assert alphas.sum() > 30  # grows like n^0.3
         assert (alphas ** 2).sum() < 3.2  # partial sums bounded by zeta(1.4) ~ 3.11
 

@@ -13,6 +13,8 @@ from osdrl import (
     make_toy_mdp,
     sample_step,
 )
+from osdrl.operators import random_mdp
+from osdrl.verify import _as_json
 
 
 def q_pi_linear_solve(mdp, policy):
@@ -73,9 +75,12 @@ class TestTabularMdp:
             TabularMdp(kernel=kernel, reward=np.zeros((1, 1, 1)), discount=1.0)
 
     def test_json_round_trip(self):
-        mdp = make_toy_mdp()
-        doc = json.loads(json.dumps(mdp.to_json()))
-        back = TabularMdp.from_json(doc)
+        # verify's one writer, read back by the constructor
+        mdp = random_mdp(np.random.default_rng(3), 3, 2)
+        doc = json.loads(json.dumps(_as_json(mdp)))
+        assert list(doc) == ["n_states", "n_actions", "discount", "kernel", "reward"]
+        assert (doc["n_states"], doc["n_actions"]) == mdp.kernel.shape[:2] == (3, 2)
+        back = TabularMdp(kernel=doc["kernel"], reward=doc["reward"], discount=doc["discount"])
         assert np.array_equal(back.kernel, mdp.kernel)
         assert np.array_equal(back.reward, mdp.reward)
         assert back.discount == mdp.discount
