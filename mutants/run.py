@@ -57,6 +57,8 @@ _SYMMETRY_FAILS = (
 )
 _MEAN_FIELD_FAILS = "tests/test_learning.py::TestMeanField::test_swapped_interpolation_weights_fail"
 _MEAN_TRACKING_FAILS = "tests/test_learning.py::TestMeanTrackingProperty::test_a_broken_update_fails"
+_GRID_CHECK = "tests/test_distributions.py::TestCramerProjection::test_grid_check_names_what_failed"
+_SUP_BAD_P = "tests/test_distributions.py::TestSupWasserstein::test_rejects_bad_p"
 _FAILING_CASES_JSON = "tests/test_cli.py::TestVerifyCommand::test_every_failing_case_is_json"
 _TOL_0_PASS = [
     "tests/test_learning.py::TestBlockActions::test_verify_property_passes",
@@ -271,6 +273,51 @@ MUTANTS = {
         '"n_states": value.n_states, "n_actions": value.n_actions, ',
         "",
         ["tests/test_mdp.py::TestTabularMdp::test_json_round_trip"],
+    ),
+    "collection_projection_keeps_padding": (
+        OPERATORS,
+        "    weights = np.where(present, np.concatenate([nu.weights for nu in nus])[at], 0.0)\n",
+        "    weights = np.concatenate([nu.weights for nu in nus])[at]\n",
+        [
+            "tests/test_operators.py::TestCollectionProjection::test_equals_cramer_project_bit_for_bit",
+            "tests/test_operators.py::TestCollectionProjection::test_two_point_grid_pads_a_one_atom_row",
+            f"{VERIFY_CHECK}projected_one_step_eval_contraction_w1",
+        ],
+    ),
+    "positive_columns_shortcut_on_nonnegative": (
+        OPERATORS,
+        "    if _all(real, axis=None):\n",
+        "    if _all(weights >= 0.0, axis=None):\n",
+        [
+            "tests/test_operators.py::TestPositiveColumns::test_shortcut_matches_the_argsort",
+            "tests/test_operators.py::TestArrayOperators::test_frozen_lake",
+            f"{VERIFY_CHECK}categorical_operators_match_object",
+        ],
+    ),
+    "grid_check_accepts_equal_points": (
+        DISTRIBUTIONS,
+        "_all(grid[1:] > grid[:-1])",
+        "_all(grid[1:] >= grid[:-1])",
+        [
+            f"{_GRID_CHECK}[equal_inside]",
+            f"{_GRID_CHECK}[equal_pair]",
+            "tests/test_distributions.py::TestCramerProjection::test_rejects_bad_grid",
+        ],
+    ),
+    "sup_skips_exponent_check": (
+        DISTRIBUTIONS,
+        "    ps = _checked_ps(ps)\n    per_entry",
+        "    per_entry",
+        [f"{_SUP_BAD_P}[{p}]" for p in ("half", "zero", "nan", "inf")],
+    ),
+    "one_step_bases_for_state_count": (
+        OPERATORS,
+        "    bases = _bases(len(successors[0]), grid.size)\n",
+        "    bases = _bases(len(successors[0]), mdp.n_states)\n",
+        [
+            "tests/test_operators.py::TestArrayOperators::test_frozen_lake",
+            f"{VERIFY_CHECK}categorical_operators_match_object",
+        ],
     ),
     "categorical_json_unconverted": (
         VERIFY,

@@ -115,10 +115,11 @@ class AtomicDistribution:
 def _check_grid(grid: np.ndarray) -> None:
     """Raise ValueError unless grid is 1-D with at least 2 finite, strictly
     increasing points and a finite span z_K - z_1, which keeps every gap,
-    and so every projected weight, finite."""
+    and so every projected weight, finite. Strict increase fails at any
+    NaN, and between finite ends every point is finite."""
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be 1-D with at least 2 points")
-    if not _all(np.isfinite(grid)) or _any(grid[1:] <= grid[:-1]):
+    if not (_all(grid[1:] > grid[:-1]) and math.isfinite(grid[0]) and math.isfinite(grid[-1])):
         raise ValueError("grid must be finite and strictly increasing")
     if not math.isfinite(float(grid[-1]) - float(grid[0])):
         raise ValueError(f"grid span {float(grid[0])!r} .. {float(grid[-1])!r} overflows")
@@ -193,17 +194,33 @@ def _quantile_segments(nu1: AtomicDistribution, nu2: AtomicDistribution):
     Returns (lengths, q1, q2): segment lengths and the constant quantile
     values of each distribution on each segment.
     """
-    cum1 = _cumsum(nu1.weights)
-    cum2 = _cumsum(nu2.weights)
-    breaks = np.concatenate((_ZERO, cum1[:-1], cum2[:-1], _ONE))
+    head1 = _cumsum(nu1.weights)[:-1]
+    head2 = _cumsum(nu2.weights)[:-1]
+    breaks = np.concatenate((_ZERO, head1, head2, _ONE))
     breaks.sort()
     breaks = breaks[np.concatenate((_TRUE, breaks[1:] != breaks[:-1]))]
     # distinct sorted breaks: every segment length is positive
     lengths = breaks[1:] - breaks[:-1]
     mids = (breaks[:-1] + breaks[1:]) / 2.0
-    idx1 = np.minimum(cum1.searchsorted(mids), nu1.atoms.size - 1)
-    idx2 = np.minimum(cum2.searchsorted(mids), nu2.atoms.size - 1)
-    return lengths, nu1.atoms[idx1], nu2.atoms[idx2]
+    # the cumulative sums' first index >= a midpoint, at most the last atom's
+    # (a midpoint past a sum that rounds below 1.0): one search of all but the last
+    return lengths, nu1.atoms[head1.searchsorted(mids)], nu2.atoms[head2.searchsorted(mids)]
+
+
+def _checked_ps(ps) -> list:
+    """The exponents ps as floats; each must be finite and at least 1."""
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if math.isinf(p) or not p >= 1.0:
+            raise ValueError("p = inf is not supported" if math.isinf(p) else f"p must be >= 1, got {p}")
+    return ps
+
+
+def _wasserstein_ps(nu1, nu2, ps) -> tuple:
+    # wasserstein_ps on exponents _checked_ps has passed
+    lengths, q1, q2 = _quantile_segments(_as_atomic(nu1), _as_atomic(nu2))
+    diffs = np.abs(q1 - q2)
+    return tuple(float(lengths @ diffs) if p == 1.0 else float((lengths @ diffs**p) ** (1.0 / p)) for p in ps)
 
 
 def wasserstein_ps(nu1, nu2, ps) -> tuple:
@@ -214,13 +231,7 @@ def wasserstein_ps(nu1, nu2, ps) -> tuple:
     merged breakpoints of the two CDFs; no sampling or discretization error.
     Requires finite p >= 1.
     """
-    ps = [float(p) for p in ps]
-    for p in ps:
-        if math.isinf(p) or not p >= 1.0:
-            raise ValueError("p = inf is not supported" if math.isinf(p) else f"p must be >= 1, got {p}")
-    lengths, q1, q2 = _quantile_segments(_as_atomic(nu1), _as_atomic(nu2))
-    diffs = np.abs(q1 - q2)
-    return tuple(float(lengths @ diffs) if p == 1.0 else float((lengths @ diffs**p) ** (1.0 / p)) for p in ps)
+    return _wasserstein_ps(nu1, nu2, _checked_ps(ps))
 
 
 def wasserstein(nu1, nu2, p: float = 1.0) -> float:
@@ -231,13 +242,15 @@ def wasserstein(nu1, nu2, p: float = 1.0) -> float:
 def sup_wasserstein_ps(mu1, mu2, ps) -> tuple:
     """Max over (state, action) entries of the p-Wasserstein distance, for
     each p in the sequence ps. Each entry pair is refined once for every p;
-    each max equals sup_wasserstein(mu1, mu2, p) bit for bit."""
+    each max equals sup_wasserstein(mu1, mu2, p) bit for bit. The exponents
+    are checked once for all entries."""
     if (mu1.n_states, mu1.n_actions) != (mu2.n_states, mu2.n_actions):
         raise ValueError(
             f"mismatched index sets: {(mu1.n_states, mu1.n_actions)} vs "
             f"{(mu2.n_states, mu2.n_actions)}"
         )
-    per_entry = [wasserstein_ps(mu1[x, a], mu2[x, a], ps) for x in range(mu1.n_states) for a in range(mu1.n_actions)]
+    ps = _checked_ps(ps)
+    per_entry = [_wasserstein_ps(nu1, nu2, ps) for (_, nu1), (_, nu2) in zip(mu1, mu2)]
     return tuple(map(max, zip(*per_entry)))
 
 

@@ -19,6 +19,7 @@ from .distributions import (
 from .mdp import Policy, TabularMdp, _entry_ids, write_csv
 from .operators import (
     _one_step_collection,
+    _project_collection,
     bellman_eval,
     bellman_opt,
     categorical_os_eval,
@@ -141,7 +142,7 @@ def _projected_closed_form(
         triplets = [(x, a, xn, float(targets[x, a, xn])) for x, a, xn in zip(*np.nonzero(bad))]
         raise RangeConditionError(triplets)
 
-    eta = _one_step_collection(mdp, v).map(lambda d: cramer_project(d, grid))
+    eta = _project_collection(_one_step_collection(mdp, v), grid)
     op = categorical_os_opt(mdp, grid) if policy is None else categorical_os_eval(mdp, policy, grid)
 
     def sup_w1(p, q):

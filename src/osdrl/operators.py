@@ -14,23 +14,25 @@ import numpy as np
 from .distributions import (
     ATOM_MERGE_TOL,
     AtomicDistribution,
+    CategoricalDistribution,
     DistributionCollection,
     _as_atomic,
     _all,
     _any,
+    _check_grid,
     _check_mixture_weights,
     _sum,
     categorical_means,
     cramer_project,
 )
-from .mdp import Policy, TabularMdp
+from .mdp import Policy, TabularMdp, _frozen_array
 
 
 def _check_q(q: np.ndarray, mdp: TabularMdp) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError(f"Q shape {q.shape} does not match MDP {(mdp.n_states, mdp.n_actions)}")
-    if not np.all(np.isfinite(q)):
+    if not _all(np.isfinite(q), axis=None):
         raise ValueError("Q entries must be finite")
     return q
 
@@ -145,6 +147,27 @@ def projected(op, grid):
     return apply
 
 
+def _project_collection(mu: DistributionCollection, grid) -> DistributionCollection:
+    """mu.map(lambda d: cramer_project(d, grid)), bit for bit, in one pass of
+    the _cells + _project_rows mirror: each entry's atoms (as as_atomic holds
+    them) are one row, padded with copies of its last atom at weight 0. For
+    callers that project a whole collection; projected(op, grid) keeps
+    cramer_project, the object path that the mirror is held to."""
+    grid = _frozen_array(grid)
+    _check_grid(grid)
+    nus = [_as_atomic(d) for _, d in mu]
+    sizes = [nu.atoms.size for nu in nus]
+    present = np.arange(max(sizes)) < np.array(sizes)[:, None]
+    # each slot's index in the concatenated atoms: the count of present
+    # slots up to it, so a padding slot repeats its row's last atom
+    at = present.cumsum().reshape(present.shape) - 1
+    atoms = np.concatenate([nu.atoms for nu in nus])[at]
+    weights = np.where(present, np.concatenate([nu.weights for nu in nus])[at], 0.0)
+    probs = _project_rows(weights, _cells(atoms, grid, present, _bases(len(atoms), grid.size)))
+    entries = [CategoricalDistribution._trusted(grid, row) for row in probs]
+    return DistributionCollection([entries[i : i + mu.n_actions] for i in range(0, len(entries), mu.n_actions)])
+
+
 # ---------------------------------------------------------------------------
 # Array forms of the projected operators: an (S, A, K) probability array on
 # the grid maps to an (S, A, K) array. Each equals its object-level
@@ -207,17 +230,28 @@ class _Cells(NamedTuple):
     crowded: np.ndarray  # rows of clamped.reshape(2 * rows, -1) with more than two present atoms
 
 
-def _cells(values, grid, present) -> _Cells:
+def _bases(rows, k):
+    """_cells' constants for rows on a grid of k points: each row's first
+    cell in the flat (rows, k) output as a column, the bincount targets of
+    the clamped masses (first cells, then last cells), and the searchsorted
+    cells of a clamped atom, 0 and k, shaped (2, 1, 1)."""
+    first = np.arange(rows) * k
+    return first[:, None], np.concatenate((first, first + k - 1)), np.array([0, k])[:, None, None]
+
+
+def _cells(values, grid, present, bases) -> _Cells:
+    """The _Cells of (rows, W) sorted atoms on grid; bases is _bases(rows,
+    K), which a caller that projects rows of one layout many times builds once."""
     k = grid.size
-    cell = np.searchsorted(grid, values, side="left")
+    first, clamp_index, edges = bases
+    cell = grid.searchsorted(values)  # side="left", as project_points searches
     upper = np.minimum(np.maximum(cell, 1), k - 1)
     inner = upper == cell
     hi, lo = grid[upper], grid[upper - 1]
-    base = np.arange(len(values)) * k
-    target = (base[:, None] + upper).ravel()
-    clamped = (cell == np.array([0, k])[:, None, None]) & present
+    target = (first + upper).ravel()
+    clamped = (cell == edges) & present
     return _Cells(
-        np.concatenate((base, base + k - 1, target - 1, target)),
+        np.concatenate((clamp_index, target - 1, target)),
         np.where(inner, hi - values, 0.0),
         np.where(inner, values - lo, 0.0),
         np.where(inner, hi - lo, 1.0),
@@ -245,8 +279,11 @@ def _project_rows(weights, cells: _Cells) -> np.ndarray:
 def _positive_columns(weights):
     """Each row's columns of positive weight in index order, padded with
     copies of the last one, as a (rows, W) array, and the mask of the
-    columns that are not padding."""
+    columns that are not padding. With every weight positive no argsort
+    runs: the columns are each row's arange, read off the mask."""
     real = weights > 0.0
+    if _all(real, axis=None):
+        return real.nonzero()[1].reshape(real.shape), real
     count = _sum(real, axis=1)
     cols = (~real).argsort(axis=1, kind="stable")[:, : count.max()]
     real = np.arange(cols.shape[1]) < count[:, None]
@@ -290,7 +327,7 @@ def categorical_full_opt_batch(mdps, grid):
     real = np.tile(np.repeat(p, k, axis=1), (len(mdps), 1)).ravel()[gather] > 0.0
     # a merge is possible when fewer runs than atoms survive with all present
     may_merge = np.count_nonzero(_merge_sorted(values, real * 1.0)) < np.count_nonzero(real)
-    cells = _cells(values, grid, real)
+    cells = _cells(values, grid, real, _bases(len(values), k))
     batch, states = np.arange(len(mdps))[:, None], np.arange(head.n_states)
 
     def apply(probs: np.ndarray) -> np.ndarray:
@@ -316,13 +353,15 @@ def categorical_full_opt(mdp: TabularMdp, grid):
 
 
 def _projected_one_step(mdp: TabularMdp, grid, next_value):
-    # array form of projected(_one_step_collection(mdp, next_value(means)))
+    # array form of projected(_one_step_collection(mdp, next_value(means))):
+    # the successors' layout and its cell bases are built once, not per application
     grid = np.asarray(grid, dtype=float)
     successors = _successors(mdp)
+    bases = _bases(len(successors[0]), grid.size)
 
     def apply(probs: np.ndarray) -> np.ndarray:
         values, merged = _one_step_rows(successors, mdp.discount, next_value(categorical_means(probs, grid)))
-        cells = _cells(values, grid, merged > 0.0)
+        cells = _cells(values, grid, merged > 0.0, bases)
         return _project_rows(merged, cells).reshape(mdp.n_states, mdp.n_actions, grid.size)
 
     return apply

@@ -41,6 +41,7 @@ from .learning import ExplorationSchedule, StepSizeSchedule, _add_dirac, _block_
 from .learning import _Tables
 from .mdp import EpisodicEnv, Policy, TabularMdp, make_frozen_lake, make_toy_mdp, sample_step
 from .operators import (
+    _project_collection,
     bellman_eval,
     bellman_opt,
     categorical_full_opt,
@@ -176,12 +177,11 @@ def check_contraction_suite(seed: int = 0, n_cases: int = 1000) -> list:
         before = sup_wasserstein_ps(mu1, mu2, ps)
         ev1, ev2 = os_distr_eval(mu1, mdp, pi), os_distr_eval(mu2, mdp, pi)
         op1, op2 = os_distr_opt(mu1, mdp), os_distr_opt(mu2, mdp)
-        project = lambda mu: mu.map(lambda d: cramer_project(d, grid))
         outputs = (  # in the order of results; the projections in W1 only
             (ev1, ev2, ps),
             (op1, op2, ps),
-            (project(ev1), project(ev2), ps[:1]),
-            (project(op1), project(op2), ps[:1]),
+            (_project_collection(ev1, grid), _project_collection(ev2, grid), ps[:1]),
+            (_project_collection(op1, grid), _project_collection(op2, grid), ps[:1]),
             (distr_bellman_eval(mu1, mdp, pi), distr_bellman_eval(mu2, mdp, pi), ps),
         )
         for result, (out1, out2, qs) in zip(results, outputs):
@@ -293,8 +293,7 @@ def check_operator_monotonicity(seed: int = 0, n_cases: int = 400) -> PropertyRe
         )
         grid = random_grid(rng, max_points=5)
         out1, out2 = os_distr_opt(mu1, mdp), os_distr_opt(mu2, mdp)
-        pr1 = out1.map(lambda d: cramer_project(d, grid))
-        pr2 = out2.map(lambda d: cramer_project(d, grid))
+        pr1, pr2 = _project_collection(out1, grid), _project_collection(out2, grid)
         excess = max(
             dominance_excess(hi[x, a], lo[x, a]) for lo, hi in ((out1, out2), (pr1, pr2)) for (x, a), _ in lo
         )
@@ -629,7 +628,7 @@ def check_mean_commutation(seed: int = 0, n_cases: int = 300) -> PropertyResult:
         # projected variant on a grid that covers every one-step target
         v = q.max(axis=1)
         grid = _fitting_grid(mdp, v)
-        projected_means = out_opt.map(lambda d: cramer_project(d, grid)).means()
+        projected_means = _project_collection(out_opt, grid).means()
         err = max(err, np.max(np.abs(projected_means - bellman_opt(q, mdp))))
         result.record(err, mdp=mdp, policy=pi, mu=mu)
     return result

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,24 @@ class TestSupWasserstein:
         with pytest.raises(ValueError, match="mismatched"):
             sup_wasserstein(mu1, mu2, 1.0)
 
+    @pytest.mark.parametrize(
+        "ps, message",
+        [
+            pytest.param((0.5,), "p must be >= 1, got 0.5", id="half"),
+            pytest.param((1.0, 0.0), "p must be >= 1, got 0.0", id="zero"),
+            pytest.param((math.nan,), "p must be >= 1, got nan", id="nan"),
+            pytest.param((2.0, math.inf), "p = inf is not supported", id="inf"),
+        ],
+    )
+    def test_rejects_bad_p(self, ps, message):
+        # the exponents are checked once per call, before any entry pair
+        mu1 = DistributionCollection.constant(2, 2, dirac(0.0))
+        mu2 = DistributionCollection.constant(2, 2, dirac(1.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sup_wasserstein_ps(mu1, mu2, ps)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sup_wasserstein(mu1, mu2, ps[-1])
+
 
 class TestCramerProjection:
     GRID = [0.0, 1.9, 2.1, 10.0]
@@ -336,6 +355,29 @@ class TestCramerProjection:
             cramer_project(dirac(0.0), [0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             cramer_project(dirac(0.0), [0.0])
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            pytest.param([0.0, math.nan, 1.0], "grid must be finite and strictly increasing", id="nan_inside"),
+            pytest.param([math.nan, 1.0], "grid must be finite and strictly increasing", id="nan_first"),
+            pytest.param([0.0, math.inf], "grid must be finite and strictly increasing", id="inf_last"),
+            pytest.param([-math.inf, 0.0], "grid must be finite and strictly increasing", id="inf_first"),
+            pytest.param([-math.inf, math.inf], "grid must be finite and strictly increasing", id="both_infinite"),
+            pytest.param([0.0, 1.0, 1.0, 2.0], "grid must be finite and strictly increasing", id="equal_inside"),
+            pytest.param([0.0, 0.0], "grid must be finite and strictly increasing", id="equal_pair"),
+            pytest.param([2.0, 1.0], "grid must be finite and strictly increasing", id="decreasing"),
+            pytest.param([0.0, 2.0, 1.0], "grid must be finite and strictly increasing", id="decreasing_inside"),
+            pytest.param([-1e308, 0.0, 1e308], "grid span -1e+308 .. 1e+308 overflows", id="span_overflows"),
+            pytest.param([0.0], "grid must be 1-D with at least 2 points", id="one_point"),
+            pytest.param([[0.0, 1.0]], "grid must be 1-D with at least 2 points", id="two_d"),
+        ],
+    )
+    def test_grid_check_names_what_failed(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cramer_project(dirac(0.0), grid)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CategoricalDistribution(grid, np.eye(1, np.size(grid)).reshape(np.shape(grid)))
 
 
 class TestCategoricalW1:

@@ -29,6 +29,8 @@ from osdrl.distributions import AtomicDistribution
 from osdrl.mdp import TabularMdp
 from osdrl.dp import categorical_start
 from osdrl.operators import (
+    _positive_columns,
+    _project_collection,
     random_atomic,
     random_collection,
     random_grid,
@@ -79,6 +81,18 @@ class TestScalarOperators:
         mdp = make_toy_mdp()
         q_star = np.array([[2.0, 2.0], [0.0, 0.0]])
         assert np.max(np.abs(bellman_opt(q_star, mdp) - q_star)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_or_misshapen_q(self, bad):
+        mdp = make_toy_mdp()
+        for cell in ((0, 0), (1, 1)):
+            q = np.zeros((2, 2))
+            q[cell] = bad
+            for apply in (lambda q: bellman_opt(q, mdp), lambda q: bellman_eval(q, mdp, Policy.uniform(2, 2))):
+                with pytest.raises(ValueError, match="^Q entries must be finite$"):
+                    apply(q)
+        with pytest.raises(ValueError, match="does not match MDP"):
+            bellman_opt(np.zeros((2, 3)), mdp)
 
     def test_contraction_on_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -510,3 +524,115 @@ class TestFullOptBatch:
         with np.errstate(over="ignore", invalid="ignore"):
             got = categorical_full_opt(mdp, np.array([0.0, 1e307]))(probs)
         assert got.tolist() == [[[0.0, 1.0]], [[0.0, 1.0]]]
+
+
+def collection_cases(seed, n_cases=300):
+    """(collection, grid) pairs for the collection projection: atomic and
+    categorical entries (the latter on another grid, with empty cells),
+    single atoms, atoms exactly on grid points, clamps on both sides, 3 to
+    12 atoms clamped on one side, and grids of K = 2 to 6 points."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        grid = random_grid(rng, max_points=6) if rng.random() < 0.7 else np.sort(rng.uniform(-3.0, 3.0, 2))
+        lo, hi = float(grid[0]), float(grid[-1])
+
+        def entry(x, a):
+            kind = int(rng.integers(6))
+            n = int(rng.integers(1, 7))
+            if kind == 0:  # a single atom, anywhere
+                return dirac(float(rng.uniform(lo - 2.0, hi + 2.0)))
+            if kind == 1:  # atoms on grid points, some off them
+                atoms = np.where(rng.random(n) < 0.7, rng.choice(grid, n), rng.uniform(lo, hi, n))
+            elif kind == 2:  # every atom clamped below or above; from 8 on numpy sums them pairwise
+                n = int(rng.integers(3, 13))
+                atoms = rng.uniform(lo - 3.0, lo, n) if rng.random() < 0.5 else rng.uniform(hi, hi + 3.0, n)
+            elif kind == 3:  # categorical, on a grid of its own
+                other = random_grid(rng, max_points=6)
+                return CategoricalDistribution(other, random_probs(rng, 1, 1, other.size)[0, 0])
+            else:  # clamps on both sides and interior atoms
+                atoms = rng.uniform(lo - 2.0, hi + 2.0, n)
+            return AtomicDistribution.from_points(atoms, rng.dirichlet(np.ones(n)))
+
+        yield DistributionCollection.build(int(rng.integers(1, 5)), int(rng.integers(1, 4)), entry), grid
+
+
+class TestCollectionProjection:
+    """_project_collection, the one mirror pass over a whole collection,
+    against cramer_project entry by entry."""
+
+    def test_equals_cramer_project_bit_for_bit(self):
+        # rows clamping more than two atoms on one side, and those among
+        # them whose in-order sum differs from numpy's
+        crowded = ties = 0
+        for mu, grid in collection_cases(seed=28):
+            got = _project_collection(mu, grid)
+            assert (got.n_states, got.n_actions) == (mu.n_states, mu.n_actions)
+            for (x, a), dist in mu:
+                want = cramer_project(dist, grid)
+                assert isinstance(got[x, a], CategoricalDistribution)
+                assert got[x, a].grid.tobytes() == want.grid.tobytes()
+                assert got[x, a].probs.tobytes() == want.probs.tobytes()
+                assert not got[x, a].probs.flags.writeable
+                nu = dist.as_atomic() if isinstance(dist, CategoricalDistribution) else dist
+                for side in (nu.atoms <= grid[0], nu.atoms > grid[-1]):
+                    if side.sum() > 2:
+                        crowded += 1
+                        w = nu.weights[side]
+                        ties += float(np.cumsum(w)[-1]) != float(w.sum())
+        assert crowded >= 50 and ties >= 1
+
+    def test_two_point_grid_pads_a_one_atom_row(self):
+        grid = np.array([-1.0, 1.0])
+        nu = AtomicDistribution.from_points([-3.0, -1.0, 0.25, 1.0, 2.0], [0.1, 0.2, 0.3, 0.15, 0.25])
+        mu = DistributionCollection([[nu, dirac(0.5)]])
+        got = _project_collection(mu, grid)
+        for a in range(2):
+            assert got[0, a].probs.tobytes() == cramer_project(mu[0, a], grid).probs.tobytes()
+
+    def test_bad_grid_is_refused(self):
+        mu = DistributionCollection.constant(1, 1, dirac(0.0))
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            _project_collection(mu, [0.0, 0.0, 1.0])
+
+
+def argsort_columns(weights):
+    """_positive_columns without its all-positive shortcut: the argsort form."""
+    real = weights > 0.0
+    count = real.sum(axis=1)
+    cols = (~real).argsort(axis=1, kind="stable")[:, : count.max()]
+    real = np.arange(cols.shape[1]) < count[:, None]
+    return np.where(real, cols, cols[np.arange(len(cols)), count - 1][:, None]), real
+
+
+class TestPositiveColumns:
+    """_positive_columns' all-positive shortcut against the argsort it skips."""
+
+    @staticmethod
+    def weight_matrices():
+        rng = np.random.default_rng(29)
+        for mdp in (make_toy_mdp(), make_frozen_lake().mdp):
+            yield mdp.kernel.reshape(-1, mdp.n_states)
+        for _ in range(40):
+            mdp = random_mdp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+            kernel = mdp.kernel.copy()
+            if rng.random() < 0.5:  # some zero cells, never a whole row
+                kernel[rng.random(kernel.shape) < 0.3] = 0.0
+                kernel[kernel.sum(axis=-1) == 0.0, 0] = 1.0
+                kernel /= kernel.sum(axis=-1, keepdims=True)
+            yield kernel.reshape(-1, mdp.n_states)
+            n = mdp.n_states * mdp.n_actions
+            shape = (mdp.n_states, mdp.n_actions)
+            for policy in (random_policy(rng, *shape), greedy_policy(rng.random(shape))):
+                yield (kernel[..., None] * policy.probs).reshape(n, n)  # distr_bellman_eval's mixture matrix
+
+    def test_shortcut_matches_the_argsort(self):
+        with_zeros = without = 0
+        for weights in self.weight_matrices():
+            (cols, real), (want_cols, want_real) = _positive_columns(weights), argsort_columns(weights)
+            assert cols.dtype == want_cols.dtype and cols.shape == want_cols.shape
+            assert np.array_equal(cols, want_cols) and np.array_equal(real, want_real)
+            if np.all(weights > 0.0):
+                without += 1
+            else:
+                with_zeros += 1
+        assert with_zeros >= 20 and without >= 20
