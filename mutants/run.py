@@ -1,6 +1,6 @@
-"""Run the named mutants of osdrl's kernels, of its greedy and draw rules
-and of its verify property record and JSON writer against the tier-1 tests
-that must catch them.
+"""Run the named mutants of osdrl's kernels, of its greedy, draw and
+float-overflow rules and of its verify property record and JSON writer
+against the tier-1 tests that must catch them.
 
     python3 mutants/run.py [NAME ...]
 
@@ -324,6 +324,16 @@ MUTANTS = {
         "isinstance(value, (AtomicDistribution, CategoricalDistribution))",
         "isinstance(value, AtomicDistribution)",
         ["tests/test_distributions.py::TestCategoricalDistribution::test_json_round_trip"],
+    ),
+    "as_float_overflow_to_zero": (
+        LEARNING,
+        "        return math.inf if value > 0 else -math.inf\n",
+        "        return 0.0\n",
+        [
+            f"tests/test_cli.py::TestConfigHandling::test_adversarial_values_are_config_errors[{key}]"
+            for key in ("instability-grid", "frozenlake-grid", "frozenlake-eps_rate", "frozenlake-goal_reward")
+        ]
+        + ["tests/test_learning.py::TestExplorationSchedule::test_validation"],
     ),
 }
 

@@ -58,12 +58,6 @@ from .operators import (
     os_distr_eval,
     os_distr_opt,
     projected,
-    random_atomic,
-    random_collection,
-    random_grid,
-    random_mdp,
-    random_policy,
-    random_probs,
 )
 
 __version__ = "0.1.0"

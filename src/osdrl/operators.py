@@ -375,60 +375,3 @@ def categorical_os_opt(mdp: TabularMdp, grid):
 def categorical_os_eval(mdp: TabularMdp, policy: Policy, grid):
     """Array form of projected(lambda m: os_distr_eval(m, mdp, policy), grid)."""
     return _projected_one_step(mdp, grid, lambda q: (policy.probs * q).sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# Seeded random instances for the property suites: Dirichlet(1, ..., 1)
-# kernel rows, rewards uniform on [-1, 1], discount drawn from {0.5, 0.9}.
-
-
-def random_mdp(
-    rng: np.random.Generator,
-    n_states: int = 3,
-    n_actions: int = 2,
-    discounts=(0.5, 0.9),
-) -> TabularMdp:
-    kernel = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
-    reward = rng.uniform(-1.0, 1.0, size=(n_states, n_actions, n_states))
-    return TabularMdp(kernel=kernel, reward=reward, discount=float(rng.choice(discounts)))
-
-
-def random_policy(rng: np.random.Generator, n_states: int, n_actions: int) -> Policy:
-    return Policy(rng.dirichlet(np.ones(n_actions), size=n_states))
-
-
-def random_atomic(
-    rng: np.random.Generator, max_atoms: int = 4, low: float = -2.0, high: float = 2.0
-) -> AtomicDistribution:
-    n = int(rng.integers(1, max_atoms + 1))
-    atoms = rng.uniform(low, high, size=n)
-    return AtomicDistribution.from_points(atoms, rng.dirichlet(np.ones(n)))
-
-
-def random_collection(
-    rng: np.random.Generator, n_states: int, n_actions: int, **kwargs
-) -> DistributionCollection:
-    return DistributionCollection.build(
-        n_states, n_actions, lambda x, a: random_atomic(rng, **kwargs)
-    )
-
-
-def random_probs(
-    rng: np.random.Generator, n_states: int, n_actions: int, k: int, zero_frac: float = 0.3
-) -> np.ndarray:
-    """(n_states, n_actions, k) probability vectors with about zero_frac of
-    the cells empty."""
-    probs = rng.dirichlet(np.ones(k), size=(n_states, n_actions))
-    probs[rng.random(probs.shape) < zero_frac] = 0.0
-    probs[probs.sum(axis=-1) == 0.0, 0] = 1.0
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def random_grid(
-    rng: np.random.Generator, max_points: int = 8, min_gap: float = 0.05
-) -> np.ndarray:
-    """Strictly increasing support with a guaranteed minimum spacing."""
-    k = int(rng.integers(2, max_points + 1))
-    start = rng.uniform(-10.0, 5.0)
-    gaps = rng.uniform(min_gap, 3.0, size=k - 1)
-    return start + np.concatenate(([0.0], np.cumsum(gaps)))

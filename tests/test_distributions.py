@@ -29,8 +29,7 @@ from osdrl import (
 )
 from osdrl.distributions import sup_wasserstein_ps, wasserstein_ps
 from osdrl.mdp import Policy, TabularMdp
-from osdrl.operators import random_atomic, random_collection, random_grid
-from osdrl.verify import _LAYOUTS, _MEANS_KS, _as_json
+from osdrl.verify import _LAYOUTS, _MEANS_KS, _as_json, random_atomic, random_collection, random_grid
 
 
 def riemann_w1(nu1, nu2, spacing):

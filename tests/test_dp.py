@@ -30,8 +30,8 @@ from osdrl import (
     wasserstein,
 )
 from osdrl.mdp import TabularMdp
-from osdrl.operators import bellman_eval, bellman_opt, distr_bellman_eval, random_mdp, random_policy
-from osdrl.verify import check_fixed_points
+from osdrl.operators import bellman_eval, bellman_opt, distr_bellman_eval
+from osdrl.verify import check_fixed_points, random_mdp, random_policy
 
 TOY_GRID = [0.0, 1.9, 2.1, 10.0]
 

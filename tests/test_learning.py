@@ -29,7 +29,6 @@ from osdrl import (
     write_learning_csv,
 )
 from osdrl.learning import ALGOS, _BLOCK, _add_dirac, _block_actions, _cdrl_update, _os_update, _Tables
-from osdrl.operators import random_mdp
 from osdrl.verify import (
     _SCHEDULES,
     _STARTS,
@@ -37,6 +36,7 @@ from osdrl.verify import (
     check_exploration_decisions,
     check_mean_field,
     check_mean_tracking,
+    random_mdp,
     target_microbenchmark,
 )
 

@@ -13,8 +13,7 @@ from osdrl import (
     make_toy_mdp,
     sample_step,
 )
-from osdrl.operators import random_mdp
-from osdrl.verify import _as_json
+from osdrl.verify import _as_json, random_mdp
 
 
 def q_pi_linear_solve(mdp, policy):

@@ -28,9 +28,9 @@ from osdrl import (
 from osdrl.distributions import AtomicDistribution
 from osdrl.mdp import TabularMdp
 from osdrl.dp import categorical_start
-from osdrl.operators import (
-    _positive_columns,
-    _project_collection,
+from osdrl.operators import _positive_columns, _project_collection
+from osdrl.verify import (
+    check_categorical_operators,
     random_atomic,
     random_collection,
     random_grid,
@@ -38,7 +38,6 @@ from osdrl.operators import (
     random_policy,
     random_probs,
 )
-from osdrl.verify import check_categorical_operators
 
 
 def self_loop_mdp(reward=1.0, discount=0.5):
