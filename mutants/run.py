@@ -1,6 +1,7 @@
 """Run the named mutants of osdrl's kernels, of its greedy, draw and
-float-overflow rules and of its verify property record and JSON writer
-against the tier-1 tests that must catch them.
+float-overflow rules, of the instability stacks' repeat rule and of its
+verify property record and JSON writer against the tier-1 tests that must
+catch them.
 
     python3 mutants/run.py [NAME ...]
 
@@ -31,12 +32,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/osdrl/cli.py"
 DISTRIBUTIONS = "src/osdrl/distributions.py"
 LEARNING = "src/osdrl/learning.py"
 MDP = "src/osdrl/mdp.py"
 OPERATORS = "src/osdrl/operators.py"
 VERIFY = "src/osdrl/verify.py"
 _REPLAY = "tests/test_learning.py::TestRunLearning::test_step_functions_replay_the_harness_bit_for_bit"
+_PROB_STACK = "tests/test_cli.py::TestProbStack"
 _TIES = "tests/test_learning.py::TestBlockActions::test_ties_are_decided_as_the_scalar_epsilon_decides_them"
 _PROPERTY = "tests/test_learning.py::TestBlockActions::test_verify_property_passes"
 _UPDATES = "tests/test_learning.py::TestUpdatesKeepTheirBits"
@@ -334,6 +337,28 @@ MUTANTS = {
             for key in ("instability-grid", "frozenlake-grid", "frozenlake-eps_rate", "frozenlake-goal_reward")
         ]
         + ["tests/test_learning.py::TestExplorationSchedule::test_validation"],
+    ),
+    "repeat_by_value_equality": (
+        CLI,
+        "    return (new.view(np.uint64) == old.view(np.uint64)).reshape(len(new), -1).all(axis=1)\n",
+        "    return np.array([np.array_equal(a, b) for a, b in zip(new, old)])\n",
+        [f"{_PROB_STACK}::test_zero_and_negative_zero_are_no_repeat"],
+    ),
+    "moving_slices_dropped": (
+        CLI,
+        "            live = live[~fixed]\n",
+        "            live = live[fixed]\n",
+        [f"{_PROB_STACK}::test_toy_traces[{trace}-{n}]" for trace in ("onestep", "cdrl") for n in (60, 200)]
+        + [f"{_PROB_STACK}::test_search_chunks[{chunk}-140]" for chunk in ("9-27", "0-374")]
+        + ["tests/test_cli.py::TestInstabilityCommand::test_seed_nine_triggers_at_candidate_27_with_period_two"],
+    ),
+    "freeze_on_any_cell": (
+        CLI,
+        "reshape(len(new), -1).all(axis=1)",
+        "reshape(len(new), -1).any(axis=1)",
+        [f"{_PROB_STACK}::test_toy_traces[{trace}-{n}]" for trace in ("onestep", "cdrl") for n in (60, 2)]
+        + [f"{_PROB_STACK}::test_search_chunks[{chunk}-140]" for chunk in ("9-27", "0-374")]
+        + [f"{_PROB_STACK}::test_zero_and_negative_zero_are_no_repeat"],
     ),
 }
 

@@ -39,7 +39,7 @@ from .learning import (
     write_learning_csv,
 )
 from .mdp import FROZEN_LAKE_MAP, Policy, _entry_ids, make_frozen_lake, make_toy_mdp, write_csv
-from .operators import categorical_full_opt, categorical_full_opt_batch, categorical_os_opt
+from .operators import categorical_full_opt_batch, categorical_os_opt
 from .operators import distr_bellman_eval, os_distr_eval
 from .svgplot import histogram_chart, line_chart
 
@@ -230,13 +230,33 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _prob_stack(op, start: np.ndarray, n_steps: int) -> np.ndarray:
-    """Iterate an array operator n_steps times from start and stack every
-    iterate, as an array of shape (n_steps + 1, S, A, K)."""
+def _repeats(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Whether each slice of new along the first axis has old's bits in
+    every cell; 0.0 and -0.0 differ, as an operator's input bits would."""
+    return (new.view(np.uint64) == old.view(np.uint64)).reshape(len(new), -1).all(axis=1)
+
+
+def _prob_stack(build, start: np.ndarray, n_steps: int) -> np.ndarray:
+    """Iterate a batch of array operators n_steps times from start, a (C, S,
+    A, K) array, and stack every iterate, as (n_steps + 1, C, S, A, K).
+    build(live) is the operator on the batch's slices live. It is pure and
+    its slices never mix, so a slice that repeats its last iterate bit for
+    bit fills the rest of its stack, and build runs again on the others."""
     stack = np.empty((n_steps + 1,) + start.shape)
     stack[0] = start
+    live = np.arange(len(start))
+    op = build(live)
     for n in range(n_steps):
-        stack[n + 1] = op(stack[n])
+        last = stack[n, live]
+        new = op(last)
+        stack[n + 1, live] = new
+        fixed = _repeats(new, last)
+        if fixed.any():
+            stack[n + 2 :, live[fixed]] = new[fixed]
+            live = live[~fixed]
+            if not live.size:
+                break
+            op = build(live)
     return stack
 
 
@@ -287,8 +307,8 @@ def _tied_candidates(rng, grid, start: np.ndarray, n_candidates: int, n_steps: i
         candidates = [(index, r_a, make_toy_mdp(r_a)) for index, r_a in enumerate(draws, first)]
         tied = [c for c in candidates if abs(np.subtract(*solve_q_star(c[2], tol=1e-12)[0])) <= 1e-9]
         if tied:
-            op = categorical_full_opt_batch([mdp for _, _, mdp in tied], grid)
-            stacks = _prob_stack(op, np.broadcast_to(start, (len(tied),) + start.shape), n_steps)
+            build = lambda live: categorical_full_opt_batch([tied[c][2] for c in live], grid)
+            stacks = _prob_stack(build, np.broadcast_to(start, (len(tied),) + start.shape), n_steps)
         for c, (index, r_a, _) in enumerate(tied):
             # categorical_w1's matmul is only known to round alike on a contiguous stack
             yield index, r_a, np.ascontiguousarray(stacks[:, c])
@@ -304,13 +324,15 @@ def cmd_instability(config: dict) -> int:
     out = _out_dir(config, "instability")
 
     start = categorical_start(mdp, grid).probs()
-    os_stack = _prob_stack(categorical_os_opt(mdp, grid), start, config["one_step_iterations"])
+    # each trace is a batch of one
+    os_op = categorical_os_opt(mdp, grid)
+    os_stack = _prob_stack(lambda _: lambda p: os_op(p[0])[None], start[None], config["one_step_iterations"])[:, 0]
     os_steps = categorical_w1(os_stack[1:], os_stack[:-1], grid).max(axis=(1, 2)).tolist()
     os_refs = categorical_w1(os_stack, eta_star, grid).max(axis=(1, 2)).tolist()
     os_residual = os_refs[-1]
     os_converged = os_residual < 1e-8
 
-    cdrl_stack = _prob_stack(categorical_full_opt(mdp, grid), start, config["steps"])
+    cdrl_stack = _prob_stack(lambda _: categorical_full_opt_batch([mdp], grid), start[None], config["steps"])[:, 0]
     cdrl_report = detect_oscillation(cdrl_stack, grid)
 
     search = {"triggered": False, "candidates_tried": 0}

@@ -12,7 +12,10 @@ import pytest
 
 import osdrl
 from osdrl import (
+    categorical_full_opt_batch,
+    categorical_os_opt,
     categorical_start,
+    cli,
     distr_bellman_opt,
     make_toy_mdp,
     os_distr_opt,
@@ -31,7 +34,11 @@ from osdrl.cli import (
     MAX_SEEDS,
     MAX_STACK_ENTRIES,
     SEARCH_CHUNK,
+    SEARCH_STEPS,
     ConfigError,
+    _prob_stack,
+    _repeats,
+    _tied_candidates,
     load_config,
     main,
 )
@@ -422,6 +429,67 @@ class TestInstabilityCommand:
         for n in range(141):
             assert np.array_equal(written[n], mu.probs()), f"iterate {n}"
             mu = op(mu)
+
+
+def plain_stack(op, start, n_steps):
+    """n_steps applications of op from start, every iterate stacked."""
+    stack = [start]
+    for _ in range(n_steps):
+        stack.append(op(stack[-1]))
+    return np.array(stack)
+
+
+class TestProbStack:
+    """_prob_stack stops iterating a slice once it repeats bit for bit, yet
+    its stacks are those of the plain loop, byte for byte."""
+
+    GRID = np.array(DEFAULTS["instability"]["grid"], dtype=float)
+    MDP = make_toy_mdp()
+    START = categorical_start(MDP, GRID).probs()
+
+    # the toy traces repeat from iteration 3: 2 steps end before it
+    @pytest.mark.parametrize("n_steps", [60, 200, 3, 2, 0])
+    @pytest.mark.parametrize("trace", ["onestep", "cdrl"])
+    def test_toy_traces(self, trace, n_steps):
+        if trace == "onestep":
+            lone = categorical_os_opt(self.MDP, self.GRID)
+            op = lambda p: lone(p[0])[None]
+        else:
+            op = categorical_full_opt_batch([self.MDP], self.GRID)
+        applied = []
+        counted = lambda p: applied.append(1) or op(p)
+        got = _prob_stack(lambda live: counted, self.START[None], n_steps)
+        assert got.tobytes() == plain_stack(op, self.START[None], n_steps).tobytes()
+        assert len(applied) == min(n_steps, 3)
+
+    # the chunk that holds each seed's trigger: seed 9's first, seed 0's twelfth
+    @pytest.mark.parametrize("n_steps", [SEARCH_STEPS, 2, 0])
+    @pytest.mark.parametrize("seed, trigger", [(9, 27), (0, 374)])
+    def test_search_chunks(self, monkeypatch, seed, trigger, n_steps):
+        calls = []
+
+        def recorded(build, start, n):
+            calls.append((build, np.array(start), n, _prob_stack(build, start, n)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cli, "_prob_stack", recorded)
+        n_candidates = (trigger // SEARCH_CHUNK + 1) * SEARCH_CHUNK
+        yielded = list(_tied_candidates(np.random.default_rng(seed), self.GRID, self.START, n_candidates, n_steps))
+        build, start, _, got = calls[-1]
+        assert got.tobytes() == plain_stack(build(np.arange(len(start))), start, n_steps).tobytes()
+        chunk = [index for index, _, _ in yielded if index >= n_candidates - SEARCH_CHUNK]
+        assert len(chunk) == len(start) == SEARCH_CHUNK
+        if n_steps == SEARCH_STEPS:
+            # 31 slices freeze at iteration 3; the trigger still moves at the end
+            assert [index for index, frozen in zip(chunk, _repeats(got[3], got[2])) if not frozen] == [trigger]
+            assert not _repeats(got[-1], got[-2])[chunk.index(trigger)]
+
+    def test_zero_and_negative_zero_are_no_repeat(self):
+        old = np.array([[[0.0, 1.0]], [[0.5, 0.5]], [[np.nan, 1.0]]])
+        new = np.array([[[-0.0, 1.0]], [[0.5, 0.5]], [[np.nan, 1.0]]])
+        assert np.array_equal(new[:2], old[:2])
+        assert _repeats(new, old).tolist() == [False, True, True]
+        assert _repeats(old, new).tolist() == [False, True, True]
 
 
 class TestFrozenlakeCommand:

@@ -28,6 +28,7 @@ from osdrl import (
 from osdrl.distributions import AtomicDistribution
 from osdrl.mdp import TabularMdp
 from osdrl.dp import categorical_start
+from osdrl import operators
 from osdrl.operators import _positive_columns, _project_collection
 from osdrl.verify import (
     check_categorical_operators,
@@ -490,6 +491,27 @@ class TestFullOptBatch:
         for mdp, p, got in zip(mdps, probs, batched[1]):
             assert_ops_match(mdp, grid, p)  # and the lone operator is the object-level one
             assert np.array_equal(got, categorical_full_opt(mdp, grid)(p))
+
+    def test_a_subset_of_the_batch_keeps_the_batch_bits(self, monkeypatch):
+        # the instability search rebuilds its batch over the candidates still
+        # moving; the merge flags are batch-wide, so a subset without r_a =
+        # 1.5 skips _merge_sorted, which must leave every row's bits alone
+        rng = np.random.default_rng(12)
+        r_as = rng.uniform(1.8, 2.2, 6).tolist() + [1.5] + rng.uniform(0.0, 3.0, 6).tolist()
+        mdps = [make_toy_mdp(r_a) for r_a in r_as]
+        start = categorical_start(mdps[0], self.GRID).probs()
+        _, batched = lone_and_batched(mdps, self.GRID, np.array([start] * len(mdps)), 40)
+        merges = []
+        real_merge = operators._merge_sorted
+        monkeypatch.setattr(operators, "_merge_sorted", lambda *a: merges.append(1) or real_merge(*a))
+        without_merge = [c for c in range(len(mdps)) if c != 6]
+        for subset, merging in (([0, 6, 12], True), ([6], True), (without_merge, False), ([9], False)):
+            op = categorical_full_opt_batch([mdps[c] for c in subset], self.GRID)
+            merges.clear()
+            for n in range(40):
+                got = op(batched[n, subset])
+                assert got.tobytes() == batched[n + 1, subset].tobytes(), f"subset {subset}, iterate {n + 1}"
+            assert bool(merges) is merging, subset
 
     def test_batch_of_one_is_the_single_operator(self):
         mdp = make_toy_mdp(1.9)

@@ -27,6 +27,11 @@ ROOT = Path(__file__).resolve().parent.parent
 INVOCATIONS = {
     "instability_seed9": (["instability", "--seed", "9"], None),
     "instability_seed0": (["instability", "--seed", "0"], None),
+    # stacks that end before any repeat, and a search that runs out past a chunk boundary
+    "instability_short": (
+        ["instability"],
+        {"seed": 9, "steps": 2, "one_step_iterations": 2, "search_candidates": 40},
+    ),
     "histograms": (["histograms"], None),
     "frozenlake": (["frozenlake"], {"seeds": 2, "steps": 20000}),
     "verify_fast": (["verify"], {"fast": True}),
